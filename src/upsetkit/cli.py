@@ -28,7 +28,7 @@ from .errors import (
     TooFewRecords,
     UpsetError,
 )
-from .expectation import expectation_threshold
+from .expectation import cached_threshold
 from .families import FAMILIES, builtin_battery, make_family_instance
 from .measure import critical_probability, mu
 from .sweep import (
@@ -189,7 +189,7 @@ def _instance_checks(name: str, upper: UpperSet, variant: BoundVariant, tol: flo
     for check in report.inequality_checks:
         rows.append((name, check.name, check.holds, check.slack))
 
-    thresh = expectation_threshold(upper, tol)
+    thresh = cached_threshold(upper, tol)
     witness_ok = thresh.witness_cover.covers(upper)
     witness_cost = thresh.witness_cover.cost(max(thresh.q - tol, 0.0))
     rows.append((name, "q_witness_covers", witness_ok, None))

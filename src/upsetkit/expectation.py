@@ -4,11 +4,17 @@ A cover of F is a family of nonempty masks such that every minimal element
 of F contains one of them; its weight at p is sum p^{|S|}. F is p-small
 when some cover has weight <= 1/2, and q(F) is the largest such p.
 
-The search space is restricted to nonempty subsets of minimal elements:
-an element S covers a minimal M exactly when S is a subset of M, so any
-cover element useful for covering F can be replaced by its intersections
-with the minimals it serves, and the empty mask already costs 1 > 1/2.
-The restriction is re-checked against a naive oracle in the test suite.
+The search space is the intersection closure of the minimal elements:
+every nonempty intersection of a subfamily of F0. An element S covers a
+minimal M exactly when S is a subset of M. If S covers the minimals C,
+their intersection I(C) contains S and covers exactly C, so it serves the
+same minimals at no greater weight; and the empty mask already costs
+1 > 1/2. So any cover can be rewritten over intersections alone.
+Among intersections, covering a superset of minimals means being a subset,
+so no candidate is dominated by a cheaper one that covers more, and the
+closure needs no dominance filter. The test suite checks it against an
+oracle that takes every nonempty subset of every minimal, keeps the
+largest per coverage, and drops strictly dominated ones.
 
 The exact minimum is found by depth-first branch and bound over the
 uncovered minimal elements. Pruning uses two admissible lower bounds:
@@ -18,10 +24,6 @@ uncovered minimal elements. Pruning uses two admissible lower bounds:
 * counting: every cover pays at least (uncovered count) * min over
   candidates of cost/covered-count, by distributing each element's cost
   over the minimals it covers.
-
-Candidates strictly dominated by a cheaper candidate covering a superset
-of their minimals are dropped up front; such candidates appear in no
-optimal cover, so the canonical tie-break is unaffected.
 """
 
 from __future__ import annotations
@@ -90,47 +92,12 @@ class _CoverProblem:
                 f"exact cover search needs |F0| <= {SOLVER_MINIMALS_CAP}, got {m}"
             )
         self.min_sizes = tuple(b.bit_count() for b in self.min_bits)
-        raw = sorted(
-            {sub for mb in self.min_bits for sub in _submasks(mb)}, key=canonical_key
+        self.cand_bits = tuple(sorted(_intersection_closure(self.min_bits), key=canonical_key))
+        self.cand_sizes = tuple(b.bit_count() for b in self.cand_bits)
+        self.cand_cov = tuple(
+            sum(1 << i for i, mb in enumerate(self.min_bits) if s & mb == s)
+            for s in self.cand_bits
         )
-        if len(raw) > SOLVER_CANDIDATES_CAP:
-            raise SizeLimitExceeded(
-                f"exact cover search needs <= {SOLVER_CANDIDATES_CAP} candidates, got {len(raw)}"
-            )
-        cov = []
-        for s in raw:
-            c = 0
-            for i, mb in enumerate(self.min_bits):
-                if s & mb == s:
-                    c |= 1 << i
-            cov.append(c)
-        # Collapse equal-coverage candidates onto the largest (cheapest) one;
-        # raw is in canonical order, so the first kept per (coverage, size)
-        # group has the smallest bits.
-        by_cov: dict[int, int] = {}
-        for j, c in enumerate(cov):
-            best = by_cov.get(c)
-            if best is None or len_bits(raw[j]) > len_bits(raw[best]):
-                by_cov[c] = j
-        keep = sorted(by_cov.values())
-        # Strict dominance: drop s when a strictly larger candidate covers a
-        # superset of its minimals (the swap is strictly cheaper at any p).
-        if len(keep) <= 1024:
-            kept2 = []
-            for j in keep:
-                sj, cj = raw[j], cov[j]
-                kj = len_bits(sj)
-                dominated = any(
-                    len_bits(raw[i]) > kj and cov[i] | cj == cov[i]
-                    for i in keep
-                    if i != j
-                )
-                if not dominated:
-                    kept2.append(j)
-            keep = kept2
-        self.cand_bits = tuple(raw[j] for j in keep)
-        self.cand_sizes = tuple(len_bits(b) for b in self.cand_bits)
-        self.cand_cov = tuple(cov[j] for j in keep)
         self.per_min = tuple(
             tuple(j for j, c in enumerate(self.cand_cov) if c >> i & 1)
             for i in range(m)
@@ -138,8 +105,28 @@ class _CoverProblem:
         self.full = (1 << m) - 1
 
 
-def len_bits(b: int) -> int:
-    return b.bit_count()
+def _intersection_closure(min_bits: tuple[int, ...]) -> set[int]:
+    """Nonempty intersections of subfamilies of the minimal elements.
+
+    Grows the set from the minimals by intersecting each new member with
+    every minimal; raises as soon as it passes SOLVER_CANDIDATES_CAP, so a
+    refused instance costs at most ~cap * |F0| mask operations.
+    """
+    closure = set(min_bits)
+    pending = list(closure)
+    while pending:
+        s = pending.pop()
+        for mb in min_bits:
+            t = s & mb
+            if t and t not in closure:
+                if len(closure) >= SOLVER_CANDIDATES_CAP:
+                    raise SizeLimitExceeded(
+                        f"exact cover search needs <= {SOLVER_CANDIDATES_CAP} candidates "
+                        "(intersections of minimal elements), got more"
+                    )
+                closure.add(t)
+                pending.append(t)
+    return closure
 
 
 @lru_cache(maxsize=256)
@@ -163,7 +150,7 @@ class _Search:
             tuple(
                 sorted(
                     cands,
-                    key=lambda j: (self.cost[j] / len_bits(self.prob.cand_cov[j]), j),
+                    key=lambda j: (self.cost[j] / prob.cand_cov[j].bit_count(), j),
                 )
             )
             for cands in prob.per_min
@@ -347,11 +334,16 @@ def expectation_threshold(upper: UpperSet, tol: float = 1e-9) -> ExpectationThre
 
 
 @lru_cache(maxsize=1024)
+def cached_threshold(upper: UpperSet, tol: float = 1e-9) -> ExpectationThreshold:
+    """Memoized expectation_threshold; q and its witness are computed once."""
+    return expectation_threshold(upper, tol)
+
+
 def cached_q(upper: UpperSet, tol: float = 1e-9) -> float:
     """Memoized q(F); the bounds and sweep modules call this repeatedly."""
-    return expectation_threshold(upper, tol).q
+    return cached_threshold(upper, tol).q
 
 
 def clear_caches() -> None:
     _problem.cache_clear()
-    cached_q.cache_clear()
+    cached_threshold.cache_clear()

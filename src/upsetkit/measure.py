@@ -28,6 +28,7 @@ from .errors import MissingMcParams, NonConvergence, SizeLimitExceeded
 
 ENUMERATION_GROUND_CAP = 24
 INCLUSION_EXCLUSION_MINIMALS_CAP = 24
+MC_CHUNK_ROWS = 1 << 16
 
 EXACT_METHODS = ("enumeration", "inclusion_exclusion")
 METHODS = EXACT_METHODS + ("monte_carlo",)
@@ -127,13 +128,19 @@ def mu(
 
 
 def _mu_monte_carlo(upper: UpperSet, p: float, samples: int, seed: int) -> MuEstimate:
+    # PCG64 fills arrays row-major, so drawing MC_CHUNK_ROWS rows at a time
+    # consumes the same stream as one (samples, n) draw, in bounded memory.
     rng = np.random.Generator(np.random.PCG64(seed))
-    draws = rng.random((samples, upper.ground_size)) < p
-    hits = np.zeros(samples, dtype=bool)
-    for m in upper.minimals:
-        idx = list(m.indices())
-        hits |= draws[:, idx].all(axis=1)
-    value = float(hits.sum()) / samples
+    columns = [list(m.indices()) for m in upper.minimals]
+    total = 0
+    for start in range(0, samples, MC_CHUNK_ROWS):
+        rows = min(MC_CHUNK_ROWS, samples - start)
+        draws = rng.random((rows, upper.ground_size)) < p
+        hits = np.zeros(rows, dtype=bool)
+        for idx in columns:
+            hits |= draws[:, idx].all(axis=1)
+        total += int(hits.sum())
+    value = total / samples
     std_error = math.sqrt(value * (1.0 - value) / samples)
     return MuEstimate(value, std_error, "monte_carlo", samples)
 

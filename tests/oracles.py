@@ -56,6 +56,31 @@ def _candidates(min_bits: list[int]) -> list[int]:
     return sorted(cands)
 
 
+def subset_pipeline_candidates(min_bits: list[int]) -> list[int]:
+    """Cover candidates the long way, in canonical (popcount, value) order.
+
+    Takes every nonempty subset of every minimal, keeps the largest subset
+    per coverage (the set of minimals containing it), then drops any kept
+    subset for which a strictly larger kept subset covers a superset of its
+    minimals.
+    """
+    by_cov: dict[frozenset[int], int] = {}
+    for s in _candidates(min_bits):
+        cov = frozenset(i for i, m in enumerate(min_bits) if s & m == s)
+        best = by_cov.get(cov)
+        if best is None or bin(s).count("1") > bin(best).count("1"):
+            by_cov[cov] = s
+    kept = [
+        s
+        for cov, s in by_cov.items()
+        if not any(
+            bin(t).count("1") > bin(s).count("1") and cov <= other
+            for other, t in by_cov.items()
+        )
+    ]
+    return sorted(kept, key=lambda b: (bin(b).count("1"), b))
+
+
 def naive_min_cover_cost(min_bits: list[int], p: float) -> float:
     """Exact minimum cover weight by exhausting per-minimal assignments.
 

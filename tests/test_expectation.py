@@ -1,8 +1,13 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_min_cover_cost, naive_q, subset_enumeration_min_cover_cost
+from oracles import (
+    naive_min_cover_cost,
+    naive_q,
+    subset_enumeration_min_cover_cost,
+    subset_pipeline_candidates,
+)
 from test_core import upper_sets
 from upsetkit import (
     candidate_cover_elements,
@@ -14,6 +19,7 @@ from upsetkit import (
 )
 from upsetkit.core import from_minimal_bits
 from upsetkit.errors import SizeLimitExceeded
+from upsetkit.expectation import SOLVER_CANDIDATES_CAP, _problem
 
 
 class TestCandidates:
@@ -36,6 +42,43 @@ class TestCandidates:
         up = from_minimal_bits(8, [0b11111111 >> 1])
         with pytest.raises(SizeLimitExceeded):
             candidate_cover_elements(up, cap=32)
+
+
+def co_singletons(n: int):
+    """The n sets of size n - 1 on an n-element ground set; their
+    intersection closure is every nonempty proper subset, 2^n - 2 masks."""
+    full = (1 << n) - 1
+    return from_minimal_bits(n, [full ^ (1 << i) for i in range(n)])
+
+
+class TestCoverProblem:
+    @given(upper_sets(max_ground=8, max_gens=7), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    @example(co_singletons(5), False)
+    def test_candidates_match_subset_pipeline(self, up, dense):
+        if dense:
+            # complemented minimals: large sets with long intersection chains
+            full = (1 << up.ground_size) - 1
+            assume(full not in up.minimal_bits)
+            up = from_minimal_bits(up.ground_size, [full ^ b for b in up.minimal_bits])
+        prob = _problem(up)
+        assert list(prob.cand_bits) == subset_pipeline_candidates(list(up.minimal_bits))
+        for s, cov in zip(prob.cand_bits, prob.cand_cov):
+            assert cov == sum(1 << i for i, m in enumerate(up.minimal_bits) if s & m == s)
+
+    def test_principal_k20_is_exact(self):
+        # 2^20 subsets of the generator, but a one-element closure
+        up = from_minimal_bits(21, [(1 << 20) - 1])
+        assert _problem(up).cand_bits == ((1 << 20) - 1,)
+        assert expectation_threshold(up).q == pytest.approx(2 ** (-1 / 20), abs=1e-9)
+
+    def test_closure_at_cap(self):
+        assert 2**12 - 2 <= SOLVER_CANDIDATES_CAP < 2**13 - 2
+        assert len(_problem(co_singletons(12)).cand_bits) == 2**12 - 2
+
+    def test_closure_past_cap(self):
+        with pytest.raises(SizeLimitExceeded):
+            _problem(co_singletons(13))
 
 
 class TestMinCoverCost:

@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +10,7 @@ from test_core import upper_sets
 from upsetkit import critical_probability, graph_connectivity, mu
 from upsetkit.core import from_minimal_bits
 from upsetkit.errors import MissingMcParams, SizeLimitExceeded
+from upsetkit.measure import MC_CHUNK_ROWS
 
 K4_CONNECTIVITY_PC = 0.45110975209937987  # frozen from the union-find oracle
 
@@ -97,6 +101,20 @@ class TestMuMonteCarlo:
         est = mu(up, 0.5, "monte_carlo", samples=100_000, seed=7)
         assert abs(est.value - exact) <= 4 * est.std_error
         assert est.samples == 100_000
+
+    def test_chunked_draws_match_one_array(self):
+        # several full chunks plus a ragged last one
+        up = from_minimal_bits(5, [0b00011, 0b01100, 0b10101])
+        samples = 3 * MC_CHUNK_ROWS + 1234
+        est = mu(up, 0.45, "monte_carlo", samples=samples, seed=2024)
+        draws = np.random.Generator(np.random.PCG64(2024)).random((samples, 5)) < 0.45
+        hits = np.zeros(samples, dtype=bool)
+        for m in up.minimal_bits:
+            hits |= draws[:, [x for x in range(5) if m >> x & 1]].all(axis=1)
+        value = float(hits.sum()) / samples
+        assert est.value == value
+        assert est.std_error == math.sqrt(value * (1.0 - value) / samples)
+        assert est.samples == samples
 
 
 class TestCriticalProbability:
