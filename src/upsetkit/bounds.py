@@ -22,7 +22,7 @@ from . import fmt
 from .core import UpperSet
 from .errors import SizeLimitExceeded
 from .expectation import cached_q
-from .measure import critical_probability
+from .measure import cached_critical_probability
 from .structure import DIMENSION_MINIMALS_CAP, cached_dim, max_nonempty_sigma_index
 
 AUTO_ENUMERATION_CAP = 20
@@ -177,7 +177,7 @@ def verify_instance(
     cap are reported as None and their checks skipped, never fabricated.
     """
     q = cached_q(upper, tol)
-    p_c = critical_probability(upper, tol, method or auto_exact_method(upper)).p_c
+    p_c = cached_critical_probability(upper, tol, method or auto_exact_method(upper)).p_c
     m = len(upper.minimals)
     t = max_nonempty_sigma_index(upper)
     sigma_profile = tuple((k, k > t) for k in range(1, m + 1))

@@ -30,14 +30,14 @@ from .errors import (
 )
 from .expectation import cached_threshold
 from .families import FAMILIES, builtin_battery, make_family_instance
-from .measure import critical_probability, mu
+from .measure import cached_critical_probability, mu
 from .sweep import (
     information_classification,
     necessary_conditions_report,
     records_to_csv,
     sweep,
 )
-from .structure import covering_dimension, sigma_k
+from .structure import cached_dimension, sigma_k
 
 PARSE_ERROR, CAP_ERROR = 2, 3
 
@@ -94,9 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check all inequalities")
     add_source_flags(p_verify, battery=True)
     add_variant_flags(p_verify)
-    p_verify.add_argument("--t-max", type=int, default=2)
-    p_verify.add_argument("--dim-convention", choices=("unrestricted", "within-family"),
-                          default="unrestricted")
     p_verify.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_family = sub.add_parser("family", help="emit a generated instance as JSON")
@@ -195,10 +192,10 @@ def _instance_checks(name: str, upper: UpperSet, variant: BoundVariant, tol: flo
     rows.append((name, "q_witness_covers", witness_ok, None))
     rows.append((name, "q_witness_cost_le_half", witness_cost <= 0.5, 0.5 - witness_cost))
 
-    pc = critical_probability(upper, tol, auto_exact_method(upper))
+    method = auto_exact_method(upper)
+    pc = cached_critical_probability(upper, tol, method)
     rows.append((name, "pc_residual_le_tol", pc.residual <= pc.tolerance, pc.tolerance - pc.residual))
 
-    method = auto_exact_method(upper)
     lo = mu(upper, 0.0, method).value
     hi = mu(upper, 1.0, method).value
     rows.append((name, "mu_boundaries", lo == 0.0 and hi == 1.0, None))
@@ -212,7 +209,7 @@ def _instance_checks(name: str, upper: UpperSet, variant: BoundVariant, tol: flo
 
     if report.dim_unrestricted is not None:
         for convention in ("unrestricted", "within_family"):
-            result = covering_dimension(upper, convention)
+            result = cached_dimension(upper, convention)
             ok = result.witness.covers(upper) and len(result.witness) == result.dim
             rows.append((name, f"dim_witness_{convention}", ok, None))
 

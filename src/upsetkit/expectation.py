@@ -24,11 +24,25 @@ uncovered minimal elements. Pruning uses two admissible lower bounds:
 * counting: every cover pays at least (uncovered count) * min over
   candidates of cost/covered-count, by distributing each element's cost
   over the minimals it covers.
+
+A decide call tries the cheapest answers first: the cover by all the
+minimals, then the root lower bound (it is admissible, so when it prunes
+the greedy cover could not have succeeded), then the greedy cover, then
+the tree search. The p-independent tables (coverages and their counts,
+the candidates under each minimal, the candidate index of each minimal)
+are built once per problem. A search takes its costs from one table of
+powers of p and builds the rest on first use: the branch order at a
+minimal, and the counting bound's candidate scan sorted by the floor
+cost/|cov|. The scan stops once the floor reaches the best
+cost/|cov & uncovered| so far, which is exact because
+|cov & uncovered| <= |cov|. At the root every coverage is whole, so the
+counting bound is the smallest floor and needs no scan.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -82,7 +96,8 @@ def candidate_cover_elements(
 class _CoverProblem:
     """Preprocessed search data for one upper set (p-independent)."""
 
-    __slots__ = ("min_bits", "min_sizes", "cand_bits", "cand_sizes", "cand_cov", "per_min", "full")
+    __slots__ = ("min_bits", "min_sizes", "max_size", "cand_bits", "cand_sizes", "cand_cov",
+                 "cand_count", "per_min", "min_cand", "full")
 
     def __init__(self, upper: UpperSet):
         self.min_bits = upper.minimal_bits
@@ -92,17 +107,39 @@ class _CoverProblem:
                 f"exact cover search needs |F0| <= {SOLVER_MINIMALS_CAP}, got {m}"
             )
         self.min_sizes = tuple(b.bit_count() for b in self.min_bits)
+        self.max_size = max(self.min_sizes)
         self.cand_bits = tuple(sorted(_intersection_closure(self.min_bits), key=canonical_key))
         self.cand_sizes = tuple(b.bit_count() for b in self.cand_bits)
-        self.cand_cov = tuple(
-            sum(1 << i for i, mb in enumerate(self.min_bits) if s & mb == s)
-            for s in self.cand_bits
-        )
-        self.per_min = tuple(
-            tuple(j for j, c in enumerate(self.cand_cov) if c >> i & 1)
-            for i in range(m)
-        )
+        # A candidate lies under exactly the minimals through all its elements.
+        through = [0] * max(self.min_bits).bit_length()
+        for i, mb in enumerate(self.min_bits):
+            for x in _elements(mb):
+                through[x] |= 1 << i
         self.full = (1 << m) - 1
+        cand_cov = []
+        per_min: list[list[int]] = [[] for _ in range(m)]
+        for j, s in enumerate(self.cand_bits):
+            c = self.full
+            for x in _elements(s):
+                c &= through[x]
+            cand_cov.append(c)
+            for i in _elements(c):
+                per_min[i].append(j)
+        self.cand_cov = tuple(cand_cov)
+        self.cand_count = tuple(c.bit_count() for c in self.cand_cov)
+        self.per_min = tuple(map(tuple, per_min))
+        # Every minimal is a candidate (the closure starts from them); this
+        # is the cover by all the minimals, in minimal order.
+        index = {b: j for j, b in enumerate(self.cand_bits)}
+        self.min_cand = tuple(index[b] for b in self.min_bits)
+
+
+def _elements(mask: int):
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _intersection_closure(min_bits: tuple[int, ...]) -> set[int]:
@@ -135,26 +172,23 @@ def _problem(upper: UpperSet) -> _CoverProblem:
 
 
 class _Search:
-    """One branch-and-bound run at a fixed p."""
+    """One branch-and-bound run at a fixed p.
+
+    Only the costs are built up front; branch orders and the counting
+    bound's candidate scan are built on first use, so a decide call that
+    ends at the root builds neither.
+    """
 
     def __init__(self, prob: _CoverProblem, p: float, node_budget: int = NODE_BUDGET):
         self.prob = prob
         self.p = p
-        self.cost = tuple(p**k for k in prob.cand_sizes)
-        self.min_cost = tuple(p**k for k in prob.min_sizes)
+        powers = [p**k for k in range(prob.max_size + 1)]
+        self.cost = tuple(map(powers.__getitem__, prob.cand_sizes))
+        self.min_cost = tuple(map(powers.__getitem__, prob.min_sizes))
         self.nodes = 0
         self.node_budget = node_budget
-        # Candidate order within a branch: cost per newly covered minimal
-        # (recomputed coarsely from full coverage), then canonical.
-        self.branch_order = tuple(
-            tuple(
-                sorted(
-                    cands,
-                    key=lambda j: (self.cost[j] / prob.cand_cov[j].bit_count(), j),
-                )
-            )
-            for cands in prob.per_min
-        )
+        self._orders: list[tuple[int, ...] | None] = [None] * len(prob.min_bits)
+        self._scan: list[tuple[float, int, float]] | None = None
 
     def _tick(self):
         self.nodes += 1
@@ -166,14 +200,13 @@ class _Search:
     def lower_bound(self, uncovered: int) -> float:
         if uncovered == 0:
             return 0.0
-        prob, cost = self.prob, self.cost
-        u = uncovered.bit_count()
-        ratio = min(
-            cost[j] / (c & uncovered).bit_count()
-            for j, c in enumerate(prob.cand_cov)
-            if c & uncovered
-        )
-        counting = u * ratio
+        prob = self.prob
+        if uncovered == prob.full:
+            # every coverage is whole here, so the ratio is the smallest floor
+            ratio = min(map(operator.truediv, self.cost, prob.cand_count))
+        else:
+            ratio = self._counting_ratio(uncovered)
+        counting = uncovered.bit_count() * ratio
         blocked = 0
         packing = 0.0
         for i, mb in enumerate(prob.min_bits):
@@ -181,6 +214,41 @@ class _Search:
                 packing += self.min_cost[i]
                 blocked |= mb
         return counting if counting > packing else packing
+
+    def _counting_ratio(self, uncovered: int) -> float:
+        """Min of cost / |cov & uncovered| over candidates meeting ``uncovered``.
+
+        Scans by ascending floor cost / |cov| and stops once the floor
+        reaches the best ratio so far: |cov & uncovered| <= |cov|, so no
+        later candidate can go below it.
+        """
+        scan = self._scan
+        if scan is None:
+            cost, prob = self.cost, self.prob
+            scan = self._scan = sorted(
+                zip(map(operator.truediv, cost, prob.cand_count), prob.cand_cov, cost)
+            )
+        ratio = math.inf
+        for floor, c, cost_j in scan:
+            if floor >= ratio:
+                break
+            k = (c & uncovered).bit_count()
+            if k:
+                r = cost_j / k
+                if r < ratio:
+                    ratio = r
+        return ratio
+
+    def _branch_order(self, i: int) -> tuple[int, ...]:
+        """Candidates under minimal i by cost per covered minimal (full
+        coverage, a coarse stand-in for new coverage), then canonical."""
+        order = self._orders[i]
+        if order is None:
+            cost, count = self.cost, self.prob.cand_count
+            order = self._orders[i] = tuple(
+                sorted(self.prob.per_min[i], key=lambda j: (cost[j] / count[j], j))
+            )
+        return order
 
     def _pick_branch(self, uncovered: int) -> int:
         prob = self.prob
@@ -212,14 +280,14 @@ class _Search:
     def decide(self, threshold: float) -> list[int] | None:
         """A cover with cost <= threshold, or None if none exists. Exact."""
         prob = self.prob
-        all_minimals = math.fsum(self.min_cost)
-        if all_minimals <= threshold:
-            return [j for i in range(len(prob.min_bits)) for j in prob.per_min[i] if prob.cand_bits[j] == prob.min_bits[i]]
+        if math.fsum(self.min_cost) <= threshold:
+            return list(prob.min_cand)
+        # The bound is admissible: when it prunes, greedy cannot succeed.
+        if self.lower_bound(prob.full) > threshold + 1e-12:
+            return None
         chosen, greedy_cost = self.greedy_cover()
         if greedy_cost <= threshold:
             return chosen
-        if self.lower_bound(prob.full) > threshold + 1e-12:
-            return None
         seen: dict[int, float] = {}
 
         def dfs(uncovered: int, acc: float) -> list[int] | None:
@@ -233,7 +301,7 @@ class _Search:
             if acc + self.lower_bound(uncovered) > threshold + 1e-12:
                 return None
             bi = self._pick_branch(uncovered)
-            for j in self.branch_order[bi]:
+            for j in self._branch_order(bi):
                 rest = dfs(uncovered & ~prob.cand_cov[j], acc + self.cost[j])
                 if rest is not None:
                     return [j] + rest
@@ -266,7 +334,7 @@ class _Search:
             if acc + self.lower_bound(uncovered) > best[0] + _TIE_EPS:
                 return
             bi = self._pick_branch(uncovered)
-            for j in self.branch_order[bi]:
+            for j in self._branch_order(bi):
                 chosen.append(j)
                 dfs(uncovered & ~prob.cand_cov[j], acc + self.cost[j], chosen)
                 chosen.pop()
@@ -315,12 +383,7 @@ def expectation_threshold(upper: UpperSet, tol: float = 1e-9) -> ExpectationThre
         raise ValueError(f"tol must be positive, got {tol}")
     prob = _problem(upper)
     lo, hi = 0.0, 1.0
-    witness: list[int] = [
-        j
-        for i in range(len(prob.min_bits))
-        for j in prob.per_min[i]
-        if prob.cand_bits[j] == prob.min_bits[i]
-    ]
+    witness = list(prob.min_cand)
     for _ in range(64):
         if hi - lo <= tol:
             break

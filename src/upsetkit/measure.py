@@ -195,7 +195,17 @@ def critical_probability(
     return CriticalProbability(p_c, residual, tol)
 
 
+@lru_cache(maxsize=1024)
+def cached_critical_probability(
+    upper: UpperSet, tol: float = 1e-9, method: str = "enumeration"
+) -> CriticalProbability:
+    """Memoized critical_probability; one bisection per (instance, tol, method)."""
+    return critical_probability(upper, tol, method)
+
+
 def clear_caches() -> None:
-    """Drop cached instance profiles (used by determinism tests)."""
+    """Drop cached instance profiles and critical probabilities (used by
+    determinism tests)."""
     _enumeration_profile.cache_clear()
     _inclusion_exclusion_coeffs.cache_clear()
+    cached_critical_probability.cache_clear()

@@ -178,9 +178,14 @@ def covering_dimension(upper: UpperSet, convention: str = "unrestricted") -> Dim
 
 
 @lru_cache(maxsize=1024)
+def cached_dimension(upper: UpperSet, convention: str = "unrestricted") -> DimensionResult:
+    """Memoized covering_dimension; the size and its witness are computed once."""
+    return covering_dimension(upper, convention)
+
+
 def cached_dim(upper: UpperSet, convention: str = "unrestricted") -> int:
-    return covering_dimension(upper, convention).dim
+    return cached_dimension(upper, convention).dim
 
 
 def clear_caches() -> None:
-    cached_dim.cache_clear()
+    cached_dimension.cache_clear()

@@ -19,7 +19,7 @@ from .core import UpperSet
 from .errors import EmptyInput, SizeLimitExceeded, TooFewRecords, UpsetError
 from .expectation import cached_q
 from .families import make_family_instance
-from .measure import critical_probability
+from .measure import cached_critical_probability
 from .structure import DIMENSION_MINIMALS_CAP, cached_dim, max_nonempty_sigma_index
 
 CSV_BASE_HEADER = (
@@ -68,7 +68,7 @@ def _instance_record(
         error = str(exc)
     p_c = None
     try:
-        p_c = critical_probability(upper, tol, auto_exact_method(upper)).p_c
+        p_c = cached_critical_probability(upper, tol, auto_exact_method(upper)).p_c
     except SizeLimitExceeded as exc:
         error = error or str(exc)
     if q is not None:

@@ -179,3 +179,108 @@ def connectivity_profile(n: int) -> list[int]:
         if len({find(v) for v in range(n)}) == 1:
             counts[k] += 1
     return counts
+
+
+class EagerSearch:
+    """The cover search with every table built up front.
+
+    A copy of the decision search as it stood before its tables became
+    lazy, less the node budget: the greedy cover runs before the root
+    bound, every branch order is sorted at construction, and the counting
+    bound scans every candidate. It reads the preprocessed problem (minimal and
+    candidate masks, coverages, per-minimal candidate lists) and nothing
+    else, so a faster search can be checked against it for the same
+    answers and the same node counts.
+    """
+
+    def __init__(self, prob, p: float):
+        self.prob = prob
+        self.p = p
+        self.cost = tuple(p**k for k in prob.cand_sizes)
+        self.min_cost = tuple(p**k for k in prob.min_sizes)
+        self.nodes = 0
+        self.branch_order = tuple(
+            tuple(
+                sorted(
+                    cands,
+                    key=lambda j: (self.cost[j] / prob.cand_cov[j].bit_count(), j),
+                )
+            )
+            for cands in prob.per_min
+        )
+
+    def lower_bound(self, uncovered: int) -> float:
+        if uncovered == 0:
+            return 0.0
+        prob, cost = self.prob, self.cost
+        u = uncovered.bit_count()
+        ratio = min(
+            cost[j] / (c & uncovered).bit_count()
+            for j, c in enumerate(prob.cand_cov)
+            if c & uncovered
+        )
+        counting = u * ratio
+        blocked = 0
+        packing = 0.0
+        for i, mb in enumerate(prob.min_bits):
+            if uncovered >> i & 1 and not (mb & blocked):
+                packing += self.min_cost[i]
+                blocked |= mb
+        return counting if counting > packing else packing
+
+    def _pick_branch(self, uncovered: int) -> int:
+        prob = self.prob
+        best_i, best_len = -1, 1 << 30
+        for i in range(len(prob.min_bits)):
+            if uncovered >> i & 1:
+                live = sum(1 for j in prob.per_min[i] if prob.cand_cov[j] & uncovered)
+                if live < best_len:
+                    best_i, best_len = i, live
+        return best_i
+
+    def greedy_cover(self) -> tuple[list[int], float]:
+        prob, cost = self.prob, self.cost
+        uncovered = prob.full
+        chosen: list[int] = []
+        while uncovered:
+            best_j, best_ratio = -1, math.inf
+            for j, c in enumerate(prob.cand_cov):
+                new = (c & uncovered).bit_count()
+                if new:
+                    r = cost[j] / new
+                    if r < best_ratio - 1e-18:
+                        best_j, best_ratio = j, r
+            chosen.append(best_j)
+            uncovered &= ~prob.cand_cov[best_j]
+        return chosen, math.fsum(cost[j] for j in chosen)
+
+    def decide(self, threshold: float) -> list[int] | None:
+        prob = self.prob
+        all_minimals = math.fsum(self.min_cost)
+        if all_minimals <= threshold:
+            return [j for i in range(len(prob.min_bits)) for j in prob.per_min[i] if prob.cand_bits[j] == prob.min_bits[i]]
+        chosen, greedy_cost = self.greedy_cover()
+        if greedy_cost <= threshold:
+            return chosen
+        if self.lower_bound(prob.full) > threshold + 1e-12:
+            return None
+        seen: dict[int, float] = {}
+
+        def dfs(uncovered: int, acc: float) -> list[int] | None:
+            self.nodes += 1
+            if uncovered == 0:
+                return [] if acc <= threshold else None
+            prev = seen.get(uncovered)
+            if prev is not None and acc >= prev:
+                return None
+            seen[uncovered] = acc
+            if acc + self.lower_bound(uncovered) > threshold + 1e-12:
+                return None
+            bi = self._pick_branch(uncovered)
+            for j in self.branch_order[bi]:
+                rest = dfs(uncovered & ~prob.cand_cov[j], acc + self.cost[j])
+                if rest is not None:
+                    return [j] + rest
+            return None
+
+        return dfs(prob.full, 0.0)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -165,6 +166,37 @@ class TestVerify:
         bad = [l for l in out.strip().split("\n") if ",false," in l]
         assert any("sandwich_left_q_le_pc" in l for l in bad)
 
+    @pytest.mark.parametrize("flag", [["--t-max", "3"], ["--dim-convention", "unrestricted"]])
+    def test_sweep_only_flags_rejected(self, capsys, principal3_file, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--instance", principal3_file, *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        code, _, _ = run_main(capsys, ["sweep", "--family", "principal", "--range", "2..3", *flag])
+        assert code == 0
+
+    def test_each_quantity_computed_once(self, capsys, tmp_path, monkeypatch):
+        import upsetkit.measure
+        import upsetkit.structure
+
+        calls = []
+        for module, name in ((upsetkit.measure, "critical_probability"),
+                             (upsetkit.structure, "covering_dimension")):
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        path = tmp_path / "k4.json"
+        path.write_text(graph_connectivity(4).to_instance_json())
+        upsetkit.clear_caches()
+        code, _, _ = run_main(capsys, ["verify", "--instance", str(path)])
+        assert code == 0
+        # one p_c bisection, one dimension search per convention
+        assert sorted(calls) == ["covering_dimension"] * 2 + ["critical_probability"]
+
     def test_json_format(self, capsys, principal3_file):
         code, out, _ = run_main(
             capsys, ["verify", "--instance", principal3_file, "--format", "json"]
@@ -192,6 +224,21 @@ class TestFamily:
 
 
 class TestDeterminism:
+    # sha256 of stdout; any change to a printed number or row changes it
+    PINNED = {
+        ("verify", "--battery", "builtin"):
+            "33929223effab3576a0382c62a03aa7d8657eba3c86d9915d5eeb98892bf462c",
+        ("sweep", "--family", "hamilton", "--range", "4..6"):
+            "ea295d942924f9961c1999b5499c9e269c8af1bb63ec5dd0e5203462bc304caf",
+    }
+
+    @pytest.mark.parametrize("argv", list(PINNED))
+    def test_stdout_pinned(self, capsys, argv):
+        upsetkit.clear_caches()
+        code, out, _ = run_main(capsys, list(argv))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[argv]
+
     def _run(self, args):
         return subprocess.run(
             [sys.executable, "-m", "upsetkit.cli", *args],

@@ -3,6 +3,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    EagerSearch,
     naive_min_cover_cost,
     naive_q,
     subset_enumeration_min_cover_cost,
@@ -19,7 +20,7 @@ from upsetkit import (
 )
 from upsetkit.core import from_minimal_bits
 from upsetkit.errors import SizeLimitExceeded
-from upsetkit.expectation import SOLVER_CANDIDATES_CAP, _problem
+from upsetkit.expectation import SOLVER_CANDIDATES_CAP, _problem, _Search
 
 
 class TestCandidates:
@@ -79,6 +80,59 @@ class TestCoverProblem:
     def test_closure_past_cap(self):
         with pytest.raises(SizeLimitExceeded):
             _problem(co_singletons(13))
+
+
+class TestSearch:
+    @given(upper_sets(max_ground=8, max_gens=7))
+    @settings(max_examples=120, deadline=None)
+    @example(graph_connectivity(4))
+    def test_decide_matches_eager_search(self, up):
+        # every midpoint of the q bisection, ending at p within 1e-6 of q,
+        # where the decision needs the greedy cover and the tree search
+        prob = _problem(up)
+        lo, hi = 0.0, 1.0
+        while hi - lo > 1e-6:
+            p = 0.5 * (lo + hi)
+            lazy, eager = _Search(prob, p), EagerSearch(prob, p)
+            found = lazy.decide(0.5)
+            assert found == eager.decide(0.5)
+            assert lazy.nodes == eager.nodes
+            lo, hi = (p, hi) if found is not None else (lo, p)
+
+    @given(upper_sets(max_ground=8, max_gens=7), st.floats(0.05, 0.95), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_counting_bound_matches_full_scan(self, up, p, data):
+        prob = _problem(up)
+        uncovered = data.draw(st.integers(1, prob.full))
+        search = _Search(prob, p)
+        full_scan = min(
+            search.cost[j] / (c & uncovered).bit_count()
+            for j, c in enumerate(prob.cand_cov)
+            if c & uncovered
+        )
+        assert search._counting_ratio(uncovered) == full_scan
+        for mask in (uncovered, prob.full):
+            assert search.lower_bound(mask) == EagerSearch(prob, p).lower_bound(mask)
+
+    def test_greedy_skipped_when_root_bound_prunes(self, monkeypatch):
+        up = graph_connectivity(4)
+        q = expectation_threshold(up).q
+        calls = []
+        greedy = _Search.greedy_cover
+
+        def spy(self):
+            calls.append(self.p)
+            return greedy(self)
+
+        monkeypatch.setattr(_Search, "greedy_cover", spy)
+        prob = _problem(up)
+        pruned = _Search(prob, 1.1 * q)
+        assert pruned.lower_bound(prob.full) > 0.5
+        assert pruned.decide(0.5) is None
+        assert calls == []
+        # below q the root bound does not prune and greedy is the next step
+        assert _Search(prob, 0.99 * q).decide(0.5) is not None
+        assert calls == [0.99 * q]
 
 
 class TestMinCoverCost:
