@@ -79,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--method", choices=("enum", "ie", "mc", "auto"), default="auto")
     p_compute.add_argument("--samples", type=int)
     p_compute.add_argument("--seed", type=int)
-    p_compute.add_argument("--format", choices=("json",), default="json")
 
     p_sweep = sub.add_parser("sweep", help="family sweep as CSV")
     p_sweep.add_argument("--family", required=True, choices=sorted(FAMILIES))
@@ -89,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--dim-convention", choices=("unrestricted", "within-family"),
                          default="unrestricted")
     p_sweep.add_argument("--summary", help="write the JSON summary line here instead of stderr")
-    p_sweep.add_argument("--format", choices=("csv",), default="csv")
 
     p_verify = sub.add_parser("verify", help="check all inequalities")
     add_source_flags(p_verify, battery=True)

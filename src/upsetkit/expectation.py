@@ -37,12 +37,30 @@ cost/|cov|. The scan stops once the floor reaches the best
 cost/|cov & uncovered| so far, which is exact because
 |cov & uncovered| <= |cov|. At the root every coverage is whole, so the
 counting bound is the smallest floor and needs no scan.
+
+q is the midpoint of a bisection whose steps would each be a decide call
+at threshold 1/2; most are answered from a bracket instead:
+
+* climb: from the cover by all the minimals, decide just above the root of
+  the current cover's weight polynomial sum c_k p^k = 1/2, where it weighs
+  1/2 + 2e-12 (found by Newton steps from above); a cover it returns has a
+  larger root, and the first None ends the climb;
+* replay: a midpoint where the best climbed cover weighs at most
+  1/2 - 1e-12 (decide sums in search order, not with fsum) is feasible,
+  a midpoint at or above the p of that None is infeasible, and only a
+  midpoint between the two runs a decide;
+* witness: one decide at the final lower end, the call that produces the
+  witness when every midpoint runs a decide.
+
+So q and the witness are those of a decide at every midpoint, from a few
+searches per q instead of about 30.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -55,6 +73,10 @@ SOLVER_CANDIDATES_CAP = 4096
 NODE_BUDGET = 2_000_000
 
 _TIE_EPS = 1e-14
+# a bound prunes a decide only when it passes the threshold by this much
+_PRUNE_SLACK = 1e-12
+# decide sums costs in search order; fsum within this of 1/2 may round past it
+_REPLAY_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -283,7 +305,7 @@ class _Search:
         if math.fsum(self.min_cost) <= threshold:
             return list(prob.min_cand)
         # The bound is admissible: when it prunes, greedy cannot succeed.
-        if self.lower_bound(prob.full) > threshold + 1e-12:
+        if self.lower_bound(prob.full) > threshold + _PRUNE_SLACK:
             return None
         chosen, greedy_cost = self.greedy_cover()
         if greedy_cost <= threshold:
@@ -298,7 +320,7 @@ class _Search:
             if prev is not None and acc >= prev:
                 return None
             seen[uncovered] = acc
-            if acc + self.lower_bound(uncovered) > threshold + 1e-12:
+            if acc + self.lower_bound(uncovered) > threshold + _PRUNE_SLACK:
                 return None
             bi = self._pick_branch(uncovered)
             for j in self._branch_order(bi):
@@ -372,27 +394,98 @@ def is_p_small(upper: UpperSet, p: float) -> bool:
     return _Search(_problem(upper), p).decide(0.5) is not None
 
 
+def _weight_terms(prob: _CoverProblem, chosen: Iterable[int]) -> tuple[tuple[int, int], ...]:
+    """A cover's weight polynomial as (size, count) pairs, ascending size."""
+    counts: dict[int, int] = {}
+    for j in set(chosen):
+        k = prob.cand_sizes[j]
+        counts[k] = counts.get(k, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
+def _weight(terms: tuple[tuple[int, int], ...], p: float) -> float:
+    return math.fsum(c * p**k for k, c in terms)
+
+
+def _weight_root(terms: tuple[tuple[int, int], ...], level: float = 0.5) -> float:
+    """The p in (0, 1) where sum c_k p^k = level (< 1), by Newton's method
+    from above.
+
+    The weight is increasing and convex on (0, 1), so Newton steps from a
+    point above the root decrease monotonically towards it. The start
+    (level / c_k)^(1/k), the smallest over k, is such a point because each
+    term alone is at most the whole weight. Stops at the first step that
+    does not decrease, i.e. within float error of the root.
+    """
+    p = min((level / c) ** (1.0 / k) for k, c in terms)
+    while True:
+        slope = math.fsum(k * c * p ** (k - 1) for k, c in terms)
+        step = p - (_weight(terms, p) - level) / slope
+        if not step < p:
+            return p
+        p = step
+
+
+def _bracket(prob: _CoverProblem) -> tuple[tuple[tuple[int, int], ...], float]:
+    """The weight polynomial of the best cover the climb finds, and a p at
+    which ``decide`` has returned None.
+
+    Climbs from the cover by all the minimals: each ``decide`` runs just
+    above the current cover's root, where the cover weighs 1/2 plus twice
+    the prune slack, so a cover it returns has a larger root; the first
+    None ends the climb. At the root itself no bound could prune within the
+    slack, and that last decide would search every near-optimal cover.
+    Every p strictly exceeds the one before, so the climb cannot stall on a
+    cover that is feasible only by rounding.
+    """
+    terms = _weight_terms(prob, prob.min_cand)
+    p = 0.0
+    while True:
+        p = max(_weight_root(terms, 0.5 + 2 * _PRUNE_SLACK), math.nextafter(p, 1.0))
+        found = _Search(prob, p).decide(0.5)
+        if found is None:
+            return terms, p
+        terms = _weight_terms(prob, found)
+
+
 def expectation_threshold(upper: UpperSet, tol: float = 1e-9) -> ExpectationThreshold:
-    """The largest p at which F is p-small, by bisection on the decision.
+    """The largest p at which F is p-small, by a bracketed bisection.
 
     p-smallness is monotone (a cover's weight increases with p), so the
-    feasible set is an interval [0, q]. The returned witness cover has
-    weight <= 1/2 at q - tol.
+    feasible set is an interval [0, q]. The bisection runs its midpoints as
+    if each were an exact ``decide``, but most are settled from a bracket
+    built first (see ``_bracket``): a midpoint where the best climbed cover
+    weighs at most 1/2 - 1e-12 is feasible, since ``decide`` would find a
+    cover there whatever order it adds the costs in; a midpoint at or above
+    the p where ``decide`` returned None is infeasible, since every cover's
+    float weight is monotone in p. Only a midpoint between the two runs a
+    search. The witness comes from one ``decide`` at the final lower end,
+    the same call that produced it when every midpoint ran a search, so q
+    and the witness do not depend on the bracket. The returned witness
+    cover has weight <= 1/2 at q - tol.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     prob = _problem(upper)
+    yes_terms, no_from = _bracket(prob)
     lo, hi = 0.0, 1.0
-    witness = list(prob.min_cand)
+    witness: list[int] | None = list(prob.min_cand)
     for _ in range(64):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
-        found = _Search(prob, mid).decide(0.5)
-        if found is not None:
-            lo, witness = mid, found
-        else:
+        if _weight(yes_terms, mid) <= 0.5 - _REPLAY_MARGIN:
+            lo, witness = mid, None
+        elif mid >= no_from:
             hi = mid
+        else:
+            found = _Search(prob, mid).decide(0.5)
+            if found is not None:
+                lo, witness = mid, found
+            else:
+                hi = mid
+    if witness is None:
+        witness = _Search(prob, lo).decide(0.5)
     return ExpectationThreshold(0.5 * (lo + hi), _to_cover(upper, prob, witness), tol)
 
 

@@ -205,6 +205,18 @@ class TestVerify:
         rows = json.loads(out)
         assert all(row["holds"] for row in rows)
 
+    def test_format_is_verify_only(self, capsys, principal3_file):
+        # compute prints only JSON and sweep only CSV: neither takes --format
+        for argv in (["compute", "--instance", principal3_file, "--format", "json"],
+                     ["sweep", "--family", "principal", "--range", "2..3", "--format", "csv"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --format" in capsys.readouterr().err
+        code, out, _ = run_main(capsys, ["verify", "--instance", principal3_file, "--format", "csv"])
+        assert code == 0
+        assert out.startswith("instance,check,holds,slack\n")
+
 
 class TestFamily:
     def test_emits_instance_json(self, capsys):
@@ -230,6 +242,12 @@ class TestDeterminism:
             "33929223effab3576a0382c62a03aa7d8657eba3c86d9915d5eeb98892bf462c",
         ("sweep", "--family", "hamilton", "--range", "4..6"):
             "ea295d942924f9961c1999b5499c9e269c8af1bb63ec5dd0e5203462bc304caf",
+        ("compute", "--family", "connectivity", "--range", "4..4"):
+            "1b3f985488ede3b4ea9b5387635cc21557a44ab074f10606dffd4382fce86945",
+        ("compute", "--family", "hamilton", "--range", "6..6"):
+            "bcb1e6a94ff484ae51ec2d4775a3cee2424a1cbd09e74c2c735b852c589ca64c",
+        ("sweep", "--family", "principal", "--range", "1..20"):
+            "40d451ede6ce210827c12b0db2bfdba031e478d9cf86db8489b327236d9135f0",
     }
 
     @pytest.mark.parametrize("argv", list(PINNED))

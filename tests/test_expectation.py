@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     EagerSearch,
+    bisection_threshold,
     naive_min_cover_cost,
     naive_q,
     subset_enumeration_min_cover_cost,
@@ -12,6 +13,7 @@ from oracles import (
 from test_core import upper_sets
 from upsetkit import (
     candidate_cover_elements,
+    clear_caches,
     critical_probability,
     expectation_threshold,
     graph_connectivity,
@@ -21,6 +23,7 @@ from upsetkit import (
 from upsetkit.core import from_minimal_bits
 from upsetkit.errors import SizeLimitExceeded
 from upsetkit.expectation import SOLVER_CANDIDATES_CAP, _problem, _Search
+from upsetkit.families import make_family_instance
 
 
 class TestCandidates:
@@ -257,3 +260,55 @@ class TestExpectationThreshold:
     def test_solver_caps(self):
         with pytest.raises(SizeLimitExceeded):
             expectation_threshold(graph_connectivity(5))  # 125 minimal elements
+
+
+# 1.0 asks no midpoint at all; 1e-15 runs the bisection down to a few ulps
+TOLS = (1.0, 0.3, 1e-3, 1e-6, 1e-9, 1e-12, 1e-15)
+
+
+class TestBracketedBisection:
+    """The bracketed bisection ends where a decide at every midpoint would."""
+
+    @staticmethod
+    def assert_same(up, tol):
+        got, want = expectation_threshold(up, tol), bisection_threshold(up, tol)
+        assert got.q == want.q
+        assert got.witness_cover == want.witness_cover
+
+    @given(upper_sets(max_ground=10, max_gens=8), st.booleans(), st.sampled_from(TOLS))
+    @settings(max_examples=150, deadline=None)
+    def test_random_and_complements(self, up, dense, tol):
+        if dense:
+            full = (1 << up.ground_size) - 1
+            assume(full not in up.minimal_bits)
+            up = from_minimal_bits(up.ground_size, [full ^ b for b in up.minimal_bits])
+        self.assert_same(up, tol)
+
+    @pytest.mark.parametrize("tol", TOLS)
+    @pytest.mark.parametrize(
+        "family,n",
+        [("connectivity", n) for n in (3, 4)]
+        + [("triangle", n) for n in range(3, 8)]
+        + [("hamilton", n) for n in range(4, 7)],
+    )
+    def test_graph_families(self, family, n, tol):
+        self.assert_same(make_family_instance(family, n), tol)
+
+    @pytest.mark.parametrize("tol", TOLS)
+    def test_principal(self, tol):
+        for k in range(1, 21):
+            self.assert_same(make_family_instance("principal", k), tol)
+
+    def test_few_decide_calls(self, monkeypatch):
+        calls = []
+        decide = _Search.decide
+
+        def spy(self, threshold):
+            calls.append(self.p)
+            return decide(self, threshold)
+
+        monkeypatch.setattr(_Search, "decide", spy)
+        clear_caches()
+        expectation_threshold(graph_connectivity(4))
+        # a decide at every midpoint of the bisection makes 30
+        assert 1 <= len(calls) <= 6
