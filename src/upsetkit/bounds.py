@@ -9,8 +9,9 @@ since the critical probability is below 1 for free.
 
 verify_instance evaluates every inequality the quantities must satisfy and
 reports each as (name, holds, slack) with slack = rhs - lhs, so violations
-are directly diagnosable. Checks whose premise fails, or whose dimension
-input is past the exact-search cap, carry slack None and hold vacuously.
+are directly diagnosable. Checks whose premise fails carry slack None and
+hold vacuously. Checks that need the covering dimension are left out of
+the report when |F0| is past the dimension cap.
 """
 
 from __future__ import annotations

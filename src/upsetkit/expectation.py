@@ -38,6 +38,11 @@ cost/|cov & uncovered| so far, which is exact because
 |cov & uncovered| <= |cov|. At the root every coverage is whole, so the
 counting bound is the smallest floor and needs no scan.
 
+A problem is built from the minimal elements and a candidate list, so the
+covering dimension (``structure.covering_dimension``) runs ``optimize`` on
+the same search at p = 1, where every candidate costs 1 and the cheapest
+cover is a smallest one, over its own candidates.
+
 q is the midpoint of a bisection whose steps would each be a decide call
 at threshold 1/2; most are answered from a bracket instead:
 
@@ -116,31 +121,32 @@ def candidate_cover_elements(
 
 
 class _CoverProblem:
-    """Preprocessed search data for one upper set (p-independent)."""
+    """Preprocessed search data for minimal elements and cover candidates
+    (p-independent).
+
+    ``min_cand`` is set only by ``_problem``, whose candidates include
+    every minimal; the dimension search's candidates need not.
+    """
 
     __slots__ = ("min_bits", "min_sizes", "max_size", "cand_bits", "cand_sizes", "cand_cov",
                  "cand_count", "per_min", "min_cand", "full")
 
-    def __init__(self, upper: UpperSet):
-        self.min_bits = upper.minimal_bits
-        m = len(self.min_bits)
-        if m > SOLVER_MINIMALS_CAP:
-            raise SizeLimitExceeded(
-                f"exact cover search needs |F0| <= {SOLVER_MINIMALS_CAP}, got {m}"
-            )
-        self.min_sizes = tuple(b.bit_count() for b in self.min_bits)
+    def __init__(self, min_bits: tuple[int, ...], cand_bits: tuple[int, ...]):
+        self.min_bits = min_bits
+        m = len(min_bits)
+        self.min_sizes = tuple(b.bit_count() for b in min_bits)
         self.max_size = max(self.min_sizes)
-        self.cand_bits = tuple(sorted(_intersection_closure(self.min_bits), key=canonical_key))
-        self.cand_sizes = tuple(b.bit_count() for b in self.cand_bits)
+        self.cand_bits = cand_bits
+        self.cand_sizes = tuple(b.bit_count() for b in cand_bits)
         # A candidate lies under exactly the minimals through all its elements.
-        through = [0] * max(self.min_bits).bit_length()
-        for i, mb in enumerate(self.min_bits):
+        through = [0] * max(min_bits).bit_length()
+        for i, mb in enumerate(min_bits):
             for x in _elements(mb):
                 through[x] |= 1 << i
         self.full = (1 << m) - 1
         cand_cov = []
         per_min: list[list[int]] = [[] for _ in range(m)]
-        for j, s in enumerate(self.cand_bits):
+        for j, s in enumerate(cand_bits):
             c = self.full
             for x in _elements(s):
                 c &= through[x]
@@ -150,10 +156,6 @@ class _CoverProblem:
         self.cand_cov = tuple(cand_cov)
         self.cand_count = tuple(c.bit_count() for c in self.cand_cov)
         self.per_min = tuple(map(tuple, per_min))
-        # Every minimal is a candidate (the closure starts from them); this
-        # is the cover by all the minimals, in minimal order.
-        index = {b: j for j, b in enumerate(self.cand_bits)}
-        self.min_cand = tuple(index[b] for b in self.min_bits)
 
 
 def _elements(mask: int):
@@ -190,7 +192,19 @@ def _intersection_closure(min_bits: tuple[int, ...]) -> set[int]:
 
 @lru_cache(maxsize=256)
 def _problem(upper: UpperSet) -> _CoverProblem:
-    return _CoverProblem(upper)
+    """The cover problem of q and p-smallness, over the intersection closure."""
+    min_bits = upper.minimal_bits
+    if len(min_bits) > SOLVER_MINIMALS_CAP:
+        raise SizeLimitExceeded(
+            f"exact cover search needs |F0| <= {SOLVER_MINIMALS_CAP}, got {len(min_bits)}"
+        )
+    closure = tuple(sorted(_intersection_closure(min_bits), key=canonical_key))
+    prob = _CoverProblem(min_bits, closure)
+    # Every minimal is a candidate (the closure starts from them); this is
+    # the cover by all the minimals, in minimal order.
+    index = {b: j for j, b in enumerate(prob.cand_bits)}
+    prob.min_cand = tuple(index[b] for b in min_bits)
+    return prob
 
 
 class _Search:
@@ -461,8 +475,10 @@ def expectation_threshold(upper: UpperSet, tol: float = 1e-9) -> ExpectationThre
     float weight is monotone in p. Only a midpoint between the two runs a
     search. The witness comes from one ``decide`` at the final lower end,
     the same call that produced it when every midpoint ran a search, so q
-    and the witness do not depend on the bracket. The returned witness
-    cover has weight <= 1/2 at q - tol.
+    and the witness do not depend on the bracket. The loop ends once
+    hi - lo <= tol or once the midpoint rounds onto lo or hi, after which no
+    step could move either end. The returned witness cover has weight
+    <= 1/2 at q - tol.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -474,6 +490,8 @@ def expectation_threshold(upper: UpperSet, tol: float = 1e-9) -> ExpectationThre
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent floats; no later step moves them
         if _weight(yes_terms, mid) <= 0.5 - _REPLAY_MARGIN:
             lo, witness = mid, None
         elif mid >= no_from:

@@ -11,19 +11,24 @@ minimals containing S, so an optimal cover groups the minimal elements
 into blocks with nonempty common intersection; equivalently dim(F) is the
 minimum number of ground elements hitting every minimal element, and each
 chosen element x is witnessed by the intersection of all minimals through
-x. Under the within_family convention every witness must itself belong to
-F, which for an antichain forces the witness set to be the minimals
-themselves.
+x. These intersections are the candidates of the cover search that gives
+q (``expectation``), run at p = 1: there every candidate costs 1, so the
+cheapest cover is a smallest one, and its canonical tie-break picks the
+witness. Under the within_family convention every witness must itself
+belong to F, which for an antichain forces the witness set to be the
+minimals themselves, so dim is |F0| and no search runs.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Sequence
 
 from .core import Cover, SubsetMask, UpperSet, canonical_key
 from .errors import KOutOfRange, SizeLimitExceeded, WidthMismatch
+from .expectation import _CoverProblem, _Search, _to_cover
 
 DIMENSION_MINIMALS_CAP = 16
 
@@ -87,58 +92,6 @@ def dim_upper_bound_via_sigma(upper: UpperSet) -> int:
     return len(upper.minimals) + 1 - max_nonempty_sigma_index(upper)
 
 
-def _min_block_cover(
-    min_bits: tuple[int, ...], candidates: list[tuple[int, int]]
-) -> tuple[int, list[int]]:
-    """Minimum number of candidate blocks covering every minimal element.
-
-    ``candidates`` holds (witness_bits, coverage) pairs; coverage is a
-    bitmask over minimal indices. Exact DP memoized on the uncovered set,
-    branching on the uncovered minimal with the fewest live candidates;
-    reconstruction picks the canonically smallest witness at each step.
-    """
-    m = len(min_bits)
-    full = (1 << m) - 1
-    per_min: list[list[int]] = [[] for _ in range(m)]
-    for j, (_, cov) in enumerate(candidates):
-        for i in range(m):
-            if cov >> i & 1:
-                per_min[i].append(j)
-    order = sorted(range(len(candidates)), key=lambda j: canonical_key(candidates[j][0]))
-    rank = {j: r for r, j in enumerate(order)}
-    for i in range(m):
-        per_min[i].sort(key=lambda j: rank[j])
-
-    from functools import lru_cache as _memo
-
-    @_memo(maxsize=None)
-    def best(uncovered: int) -> int:
-        if uncovered == 0:
-            return 0
-        bi, blen = -1, 1 << 30
-        for i in range(m):
-            if uncovered >> i & 1 and len(per_min[i]) < blen:
-                bi, blen = i, len(per_min[i])
-        return 1 + min(best(uncovered & ~candidates[j][1]) for j in per_min[bi])
-
-    total = best(full)
-    chosen: list[int] = []
-    uncovered = full
-    while uncovered:
-        target = best(uncovered)
-        bi, blen = -1, 1 << 30
-        for i in range(m):
-            if uncovered >> i & 1 and len(per_min[i]) < blen:
-                bi, blen = i, len(per_min[i])
-        for j in per_min[bi]:
-            if 1 + best(uncovered & ~candidates[j][1]) == target:
-                chosen.append(j)
-                uncovered &= ~candidates[j][1]
-                break
-    best.cache_clear()
-    return total, chosen
-
-
 def covering_dimension(upper: UpperSet, convention: str = "unrestricted") -> DimensionResult:
     """Minimum cardinality of a nontrivial cover, with a witness of that size."""
     if convention not in CONVENTIONS:
@@ -149,32 +102,21 @@ def covering_dimension(upper: UpperSet, convention: str = "unrestricted") -> Dim
             f"exact dimension search needs |F0| <= {DIMENSION_MINIMALS_CAP}, "
             f"got {len(min_bits)}"
         )
-    n = upper.ground_size
-
     if convention == "within_family":
         # A member of F that fits under a minimal element must equal it, so
-        # the only candidate witnesses are the minimals, each covering itself.
-        candidates = [(mb, 1 << i) for i, mb in enumerate(min_bits)]
-    else:
-        seen_blocks: dict[int, int] = {}
-        for x in range(n):
-            block = 0
-            for i, mb in enumerate(min_bits):
-                if mb >> x & 1:
-                    block |= 1 << i
-            if block:
-                seen_blocks.setdefault(block, 0)
-        candidates = []
-        for block in seen_blocks:
-            inter = (1 << n) - 1
-            for i, mb in enumerate(min_bits):
-                if block >> i & 1:
-                    inter &= mb
-            candidates.append((inter, block))
+        # the only witnesses are the minimals, each covering only itself.
+        return DimensionResult(len(min_bits), Cover(upper.minimals), convention)
 
-    dim, chosen = _min_block_cover(min_bits, candidates)
-    witness = Cover.from_masks(SubsetMask(n, candidates[j][0]) for j in chosen)
-    return DimensionResult(dim, witness, convention)
+    # Ground element x is served best by the intersection of the minimals
+    # through x, which covers exactly those minimals.
+    blocks = set()
+    for x in range(upper.ground_size):
+        through = [mb for mb in min_bits if mb >> x & 1]
+        if through:
+            blocks.add(reduce(operator.and_, through))
+    prob = _CoverProblem(min_bits, tuple(sorted(blocks, key=canonical_key)))
+    _, chosen = _Search(prob, 1.0).optimize()
+    return DimensionResult(len(chosen), _to_cover(upper, prob, chosen), convention)
 
 
 @lru_cache(maxsize=1024)

@@ -8,6 +8,7 @@ checks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -153,6 +154,54 @@ def naive_dim(min_bits: list[int], n: int, candidate_bits: list[int] | None = No
             if all(any(c & m == c for c in combo) for m in min_bits):
                 return r
     raise AssertionError("no cover found; inputs are not a valid antichain")
+
+
+def block_cover_dimension(min_bits: list[int], n: int, convention: str) -> int:
+    """The covering dimension by a memoized DP over the uncovered minimals.
+
+    A copy of the dimension solver as it stood before the dimension moved
+    onto the q cover search, less its witness reconstruction: within_family
+    offers each minimal as its own block; unrestricted offers, per ground
+    element x, the intersection of the minimals through x, deduplicated by
+    the block of minimals it covers.
+    """
+    m = len(min_bits)
+    if convention == "within_family":
+        candidates = [(mb, 1 << i) for i, mb in enumerate(min_bits)]
+    else:
+        seen_blocks: dict[int, int] = {}
+        for x in range(n):
+            block = 0
+            for i, mb in enumerate(min_bits):
+                if mb >> x & 1:
+                    block |= 1 << i
+            if block:
+                seen_blocks.setdefault(block, 0)
+        candidates = []
+        for block in seen_blocks:
+            inter = (1 << n) - 1
+            for i, mb in enumerate(min_bits):
+                if block >> i & 1:
+                    inter &= mb
+            candidates.append((inter, block))
+
+    per_min: list[list[int]] = [[] for _ in range(m)]
+    for j, (_, cov) in enumerate(candidates):
+        for i in range(m):
+            if cov >> i & 1:
+                per_min[i].append(j)
+
+    @functools.lru_cache(maxsize=None)
+    def best(uncovered: int) -> int:
+        if uncovered == 0:
+            return 0
+        bi, blen = -1, 1 << 30
+        for i in range(m):
+            if uncovered >> i & 1 and len(per_min[i]) < blen:
+                bi, blen = i, len(per_min[i])
+        return 1 + min(best(uncovered & ~candidates[j][1]) for j in per_min[bi])
+
+    return best((1 << m) - 1)
 
 
 def connectivity_profile(n: int) -> list[int]:

@@ -262,8 +262,10 @@ class TestExpectationThreshold:
             expectation_threshold(graph_connectivity(5))  # 125 minimal elements
 
 
-# 1.0 asks no midpoint at all; 1e-15 runs the bisection down to a few ulps
-TOLS = (1.0, 0.3, 1e-3, 1e-6, 1e-9, 1e-12, 1e-15)
+# 1.0 asks no midpoint at all; 1e-15 runs the bisection down to a few ulps;
+# 1e-17 and 1e-300 lie below the float spacing at q, where the loop stops once
+# the midpoint rounds onto an end
+TOLS = (1.0, 0.3, 1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 1e-17, 1e-300)
 
 
 class TestBracketedBisection:
@@ -312,3 +314,21 @@ class TestBracketedBisection:
         expectation_threshold(graph_connectivity(4))
         # a decide at every midpoint of the bisection makes 30
         assert 1 <= len(calls) <= 6
+
+    def test_no_decide_calls_below_float_spacing(self, monkeypatch):
+        calls = []
+        decide = _Search.decide
+
+        def spy(self, threshold):
+            calls.append(self.p)
+            return decide(self, threshold)
+
+        monkeypatch.setattr(_Search, "decide", spy)
+        counts = {}
+        for tol in (1e-16, 1e-17):
+            clear_caches()
+            calls.clear()
+            expectation_threshold(graph_connectivity(3), tol)
+            counts[tol] = len(calls)
+        # midpoints that round onto lo or hi cannot move the bracket
+        assert counts[1e-17] <= counts[1e-16]

@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_dim, naive_sigma
+from oracles import block_cover_dimension, naive_dim, naive_sigma
 from test_core import upper_sets
 from upsetkit import (
+    builtin_battery,
     covering_dimension,
     dim_upper_bound_via_sigma,
     graph_connectivity,
@@ -13,6 +14,7 @@ from upsetkit import (
 )
 from upsetkit.core import SubsetMask, from_minimal_bits
 from upsetkit.errors import KOutOfRange, SizeLimitExceeded
+from upsetkit.structure import CONVENTIONS, DIMENSION_MINIMALS_CAP
 
 TRIANGLE_SETS = [SubsetMask(3, b) for b in (0b011, 0b110, 0b101)]
 
@@ -133,6 +135,48 @@ class TestCoveringDimension:
         assert res_f.witness.covers(up) and len(res_f.witness) == res_f.dim
         assert res_u.dim <= res_f.dim <= len(up.minimals)
         assert res_f.dim == len(up.minimals)
+
+
+def wide_upper_sets(max_ground=12, max_minimals=16):
+    """Upper sets generated by up to ``max_minimals`` sets from two adjacent
+    size layers, so that most generators stay minimal."""
+
+    @st.composite
+    def build(draw):
+        n = draw(st.integers(2, max_ground))
+        k = draw(st.integers(1, n - 1))
+        layers = [b for b in range(1, 1 << n) if b.bit_count() in (k, k + 1)]
+        count = draw(st.integers(1, min(max_minimals, len(layers))))
+        return from_minimal_bits(n, draw(st.permutations(layers))[:count])
+
+    return build()
+
+
+class TestDimensionMatchesBlockDP:
+    """The dimension from the shared cover search equals the memoized DP's."""
+
+    @staticmethod
+    def assert_same(up):
+        for convention in CONVENTIONS:
+            want = block_cover_dimension(list(up.minimal_bits), up.ground_size, convention)
+            res = covering_dimension(up, convention)
+            assert res.dim == want
+            assert res.witness.covers(up) and len(res.witness) == res.dim
+            if convention == "within_family":
+                assert res.witness.elements == up.minimals
+
+    @given(wide_upper_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_random(self, up):
+        self.assert_same(up)
+
+    def test_builtin_battery(self):
+        checked = 0
+        for _, up in builtin_battery():
+            if len(up.minimals) <= DIMENSION_MINIMALS_CAP:
+                self.assert_same(up)
+                checked += 1
+        assert checked > 100
 
 
 class TestDimSigmaBound:
