@@ -160,7 +160,7 @@ def provides_nontrivial_info(upper: UpperSet, variant: BoundVariant, tol: float 
     return kk_bound(upper, variant, tol) < 1.0
 
 
-def q_estimate_interval(upper: UpperSet, tol: float = 1e-9) -> tuple[float, float]:
+def q_estimate_interval(upper: UpperSet) -> tuple[float, float]:
     """((2 dim)^-1, (2 dim)^(-1/ell)), the dimension-based sandwich for q."""
     dim = cached_dim(upper, "unrestricted")
     return ((2.0 * dim) ** -1.0, (2.0 * dim) ** (-1.0 / upper.ell))
@@ -199,7 +199,8 @@ def verify_instance(
         slack = rhs - lhs
         checks.append(InequalityCheck(name, slack >= -atol, slack))
 
-    # Sandwich: q <= p_c <= bound. Both sides carry bisection error ~tol.
+    # Sandwich: q <= p_c <= bound. p_c carries bisection error ~tol; q is
+    # certified to a few 1e-12.
     add("sandwich_left_q_le_pc", q, p_c, 2 * tol)
     add("sandwich_right_pc_le_bound", p_c, bound_value, 2 * tol * max(1.0, variant.K * log_arg))
 

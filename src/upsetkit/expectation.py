@@ -43,22 +43,14 @@ covering dimension (``structure.covering_dimension``) runs ``optimize`` on
 the same search at p = 1, where every candidate costs 1 and the cheapest
 cover is a smallest one, over its own candidates.
 
-q is the midpoint of a bisection whose steps would each be a decide call
-at threshold 1/2; most are answered from a bracket instead:
-
-* climb: from the cover by all the minimals, decide just above the root of
-  the current cover's weight polynomial sum c_k p^k = 1/2, where it weighs
-  1/2 + 2e-12 (found by Newton steps from above); a cover it returns has a
-  larger root, and the first None ends the climb;
-* replay: a midpoint where the best climbed cover weighs at most
-  1/2 - 1e-12 (decide sums in search order, not with fsum) is feasible,
-  a midpoint at or above the p of that None is infeasible, and only a
-  midpoint between the two runs a decide;
-* witness: one decide at the final lower end, the call that produces the
-  witness when every midpoint runs a decide.
-
-So q and the witness are those of a decide at every midpoint, from a few
-searches per q instead of about 30.
+q is read off a climb over covers (see ``_bracket``): from the cover by
+all the minimals, each decide runs just above the root of the current
+cover's weight polynomial sum c_k p^k = 1/2, a cover it returns has a
+larger root, and the first None ends the climb. q is the root of the last
+cover, stepped down until that cover weighs <= 1/2 in any summation order
+(see ``expectation_threshold``), and the cover is the witness. So F is
+p-small at q, and a decide returns None a few 1e-12 above it, at the p
+that ended the climb.
 """
 
 from __future__ import annotations
@@ -80,8 +72,6 @@ NODE_BUDGET = 2_000_000
 _TIE_EPS = 1e-14
 # a bound prunes a decide only when it passes the threshold by this much
 _PRUNE_SLACK = 1e-12
-# decide sums costs in search order; fsum within this of 1/2 may round past it
-_REPLAY_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -418,7 +408,9 @@ def _weight_terms(prob: _CoverProblem, chosen: Iterable[int]) -> tuple[tuple[int
 
 
 def _weight(terms: tuple[tuple[int, int], ...], p: float) -> float:
-    return math.fsum(c * p**k for k, c in terms)
+    """The weight at p, summed as ``Cover.cost`` sums it (each power once
+    per element), so the two agree to the last bit."""
+    return math.fsum(x for k, c in terms for x in [p**k] * c)
 
 
 def _weight_root(terms: tuple[tuple[int, int], ...], level: float = 0.5) -> float:
@@ -440,9 +432,9 @@ def _weight_root(terms: tuple[tuple[int, int], ...], level: float = 0.5) -> floa
         p = step
 
 
-def _bracket(prob: _CoverProblem) -> tuple[tuple[tuple[int, int], ...], float]:
-    """The weight polynomial of the best cover the climb finds, and a p at
-    which ``decide`` has returned None.
+def _bracket(prob: _CoverProblem) -> tuple[list[int], float]:
+    """The last cover the climb finds, and the p at which ``decide`` returned
+    None.
 
     Climbs from the cover by all the minimals: each ``decide`` runs just
     above the current cover's root, where the cover weighs 1/2 plus twice
@@ -452,59 +444,49 @@ def _bracket(prob: _CoverProblem) -> tuple[tuple[tuple[int, int], ...], float]:
     Every p strictly exceeds the one before, so the climb cannot stall on a
     cover that is feasible only by rounding.
     """
-    terms = _weight_terms(prob, prob.min_cand)
+    chosen = list(prob.min_cand)
     p = 0.0
     while True:
+        terms = _weight_terms(prob, chosen)
         p = max(_weight_root(terms, 0.5 + 2 * _PRUNE_SLACK), math.nextafter(p, 1.0))
         found = _Search(prob, p).decide(0.5)
         if found is None:
-            return terms, p
-        terms = _weight_terms(prob, found)
+            return chosen, p
+        chosen = found
 
 
 def expectation_threshold(upper: UpperSet, tol: float = 1e-9) -> ExpectationThreshold:
-    """The largest p at which F is p-small, by a bracketed bisection.
+    """The largest p at which F is p-small, with a cover of weight <= 1/2
+    there as the witness.
 
     p-smallness is monotone (a cover's weight increases with p), so the
-    feasible set is an interval [0, q]. The bisection runs its midpoints as
-    if each were an exact ``decide``, but most are settled from a bracket
-    built first (see ``_bracket``): a midpoint where the best climbed cover
-    weighs at most 1/2 - 1e-12 is feasible, since ``decide`` would find a
-    cover there whatever order it adds the costs in; a midpoint at or above
-    the p where ``decide`` returned None is infeasible, since every cover's
-    float weight is monotone in p. Only a midpoint between the two runs a
-    search. The witness comes from one ``decide`` at the final lower end,
-    the same call that produced it when every midpoint ran a search, so q
-    and the witness do not depend on the bracket. The loop ends once
-    hi - lo <= tol or once the midpoint rounds onto lo or hi, after which no
-    step could move either end. The returned witness cover has weight
-    <= 1/2 at q - tol.
+    feasible set is an interval [0, q]. q is the root of the weight
+    polynomial of the last cover ``_bracket`` climbs to, stepped down with
+    ``nextafter`` until that cover, of m elements, weighs at most 1/2 less
+    (m - 1) // 2 float spacings (2^-54 each just below 1/2); the cover is
+    the witness. The weight is the exact sum rounded once, as in
+    ``Cover.cost``, but ``decide`` adds the costs one by one. That rounding
+    and the m - 2 before ``decide``'s last one each move the sum by at most
+    half a spacing, and the last one rounds anything up to 2^-54 above 1/2
+    down to 1/2. So at q ``decide`` finds a cover whatever order
+    it adds the costs in, and ``is_p_small`` holds.
+    ``decide`` returned None at the p that ended the climb, a few 1e-12
+    above q, so q is exact to about that.
+
+    ``tol`` does not set the accuracy of q. It is kept, and must be
+    positive, because callers pass it and ``ExpectationThreshold.tolerance``
+    reports it.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     prob = _problem(upper)
-    yes_terms, no_from = _bracket(prob)
-    lo, hi = 0.0, 1.0
-    witness: list[int] | None = list(prob.min_cand)
-    for _ in range(64):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # lo and hi are adjacent floats; no later step moves them
-        if _weight(yes_terms, mid) <= 0.5 - _REPLAY_MARGIN:
-            lo, witness = mid, None
-        elif mid >= no_from:
-            hi = mid
-        else:
-            found = _Search(prob, mid).decide(0.5)
-            if found is not None:
-                lo, witness = mid, found
-            else:
-                hi = mid
-    if witness is None:
-        witness = _Search(prob, lo).decide(0.5)
-    return ExpectationThreshold(0.5 * (lo + hi), _to_cover(upper, prob, witness), tol)
+    chosen, _ = _bracket(prob)
+    terms = _weight_terms(prob, chosen)
+    limit = 0.5 - (sum(c for _, c in terms) - 1) // 2 * 2.0**-54
+    q = _weight_root(terms)
+    while _weight(terms, q) > limit:
+        q = math.nextafter(q, 0.0)
+    return ExpectationThreshold(q, _to_cover(upper, prob, chosen), tol)
 
 
 @lru_cache(maxsize=1024)

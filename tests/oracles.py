@@ -335,29 +335,27 @@ class EagerSearch:
         return dfs(prob.full, 0.0)
 
 
-def bisection_threshold(upper, tol: float = 1e-9):
-    """q(F) by a plain bisection that runs an exact ``decide`` at every midpoint.
+def bisection_threshold(upper, tol: float = 1e-9) -> tuple[float, float]:
+    """The final bracket [lo, hi] of a plain bisection for q(F) that runs an
+    exact ``decide`` at every midpoint.
 
-    A copy of the expectation threshold loop as it stood before its
-    midpoints were settled from a bracket. It calls the package's cover
-    search for each decision, so it checks only which midpoints the faster
-    loop answers without a search: both must end on the same q and the same
-    witness cover.
+    A copy of the expectation threshold loop from before q was read off the
+    climbed cover. ``decide`` found a cover at lo (or lo = 0) and returned
+    None at hi (or hi = 1). It calls the package's cover search for each
+    decision, so it checks where q lands, not the search itself.
     """
-    from upsetkit.expectation import ExpectationThreshold, _problem, _Search, _to_cover
+    from upsetkit.expectation import _problem, _Search
 
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     prob = _problem(upper)
     lo, hi = 0.0, 1.0
-    witness = list(prob.min_cand)
     for _ in range(64):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
-        found = _Search(prob, mid).decide(0.5)
-        if found is not None:
-            lo, witness = mid, found
+        if _Search(prob, mid).decide(0.5) is not None:
+            lo = mid
         else:
             hi = mid
-    return ExpectationThreshold(0.5 * (lo + hi), _to_cover(upper, prob, witness), tol)
+    return lo, hi

@@ -239,15 +239,15 @@ class TestDeterminism:
     # sha256 of stdout; any change to a printed number or row changes it
     PINNED = {
         ("verify", "--battery", "builtin"):
-            "33929223effab3576a0382c62a03aa7d8657eba3c86d9915d5eeb98892bf462c",
+            "ae53a47e72929c160836b8799911d6a1a92a71df93a70da709c29b88ed0de835",
         ("sweep", "--family", "hamilton", "--range", "4..6"):
-            "ea295d942924f9961c1999b5499c9e269c8af1bb63ec5dd0e5203462bc304caf",
+            "324104f7646195683aebbe7e7fb2ec0994adb944cc0a9f2c64654ecd7d041b5e",
         ("compute", "--family", "connectivity", "--range", "4..4"):
-            "1b3f985488ede3b4ea9b5387635cc21557a44ab074f10606dffd4382fce86945",
+            "c253cebb931e4ba691cbfffa70f642d816b4d3dd17fc339bf9aec06b2d841f00",
         ("compute", "--family", "hamilton", "--range", "6..6"):
-            "bcb1e6a94ff484ae51ec2d4775a3cee2424a1cbd09e74c2c735b852c589ca64c",
+            "146950fb960eedb55680e23d2d24c16ca3ce930723bc7723008ae3ebe2eecf1e",
         ("sweep", "--family", "principal", "--range", "1..20"):
-            "40d451ede6ce210827c12b0db2bfdba031e478d9cf86db8489b327236d9135f0",
+            "bc4441537e5dbc4d5ff49bef841888dea4a81916d9d6bf53a7c0829d08a2052d",
     }
 
     @pytest.mark.parametrize("argv", list(PINNED))

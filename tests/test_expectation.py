@@ -22,7 +22,7 @@ from upsetkit import (
 )
 from upsetkit.core import from_minimal_bits
 from upsetkit.errors import SizeLimitExceeded
-from upsetkit.expectation import SOLVER_CANDIDATES_CAP, _problem, _Search
+from upsetkit.expectation import SOLVER_CANDIDATES_CAP, _bracket, _problem, _Search
 from upsetkit.families import make_family_instance
 
 
@@ -262,29 +262,44 @@ class TestExpectationThreshold:
             expectation_threshold(graph_connectivity(5))  # 125 minimal elements
 
 
-# 1.0 asks no midpoint at all; 1e-15 runs the bisection down to a few ulps;
-# 1e-17 and 1e-300 lie below the float spacing at q, where the loop stops once
-# the midpoint rounds onto an end
+# tol does not reach q; 1e-15 and below run the oracle's
+# bisection down to adjacent floats
 TOLS = (1.0, 0.3, 1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 1e-17, 1e-300)
 
 
 class TestBracketedBisection:
-    """The bracketed bisection ends where a decide at every midpoint would."""
+    """q is the certified root of the climbed cover: F is p-small at q, and
+    a decide returns None just above it."""
 
     @staticmethod
-    def assert_same(up, tol):
-        got, want = expectation_threshold(up, tol), bisection_threshold(up, tol)
-        assert got.q == want.q
-        assert got.witness_cover == want.witness_cover
+    def assert_certified(up, tol):
+        got = expectation_threshold(up, tol)
+        q = got.q
+        assert q == expectation_threshold(up, TOLS[0]).q
+        assert got.witness_cover.covers(up)
+        assert got.witness_cover.cost(q) <= 0.5
+        assert is_p_small(up, q)
+        prob = _problem(up)
+        _, no_from = _bracket(prob)
+        assert _Search(prob, no_from).decide(0.5) is None
+        assert q < no_from <= q + 1e-11
+        # decide sums in search order and fsum does not, so the bisection can
+        # end a little above q: by q's allowance for that, under m * 2^-54 in
+        # weight, over a weight slope of at least 1/2
+        lo, hi = bisection_threshold(up, tol)
+        assert lo - len(got.witness_cover) * 2.0**-53 <= q < hi
 
     @given(upper_sets(max_ground=10, max_gens=8), st.booleans(), st.sampled_from(TOLS))
     @settings(max_examples=150, deadline=None)
+    # its witness weighs exactly 1/2 by fsum at its root, yet more when
+    # summed one by one, so a q stepped down only that far is not p-small
+    @example(from_minimal_bits(8, [162, 51, 103, 107, 217, 189]), False, 1e-9)
     def test_random_and_complements(self, up, dense, tol):
         if dense:
             full = (1 << up.ground_size) - 1
             assume(full not in up.minimal_bits)
             up = from_minimal_bits(up.ground_size, [full ^ b for b in up.minimal_bits])
-        self.assert_same(up, tol)
+        self.assert_certified(up, tol)
 
     @pytest.mark.parametrize("tol", TOLS)
     @pytest.mark.parametrize(
@@ -294,12 +309,12 @@ class TestBracketedBisection:
         + [("hamilton", n) for n in range(4, 7)],
     )
     def test_graph_families(self, family, n, tol):
-        self.assert_same(make_family_instance(family, n), tol)
+        self.assert_certified(make_family_instance(family, n), tol)
 
     @pytest.mark.parametrize("tol", TOLS)
     def test_principal(self, tol):
         for k in range(1, 21):
-            self.assert_same(make_family_instance("principal", k), tol)
+            self.assert_certified(make_family_instance("principal", k), tol)
 
     def test_few_decide_calls(self, monkeypatch):
         calls = []
@@ -330,5 +345,5 @@ class TestBracketedBisection:
             calls.clear()
             expectation_threshold(graph_connectivity(3), tol)
             counts[tol] = len(calls)
-        # midpoints that round onto lo or hi cannot move the bracket
-        assert counts[1e-17] <= counts[1e-16]
+        # tol does not reach the climb, so it cannot add searches
+        assert counts[1e-17] == counts[1e-16]
