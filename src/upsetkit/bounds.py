@@ -7,11 +7,17 @@ absorbs the base, and base 2 makes the ell = 2 floor contribute exactly 1).
 The bound "provides nontrivial information" when its value is below 1,
 since the critical probability is below 1 for free.
 
-verify_instance evaluates every inequality the quantities must satisfy and
-reports each as (name, holds, slack) with slack = rhs - lhs, so violations
-are directly diagnosable. Checks whose premise fails carry slack None and
-hold vacuously. Checks that need the covering dimension are left out of
-the report when |F0| is past the dimension cap.
+verify_instance is the one per-instance pipeline: compute, verify and
+sweep all read its report. It evaluates every inequality the quantities
+must satisfy and reports each as (name, holds, slack) with slack =
+rhs - lhs, so violations are directly diagnosable. Checks whose premise
+fails carry slack None and hold vacuously.
+
+A quantity past its exact cap is absent (None), never fabricated. q and
+p_c are absent past their caps, and with q go the bound, its width and
+the nontrivial flag; the report's ``absent`` holds the first of their cap
+messages. The dimensions are absent past the dimension cap. A check that
+needs an absent value is left out of the report.
 """
 
 from __future__ import annotations
@@ -19,12 +25,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import fmt
+from . import fmt, measure
 from .core import UpperSet
 from .errors import SizeLimitExceeded
-from .expectation import cached_q
-from .measure import cached_critical_probability
-from .structure import DIMENSION_MINIMALS_CAP, cached_dim, max_nonempty_sigma_index
+from .expectation import ExpectationThreshold, cached_q, cached_threshold
+from .structure import (
+    CONVENTIONS,
+    DimensionResult,
+    cached_dim,
+    cached_dimension,
+    max_nonempty_sigma_index,
+)
 
 AUTO_ENUMERATION_CAP = 20
 AUTO_INCLUSION_EXCLUSION_CAP = 20
@@ -99,17 +110,22 @@ class BoundReport:
     variant: BoundVariant
     ground_size: int
     min_count: int
-    q: float
-    p_c: float
+    q: float | None
+    p_c: float | None
     ell0: int
     ell: int
     dim_unrestricted: int | None
     dim_within_family: int | None
-    bound_value: float
-    width: float
-    nontrivial_info: bool
+    bound_value: float | None
+    width: float | None
+    nontrivial_info: bool | None
     sigma_profile: tuple[tuple[int, bool], ...]
     inequality_checks: tuple[InequalityCheck, ...]
+    # Not printed: what the numbers above came from, and why any is absent.
+    threshold: ExpectationThreshold | None
+    critical: measure.CriticalProbability | None
+    dimensions: tuple[DimensionResult, ...]
+    absent: str | None
 
     @property
     def all_hold(self) -> bool:
@@ -174,30 +190,50 @@ def verify_instance(
 ) -> BoundReport:
     """Compute every report quantity and check every applicable inequality.
 
-    Propagates cap errors from q and p_c; dimension fields past the exact
-    cap are reported as None and their checks skipped, never fabricated.
+    A cap met by q or p_c leaves that value, and every value and check
+    built on it, as None or out of the report; the first such cap's message
+    is the report's ``absent``. Past the dimension cap both dimensions are
+    None and their checks are left out. Nothing is fabricated.
     """
-    q = cached_q(upper, tol)
-    p_c = cached_critical_probability(upper, tol, method or auto_exact_method(upper)).p_c
+    absent = None
+    threshold = q = None
+    try:
+        threshold = cached_threshold(upper, tol)
+        q = cached_q(upper, tol)
+    except SizeLimitExceeded as exc:
+        absent = str(exc)
+    critical = p_c = None
+    try:
+        critical = measure.critical_probability(upper, tol, method or auto_exact_method(upper))
+        p_c = critical.p_c
+    except SizeLimitExceeded as exc:
+        absent = absent or str(exc)
+    dimensions = ()
+    dim_u = dim_f = None
+    try:
+        dimensions = tuple(cached_dimension(upper, c) for c in CONVENTIONS)
+        dim_u, dim_f = (d.dim for d in dimensions)
+    except SizeLimitExceeded:
+        pass
+
     m = len(upper.minimals)
     t = max_nonempty_sigma_index(upper)
     sigma_profile = tuple((k, k > t) for k in range(1, m + 1))
     log_arg = variant.log_argument(upper)
-    bound_value = variant.K * q * log_arg
-    width = bound_value - q
-    nontrivial = bound_value < 1.0
-
-    dim_u: int | None = None
-    dim_f: int | None = None
-    if m <= DIMENSION_MINIMALS_CAP:
-        dim_u = cached_dim(upper, "unrestricted")
-        dim_f = cached_dim(upper, "within_family")
+    bound_value = width = nontrivial = None
+    if q is not None:
+        bound_value = variant.K * q * log_arg
+        width = bound_value - q
+        nontrivial = bound_value < 1.0
 
     checks: list[InequalityCheck] = []
 
-    def add(name: str, lhs: float, rhs: float, atol: float) -> None:
-        slack = rhs - lhs
-        checks.append(InequalityCheck(name, slack >= -atol, slack))
+    def add(name: str, lhs: float | None, rhs: float | None, atol: float,
+            premise: bool = True) -> None:
+        if lhs is None or rhs is None:
+            return
+        slack = rhs - lhs if premise else None
+        checks.append(InequalityCheck(name, not premise or slack >= -atol, slack))
 
     # Sandwich: q <= p_c <= bound. p_c carries bisection error ~tol; q is
     # certified to a few 1e-12.
@@ -214,17 +250,11 @@ def verify_instance(
         add("dim_vs_sigma_all_k", float(dim_u), float(m + 1 - t), 0.0)
 
     intersection_nonempty = not upper.minimals_intersection().is_empty
-    if intersection_nonempty and variant.K >= 2.0:
-        add("nonempty_intersection_forces_bound_ge_1", 1.0, bound_value, 2 * tol * variant.K)
-    else:
-        checks.append(InequalityCheck("nonempty_intersection_forces_bound_ge_1", True, None))
-
+    add("nonempty_intersection_forces_bound_ge_1", 1.0, bound_value, 2 * tol * variant.K,
+        premise=intersection_nonempty and variant.K >= 2.0)
     if dim_u is not None:
         premise = dim_u > 0.5 * (variant.K * log_arg) ** upper.ell
-        if premise:
-            add("large_dim_forces_nontrivial_info", bound_value, 1.0, 0.0)
-        else:
-            checks.append(InequalityCheck("large_dim_forces_nontrivial_info", True, None))
+        add("large_dim_forces_nontrivial_info", bound_value, 1.0, 0.0, premise)
 
     return BoundReport(
         variant=variant,
@@ -241,4 +271,8 @@ def verify_instance(
         nontrivial_info=nontrivial,
         sigma_profile=sigma_profile,
         inequality_checks=tuple(checks),
+        threshold=threshold,
+        critical=critical,
+        dimensions=dimensions,
+        absent=absent,
     )

@@ -28,16 +28,15 @@ from .errors import (
     TooFewRecords,
     UpsetError,
 )
-from .expectation import cached_threshold
 from .families import FAMILIES, builtin_battery, make_family_instance
-from .measure import cached_critical_probability, mu
+from .measure import mu
 from .sweep import (
     information_classification,
     necessary_conditions_report,
     records_to_csv,
     sweep,
 )
-from .structure import cached_dimension, sigma_k
+from .structure import sigma_k
 
 PARSE_ERROR, CAP_ERROR = 2, 3
 
@@ -136,6 +135,8 @@ def cmd_compute(args) -> int:
         raise MissingMcParams("--method mc needs --samples and --seed")
     for _, upper in instances:
         report = verify_instance(upper, variant, args.tol, method)
+        if report.absent:
+            raise SizeLimitExceeded(report.absent)
         doc = report.to_json_dict()
         if mc_check:
             est = mu(upper, report.p_c, "monte_carlo", samples=args.samples, seed=args.seed)
@@ -181,19 +182,20 @@ def _instance_checks(name: str, upper: UpperSet, variant: BoundVariant, tol: flo
     """Report rows plus cheap module-invariant re-checks for one instance."""
     rows = []
     report = verify_instance(upper, variant, tol)
+    if report.absent:
+        raise SizeLimitExceeded(report.absent)
     for check in report.inequality_checks:
         rows.append((name, check.name, check.holds, check.slack))
 
-    thresh = cached_threshold(upper, tol)
-    witness_ok = thresh.witness_cover.covers(upper)
-    witness_cost = thresh.witness_cover.cost(max(thresh.q - tol, 0.0))
-    rows.append((name, "q_witness_covers", witness_ok, None))
+    witness = report.threshold.witness_cover
+    witness_cost = witness.cost(max(report.threshold.q - tol, 0.0))
+    rows.append((name, "q_witness_covers", witness.covers(upper), None))
     rows.append((name, "q_witness_cost_le_half", witness_cost <= 0.5, 0.5 - witness_cost))
 
-    method = auto_exact_method(upper)
-    pc = cached_critical_probability(upper, tol, method)
+    pc = report.critical
     rows.append((name, "pc_residual_le_tol", pc.residual <= pc.tolerance, pc.tolerance - pc.residual))
 
+    method = auto_exact_method(upper)
     lo = mu(upper, 0.0, method).value
     hi = mu(upper, 1.0, method).value
     rows.append((name, "mu_boundaries", lo == 0.0 and hi == 1.0, None))
@@ -205,11 +207,9 @@ def _instance_checks(name: str, upper: UpperSet, variant: BoundVariant, tol: flo
         )
         rows.append((name, "mu_method_agreement", gap <= 1e-12, 1e-12 - gap))
 
-    if report.dim_unrestricted is not None:
-        for convention in ("unrestricted", "within_family"):
-            result = cached_dimension(upper, convention)
-            ok = result.witness.covers(upper) and len(result.witness) == result.dim
-            rows.append((name, f"dim_witness_{convention}", ok, None))
+    for result in report.dimensions:
+        ok = result.witness.covers(upper) and len(result.witness) == result.dim
+        rows.append((name, f"dim_witness_{result.convention}", ok, None))
 
     sets = list(upper.minimals)
     monotone = all(

@@ -474,11 +474,11 @@ def expectation_threshold(upper: UpperSet, tol: float = 1e-9) -> ExpectationThre
     above q, so q is exact to about that.
 
     ``tol`` does not set the accuracy of q. It is kept, and must be
-    positive, because callers pass it and ``ExpectationThreshold.tolerance``
-    reports it.
+    positive and finite, because callers pass it and
+    ``ExpectationThreshold.tolerance`` reports it.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     prob = _problem(upper)
     chosen, _ = _bracket(prob)
     terms = _weight_terms(prob, chosen)

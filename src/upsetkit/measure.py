@@ -157,8 +157,8 @@ def critical_probability(
     past bracket width <= tol until the residual |mu - 1/2| also drops
     under tol (the crossing can be steep).
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if method not in EXACT_METHODS:
         raise ValueError(f"critical_probability needs an exact method, got {method!r}")
 
@@ -195,17 +195,7 @@ def critical_probability(
     return CriticalProbability(p_c, residual, tol)
 
 
-@lru_cache(maxsize=1024)
-def cached_critical_probability(
-    upper: UpperSet, tol: float = 1e-9, method: str = "enumeration"
-) -> CriticalProbability:
-    """Memoized critical_probability; one bisection per (instance, tol, method)."""
-    return critical_probability(upper, tol, method)
-
-
 def clear_caches() -> None:
-    """Drop cached instance profiles and critical probabilities (used by
-    determinism tests)."""
+    """Drop cached instance profiles (used by determinism tests)."""
     _enumeration_profile.cache_clear()
     _inclusion_exclusion_coeffs.cache_clear()
-    cached_critical_probability.cache_clear()

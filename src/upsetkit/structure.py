@@ -71,20 +71,13 @@ def sigma_k(sets: Sequence[SubsetMask], k: int) -> SigmaResult:
 
 
 def max_nonempty_sigma_index(upper: UpperSet) -> int:
-    """Largest m with sigma_m over the minimal elements nonempty.
+    """Largest k with sigma_k over the minimal elements nonempty.
 
-    sigma_1 is the union of the minimals, hence nonempty, and emptiness is
-    monotone in k, so the answer is found by binary search.
+    sigma_k is the set of elements in at least k minimals, so this is the
+    largest number of minimals through a single element.
     """
-    sets = list(upper.minimals)
-    lo, hi = 1, len(sets)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if sigma_k(sets, mid).value.is_empty:
-            hi = mid - 1
-        else:
-            lo = mid
-    return lo
+    mins = upper.minimal_bits
+    return max(sum(b >> x & 1 for b in mins) for x in range(upper.ground_size))
 
 
 def dim_upper_bound_via_sigma(upper: UpperSet) -> int:

@@ -3,8 +3,9 @@
 Asymptotic statements cannot be verified at finite n. Everything here is
 framed as "holds from N on over the observed range" or "consistent with
 the trend": an explicit finite-sample diagnostic, never a limit claim.
-Rows record a field as absent (None) when its exact computation is past a
-cap; nothing is extrapolated or fabricated.
+Each row projects the instance's ``bounds.verify_instance`` report, so a
+field is absent (None) when its exact computation is past a cap, and the
+row's error is the report's reason; nothing is extrapolated or fabricated.
 """
 
 from __future__ import annotations
@@ -14,13 +15,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import fmt
-from .bounds import BoundVariant, auto_exact_method
+from .bounds import BoundVariant, verify_instance
 from .core import UpperSet
-from .errors import EmptyInput, SizeLimitExceeded, TooFewRecords, UpsetError
-from .expectation import cached_q
+from .errors import EmptyInput, TooFewRecords, UpsetError
 from .families import make_family_instance
-from .measure import cached_critical_probability
-from .structure import DIMENSION_MINIMALS_CAP, cached_dim, max_nonempty_sigma_index
 
 CSV_BASE_HEADER = (
     "n,min_count,ell0,ell,dim_u,dim_f,q,p_c,bound,width,nontrivial,ratio"
@@ -48,50 +46,31 @@ class SweepRecord:
 def _instance_record(
     n: int, upper: UpperSet, variant: BoundVariant, t_max: int, tol: float
 ) -> SweepRecord:
-    m = len(upper.minimals)
-    t_star = max_nonempty_sigma_index(upper)
-    # sigma_{|F0|-t} is empty iff |F0|-t exceeds the last nonempty index;
-    # for t >= |F0| the index leaves the valid range and the flag is absent.
-    sigma_flags = tuple(
-        (m - t > t_star) if m - t >= 1 else None for t in range(t_max + 1)
-    )
-    dim_u = dim_f = None
-    if m <= DIMENSION_MINIMALS_CAP:
-        dim_u = cached_dim(upper, "unrestricted")
-        dim_f = cached_dim(upper, "within_family")
-    q = bound = width = ratio = None
-    nontrivial = None
-    error = None
-    try:
-        q = cached_q(upper, tol)
-    except SizeLimitExceeded as exc:
-        error = str(exc)
-    p_c = None
-    try:
-        p_c = cached_critical_probability(upper, tol, auto_exact_method(upper)).p_c
-    except SizeLimitExceeded as exc:
-        error = error or str(exc)
-    if q is not None:
-        bound = variant.K * q * variant.log_argument(upper)
-        width = bound - q
-        nontrivial = bound < 1.0
+    report = verify_instance(upper, variant, tol)
+    m = report.min_count
+    # The flag for t is the profile's entry for sigma_{|F0|-t}; for
+    # t >= |F0| the index leaves the valid range and the flag is absent.
+    empty = dict(report.sigma_profile)
+    sigma_flags = tuple(empty.get(m - t) for t in range(t_max + 1))
+    ratio = None
+    if report.q is not None:
         log_ell = math.log2(upper.ell) if variant.log_base == "2" else math.log(upper.ell)
-        ratio = q * log_ell
+        ratio = report.q * log_ell
     return SweepRecord(
         n=n,
         min_count=m,
-        ell0=upper.ell0,
-        ell=upper.ell,
-        dim_unrestricted=dim_u,
-        dim_within_family=dim_f,
-        q=q,
-        p_c=p_c,
-        bound_value=bound,
-        width=width,
-        nontrivial_info=nontrivial,
+        ell0=report.ell0,
+        ell=report.ell,
+        dim_unrestricted=report.dim_unrestricted,
+        dim_within_family=report.dim_within_family,
+        q=report.q,
+        p_c=report.p_c,
+        bound_value=report.bound_value,
+        width=report.width,
+        nontrivial_info=report.nontrivial_info,
         ratio_perfect=ratio,
         sigma_empty_at=sigma_flags,
-        error=error,
+        error=report.absent,
     )
 
 

@@ -15,6 +15,7 @@ from upsetkit import (
     verify_instance,
 )
 from upsetkit.core import from_minimal_bits
+from upsetkit.families import make_family_instance
 
 PRINCIPAL3 = from_minimal_bits(5, [0b00111])
 SINGLETONS2 = from_minimal_bits(3, [0b001, 0b010])
@@ -135,6 +136,47 @@ class TestVerifyInstance:
     def test_sigma_profile(self):
         report = verify_instance(graph_connectivity(3), BoundVariant.bell())
         assert report.sigma_profile == ((1, False), (2, False), (3, True))
+
+    def test_q_past_cap_absent_with_reason(self):
+        report = verify_instance(make_family_instance("connectivity", 5), BoundVariant.bell())
+        assert report.q is None and report.threshold is None
+        assert report.bound_value is None and report.width is None
+        assert report.nontrivial_info is None
+        assert report.p_c is not None and report.critical.p_c == report.p_c
+        assert report.absent == "exact cover search needs |F0| <= 64, got 125"
+        # the sandwich and the bound checks need q, the dimension checks dim
+        assert report.inequality_checks == ()
+
+    def test_pc_past_cap_absent_with_reason(self):
+        report = verify_instance(make_family_instance("triangle", 7), BoundVariant.bell())
+        assert report.q is not None and report.threshold.q == report.q
+        assert report.p_c is None and report.critical is None
+        assert report.absent == "no exact method: ground_size 21 > 20 and |F0| 35 > 20"
+        assert [c.name for c in report.inequality_checks] == [
+            "nonempty_intersection_forces_bound_ge_1"
+        ]
+
+    def test_dimension_cap_is_not_a_reason(self):
+        # past the dimension cap only the dimensions and their checks go
+        report = verify_instance(make_family_instance("triangle", 6), BoundVariant.bell())
+        assert report.dim_unrestricted is None and report.dimensions == ()
+        assert report.q is not None and report.p_c is not None
+        assert report.absent is None
+        assert [c.name for c in report.inequality_checks] == [
+            "sandwich_left_q_le_pc", "sandwich_right_pc_le_bound",
+            "nonempty_intersection_forces_bound_ge_1",
+        ]
+
+    def test_report_carries_its_sources(self):
+        up = graph_connectivity(4)
+        report = verify_instance(up, BoundVariant.bell())
+        assert report.absent is None
+        assert report.threshold.witness_cover.covers(up)
+        assert report.critical.residual <= report.critical.tolerance
+        assert [(d.convention, d.dim) for d in report.dimensions] == [
+            ("unrestricted", report.dim_unrestricted),
+            ("within_family", report.dim_within_family),
+        ]
 
     @given(upper_sets(max_ground=8, max_gens=5))
     @settings(max_examples=25, deadline=None)

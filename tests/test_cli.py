@@ -133,6 +133,28 @@ class TestSweep:
         summary = json.loads(dest.read_text())
         assert summary["classification"]["never_nontrivial"] is True
 
+    def test_each_quantity_computed_once_per_row(self, capsys, monkeypatch):
+        import upsetkit.measure
+        import upsetkit.structure
+
+        calls = []
+        for module, name in ((upsetkit.measure, "critical_probability"),
+                             (upsetkit.structure, "covering_dimension")):
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original):
+                result = _original(*args)
+                calls.append(_name)
+                return result
+
+            monkeypatch.setattr(module, name, counted)
+        upsetkit.clear_caches()
+        code, _, _ = run_main(capsys, ["sweep", "--family", "connectivity", "--range", "3..5"])
+        assert code == 0
+        # one p_c bisection per row; both dimensions on the two rows under
+        # the dimension cap (|F0| = 3, 16), none returned for |F0| = 125
+        assert sorted(calls) == ["covering_dimension"] * 4 + ["critical_probability"] * 3
+
     def test_bad_range_argument(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["sweep", "--family", "principal", "--range", "35"])
@@ -216,6 +238,20 @@ class TestVerify:
         code, out, _ = run_main(capsys, ["verify", "--instance", principal3_file, "--format", "csv"])
         assert code == 0
         assert out.startswith("instance,check,holds,slack\n")
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--family", "principal", "--range", "2..2"],
+        ["sweep", "--family", "principal", "--range", "2..3"],
+        ["verify", "--family", "principal", "--range", "2..2"],
+    ])
+    def test_non_finite_tol_rejected(self, capsys, argv, tol):
+        code, out, err = run_main(capsys, [*argv, f"--tol={tol}"])
+        assert code == 2
+        assert out == ""
+        assert "tol must be positive and finite" in err
 
 
 class TestFamily:

@@ -82,6 +82,13 @@ class TestMaxNonemptyIndex:
         if t < len(sets):
             assert sigma_k(sets, t + 1).value.is_empty
 
+    @given(upper_sets(max_ground=8))
+    @settings(max_examples=100)
+    def test_matches_naive_sigma(self, up):
+        bits, n = list(up.minimal_bits), up.ground_size
+        top = max(k for k in range(1, len(bits) + 1) if naive_sigma(bits, k, n))
+        assert max_nonempty_sigma_index(up) == top
+
 
 class TestCoveringDimension:
     def test_k3_unrestricted(self):

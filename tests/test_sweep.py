@@ -10,8 +10,10 @@ from upsetkit import (
     necessary_conditions_report,
     records_to_csv,
     sweep,
+    verify_instance,
 )
 from upsetkit.errors import EmptyInput, TooFewRecords
+from upsetkit.families import make_family_instance
 
 BELL = BoundVariant.bell()
 
@@ -49,6 +51,28 @@ class TestSweep:
         records = sweep("connectivity", [2, 3], BELL)
         assert records[0].error is not None and records[0].q is None
         assert records[1].error is None
+
+
+class TestPipeline:
+    # the graph-family sweeps of the benchmark's graph-ladder workload,
+    # every cap included: q at connectivity-5, p_c at triangle-7, and the
+    # dimension on every row with more than 16 minimals
+    SWEEPS = (("connectivity", 3, 5), ("triangle", 3, 7), ("hamilton", 4, 6),
+              ("star3", 4, 7), ("path2", 3, 8), ("matching2", 4, 7))
+    SHARED = ("min_count", "ell0", "ell", "dim_unrestricted", "dim_within_family",
+              "q", "p_c", "bound_value", "width", "nontrivial_info")
+
+    @pytest.mark.parametrize("family,a,b", SWEEPS)
+    def test_rows_project_the_report(self, family, a, b):
+        t_max = 3
+        for row in sweep(family, range(a, b + 1), BELL, t_max=t_max):
+            report = verify_instance(make_family_instance(family, row.n), BELL)
+            for name in self.SHARED:
+                assert getattr(row, name) == getattr(report, name), (row.n, name)
+            assert row.error == report.absent
+            empty = dict(report.sigma_profile)
+            assert row.sigma_empty_at == tuple(
+                empty.get(row.min_count - t) for t in range(t_max + 1))
 
 
 class TestCsv:
