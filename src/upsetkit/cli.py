@@ -188,7 +188,7 @@ def _instance_checks(name: str, upper: UpperSet, variant: BoundVariant, tol: flo
         rows.append((name, check.name, check.holds, check.slack))
 
     witness = report.threshold.witness_cover
-    witness_cost = witness.cost(max(report.threshold.q - tol, 0.0))
+    witness_cost = witness.cost(report.threshold.q)
     rows.append((name, "q_witness_covers", witness.covers(upper), None))
     rows.append((name, "q_witness_cost_le_half", witness_cost <= 0.5, 0.5 - witness_cost))
 

@@ -38,10 +38,12 @@ cost/|cov & uncovered| so far, which is exact because
 |cov & uncovered| <= |cov|. At the root every coverage is whole, so the
 counting bound is the smallest floor and needs no scan.
 
-A problem is built from the minimal elements and a candidate list, so the
-covering dimension (``structure.covering_dimension``) runs ``optimize`` on
-the same search at p = 1, where every candidate costs 1 and the cheapest
-cover is a smallest one, over its own candidates.
+The minimum cost (``optimize``) is a descent over decide: from the greedy
+cover, each decide asks for a cover cheaper by twice the prune slack, and
+the first None ends it. A problem is built from the minimal elements and a
+candidate list, so the covering dimension (``structure.covering_dimension``)
+runs ``optimize`` over its own candidates at p = 1. There every candidate
+costs 1, so the cheapest cover is a smallest one, and its size is exact.
 
 q is read off a climb over covers (see ``_bracket``): from the cover by
 all the minimals, each decide runs just above the root of the current
@@ -69,7 +71,6 @@ SOLVER_MINIMALS_CAP = 64
 SOLVER_CANDIDATES_CAP = 4096
 NODE_BUDGET = 2_000_000
 
-_TIE_EPS = 1e-14
 # a bound prunes a decide only when it passes the threshold by this much
 _PRUNE_SLACK = 1e-12
 
@@ -205,23 +206,20 @@ class _Search:
     ends at the root builds neither.
     """
 
-    def __init__(self, prob: _CoverProblem, p: float, node_budget: int = NODE_BUDGET):
+    def __init__(self, prob: _CoverProblem, p: float):
         self.prob = prob
         self.p = p
         powers = [p**k for k in range(prob.max_size + 1)]
         self.cost = tuple(map(powers.__getitem__, prob.cand_sizes))
         self.min_cost = tuple(map(powers.__getitem__, prob.min_sizes))
         self.nodes = 0
-        self.node_budget = node_budget
         self._orders: list[tuple[int, ...] | None] = [None] * len(prob.min_bits)
         self._scan: list[tuple[float, int, float]] | None = None
 
     def _tick(self):
         self.nodes += 1
-        if self.nodes > self.node_budget:
-            raise SizeLimitExceeded(
-                f"cover search exceeded node budget {self.node_budget}"
-            )
+        if self.nodes > NODE_BUDGET:
+            raise SizeLimitExceeded(f"cover search exceeded node budget {NODE_BUDGET}")
 
     def lower_bound(self, uncovered: int) -> float:
         if uncovered == 0:
@@ -336,40 +334,16 @@ class _Search:
         return dfs(prob.full, 0.0)
 
     def optimize(self) -> tuple[float, list[int]]:
-        """Exact minimum cover cost with canonical tie-break."""
-        prob = self.prob
-        best_chosen, best_cost = self.greedy_cover()
-        best_key = self._cover_key(best_chosen)
-        best = [best_cost, best_key, best_chosen]
-        seen: dict[int, float] = {}
-
-        def dfs(uncovered: int, acc: float, chosen: list[int]) -> None:
-            self._tick()
-            if uncovered == 0:
-                key = self._cover_key(chosen)
-                if acc < best[0] - _TIE_EPS or (
-                    acc <= best[0] + _TIE_EPS and key < best[1]
-                ):
-                    best[0], best[1], best[2] = acc, key, list(chosen)
-                return
-            prev = seen.get(uncovered)
-            if prev is not None and acc > prev + _TIE_EPS:
-                return
-            if prev is None or acc < prev:
-                seen[uncovered] = acc
-            if acc + self.lower_bound(uncovered) > best[0] + _TIE_EPS:
-                return
-            bi = self._pick_branch(uncovered)
-            for j in self._branch_order(bi):
-                chosen.append(j)
-                dfs(uncovered & ~prob.cand_cov[j], acc + self.cost[j], chosen)
-                chosen.pop()
-
-        dfs(prob.full, 0.0, [])
-        return best[0], best[2]
-
-    def _cover_key(self, chosen: list[int]) -> tuple:
-        return tuple(sorted(canonical_key(self.prob.cand_bits[j]) for j in chosen))
+        """Minimum cover cost, accurate to 2 * _PRUNE_SLACK, with an optimal
+        cover chosen deterministically: a descent over ``decide`` from the
+        greedy cover."""
+        chosen, cost = self.greedy_cover()
+        # decide returns ``min_cand`` when the cover by all the minimals fits,
+        # and the dimension problem leaves that slot unset. At p = 1 that
+        # cover costs |F0| >= the greedy cost > every threshold, so it never fits.
+        while (found := self.decide(cost - 2 * _PRUNE_SLACK)) is not None:
+            chosen, cost = found, math.fsum(self.cost[j] for j in found)
+        return cost, chosen
 
 
 def _to_cover(upper: UpperSet, prob: _CoverProblem, chosen: list[int]) -> Cover:
@@ -378,7 +352,8 @@ def _to_cover(upper: UpperSet, prob: _CoverProblem, chosen: list[int]) -> Cover:
 
 
 def min_cover_cost(upper: UpperSet, p: float) -> CoverSolution:
-    """Exact minimum of sum p^{|S|} over covers of F, with an optimal witness."""
+    """Minimum of sum p^{|S|} over covers of F, accurate to 2 * _PRUNE_SLACK,
+    with a cover of that cost as the witness."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
     prob = _problem(upper)

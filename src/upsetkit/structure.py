@@ -13,10 +13,11 @@ minimum number of ground elements hitting every minimal element, and each
 chosen element x is witnessed by the intersection of all minimals through
 x. These intersections are the candidates of the cover search that gives
 q (``expectation``), run at p = 1: there every candidate costs 1, so the
-cheapest cover is a smallest one, and its canonical tie-break picks the
-witness. Under the within_family convention every witness must itself
-belong to F, which for an antichain forces the witness set to be the
-minimals themselves, so dim is |F0| and no search runs.
+cheapest cover is a smallest one, and the search's descent ends on one
+such cover, chosen deterministically, as the witness. Under the
+within_family convention every witness must itself belong to F, which for
+an antichain forces the witness set to be the minimals themselves, so dim
+is |F0| and no search runs.
 """
 
 from __future__ import annotations

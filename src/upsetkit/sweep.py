@@ -145,9 +145,11 @@ def necessary_conditions_report(
     reports whether |F0| and dim (under ``dim_convention``) grow strictly,
     and flags rows claiming nontrivial information while the minimals
     still share a common element with K >= 2, which would contradict the
-    theory and indicates a bug.
+    theory and indicates a bug. A row with an absent q or p_c still counts:
+    none of these needs them. Only rows whose instance was never built are
+    left out.
     """
-    rows = [r for r in records if r.error is None and r.min_count is not None]
+    rows = [r for r in records if r.min_count is not None]
     if not rows:
         raise EmptyInput("no usable records")
     if any(b.n <= a.n for a, b in zip(rows, rows[1:])):

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import upsetkit
-from upsetkit import cli, graph_connectivity
+from upsetkit import cli, expectation_threshold, fmt, graph_connectivity
 from upsetkit.core import from_minimal_bits
 
 
@@ -219,6 +219,15 @@ class TestVerify:
         # one p_c bisection, one dimension search per convention
         assert sorted(calls) == ["covering_dimension"] * 2 + ["critical_probability"]
 
+    def test_witness_cost_checked_at_reported_q(self, capsys, k3_file):
+        # the recheck costs the witness at q itself, whatever --tol is
+        code, out, _ = run_main(capsys, ["verify", "--instance", k3_file, "--tol", "1e-3"])
+        assert code == 0
+        row = next(l for l in out.split("\n") if ",q_witness_cost_le_half," in l)
+        threshold = expectation_threshold(graph_connectivity(3))
+        slack = 0.5 - threshold.witness_cover.cost(threshold.q)
+        assert row.split(",")[3] == fmt.csv_cell(slack)
+
     def test_json_format(self, capsys, principal3_file):
         code, out, _ = run_main(
             capsys, ["verify", "--instance", principal3_file, "--format", "json"]
@@ -275,7 +284,7 @@ class TestDeterminism:
     # sha256 of stdout; any change to a printed number or row changes it
     PINNED = {
         ("verify", "--battery", "builtin"):
-            "ae53a47e72929c160836b8799911d6a1a92a71df93a70da709c29b88ed0de835",
+            "72078f66d648f1310fe1ddca998cc2123e827cc8db76e3a6f9bc4fff2ebcddd6",
         ("sweep", "--family", "hamilton", "--range", "4..6"):
             "324104f7646195683aebbe7e7fb2ec0994adb944cc0a9f2c64654ecd7d041b5e",
         ("compute", "--family", "connectivity", "--range", "4..4"):

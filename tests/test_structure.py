@@ -14,6 +14,8 @@ from upsetkit import (
 )
 from upsetkit.core import SubsetMask, from_minimal_bits
 from upsetkit.errors import KOutOfRange, SizeLimitExceeded
+from upsetkit.expectation import _Search
+from upsetkit.families import make_family_instance
 from upsetkit.structure import CONVENTIONS, DIMENSION_MINIMALS_CAP
 
 TRIANGLE_SETS = [SubsetMask(3, b) for b in (0b011, 0b110, 0b101)]
@@ -122,6 +124,24 @@ class TestCoveringDimension:
         # 16 minimal elements sits exactly at the cap
         res = covering_dimension(graph_connectivity(4))
         assert res.dim == 3  # min edge set meeting every spanning tree
+
+    @pytest.mark.parametrize("family, n, most", [
+        ("matching2", 5, 40), ("hamilton", 5, 40), ("triangle", 5, 20),
+    ])
+    def test_search_nodes(self, monkeypatch, family, n, most):
+        # each decide of the descent asks for a strictly cheaper cover, so
+        # covers that tie the best one so far are pruned, not explored
+        nodes = []
+        optimize = _Search.optimize
+
+        def counted(search):
+            result = optimize(search)
+            nodes.append(search.nodes)
+            return result
+
+        monkeypatch.setattr(_Search, "optimize", counted)
+        covering_dimension(make_family_instance(family, n))
+        assert len(nodes) == 1 and nodes[0] <= most
 
     def test_bad_convention(self):
         with pytest.raises(ValueError):

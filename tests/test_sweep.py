@@ -120,6 +120,21 @@ class TestNecessaryConditions:
         with pytest.raises(EmptyInput):
             necessary_conditions_report([], BELL)
 
+    def test_capped_row_keeps_its_sigma_flags(self):
+        # a row missing only q and p_c keeps its sigma flags: sigma_{|F0|}
+        # is nonempty on the last row, so t = 0 never settles
+        rows = [synthetic_record(n, 0.01, 4, 0.5) for n in (2, 3)]
+        capped = SweepRecord(
+            n=4, min_count=4, ell0=4, ell=4, dim_unrestricted=2,
+            dim_within_family=4, q=None, p_c=None, bound_value=None,
+            width=None, nontrivial_info=None, ratio_perfect=None,
+            sigma_empty_at=(False,), error="exact cover search needs |F0| <= 64, got 125",
+        )
+        assert necessary_conditions_report(rows, BELL).sigma_empty_from[0] == 2
+        report = necessary_conditions_report(rows + [capped], BELL)
+        assert report.sigma_empty_from[0] is None
+        assert report.min_count_strictly_increasing is True
+
     def test_contradiction_flag_fires_on_corrupted_row(self):
         # a row claiming nontrivial info while all minimals intersect
         good = synthetic_record(2, 0.01, 4, 0.5)
