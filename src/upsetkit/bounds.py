@@ -199,7 +199,7 @@ def verify_instance(
     threshold = q = None
     try:
         threshold = cached_threshold(upper, tol)
-        q = cached_q(upper, tol)
+        q = threshold.q
     except SizeLimitExceeded as exc:
         absent = str(exc)
     critical = p_c = None

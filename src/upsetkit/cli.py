@@ -21,13 +21,7 @@ from typing import Sequence
 from . import fmt
 from .bounds import BoundVariant, auto_exact_method, verify_instance
 from .core import UpperSet, parse_instance
-from .errors import (
-    CapExceeded,
-    MissingMcParams,
-    SizeLimitExceeded,
-    TooFewRecords,
-    UpsetError,
-)
+from .errors import MissingMcParams, SizeLimitExceeded, TooFewRecords, UpsetError
 from .families import FAMILIES, builtin_battery, make_family_instance
 from .measure import mu
 from .sweep import (
@@ -259,7 +253,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (SizeLimitExceeded, CapExceeded) as exc:
+    except SizeLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CAP_ERROR
     except (UpsetError, ValueError, OSError) as exc:

@@ -212,25 +212,18 @@ def ell(upper: UpperSet) -> tuple[int, int]:
     return (upper.ell0, upper.ell)
 
 
-def normalize_to_antichain(
-    ground_size: int,
-    generators: Sequence[SubsetMask],
-    *,
-    allow_large: bool = False,
-) -> UpperSet:
+def normalize_to_antichain(ground_size: int, generators: Sequence[SubsetMask]) -> UpperSet:
     """Build the upper set generated by ``generators``.
 
     The result's minimal elements are exactly the inclusion-minimal
     generators, canonically ordered; duplicates and absorbed supersets are
-    dropped. ``allow_large`` lifts the ground-size cap for instances that
-    will only ever be sampled, never enumerated exactly.
+    dropped.
     """
     if ground_size < 1:
         raise ValueError(f"ground_size must be positive, got {ground_size}")
-    if ground_size > GROUND_SIZE_CAP and not allow_large:
+    if ground_size > GROUND_SIZE_CAP:
         raise SizeLimitExceeded(
-            f"ground_size {ground_size} exceeds exact-operation cap {GROUND_SIZE_CAP}; "
-            "pass allow_large=True for sampling-only instances"
+            f"ground_size {ground_size} exceeds exact-operation cap {GROUND_SIZE_CAP}"
         )
     if not generators:
         raise EmptyGenerators("at least one generator is required")
@@ -243,13 +236,9 @@ def normalize_to_antichain(
     return UpperSet(ground_size, tuple(SubsetMask(ground_size, b) for b in reduced))
 
 
-def from_minimal_bits(ground_size: int, bits_list: Sequence[int], *, allow_large: bool = False) -> UpperSet:
+def from_minimal_bits(ground_size: int, bits_list: Sequence[int]) -> UpperSet:
     """Internal-ish fast path: build from raw integer masks."""
-    return normalize_to_antichain(
-        ground_size,
-        [SubsetMask(ground_size, b) for b in bits_list],
-        allow_large=allow_large,
-    )
+    return normalize_to_antichain(ground_size, [SubsetMask(ground_size, b) for b in bits_list])
 
 
 @dataclass(frozen=True)

@@ -41,14 +41,6 @@ class OutOfRange(UpsetError):
     """Family parameter outside the supported range."""
 
 
-class CapExceeded(UpsetError):
-    """Family generation would enumerate more objects than the configured cap."""
-
-
-class DegenerateDraw(UpsetError):
-    """A random draw produced no usable antichain."""
-
-
 class EmptyInput(UpsetError):
     """A report was requested over an empty record list."""
 

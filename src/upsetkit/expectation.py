@@ -25,18 +25,23 @@ uncovered minimal elements. Pruning uses two admissible lower bounds:
   candidates of cost/covered-count, by distributing each element's cost
   over the minimals it covers.
 
-A decide call tries the cheapest answers first: the cover by all the
-minimals, then the root lower bound (it is admissible, so when it prunes
-the greedy cover could not have succeeded), then the greedy cover, then
-the tree search. The p-independent tables (coverages and their counts,
-the candidates under each minimal, the candidate index of each minimal)
-are built once per problem. A search takes its costs from one table of
-powers of p and builds the rest on first use: the branch order at a
-minimal, and the counting bound's candidate scan sorted by the floor
-cost/|cov|. The scan stops once the floor reaches the best
-cost/|cov & uncovered| so far, which is exact because
-|cov & uncovered| <= |cov|. At the root every coverage is whole, so the
-counting bound is the smallest floor and needs no scan.
+A decide call is the tree search alone: its root node applies the root
+bound, so a decide the bound settles costs one node. It weighs a cover
+exactly. Every p^k is a dyadic rational, so each cost is an integer
+number of units of 1/scale, scale being the largest denominator among the
+powers, and a branch carries its cost as an int. A leaf accepts iff
+acc / scale <= threshold; int/int division is correctly rounded, so that
+is the exact sum rounded once, the number ``Cover.cost`` gives with
+``math.fsum``. The bounds stay float and prune only past the threshold by
+a slack far above their rounding error. The p-independent tables
+(coverages and their counts, the candidates under each minimal) are built
+once per problem. A search takes its costs from one table of powers of p
+and builds the rest on first use: the branch order at a minimal, and the
+counting bound's candidate scan sorted by the floor cost/|cov|. The scan
+stops once the floor reaches the best cost/|cov & uncovered| so far,
+which is exact because |cov & uncovered| <= |cov|. At the root every
+coverage is whole, so the counting bound is the smallest floor and needs
+no scan.
 
 The minimum cost (``optimize``) is a descent over decide: from the greedy
 cover, each decide asks for a cover cheaper by twice the prune slack, and
@@ -49,10 +54,10 @@ q is read off a climb over covers (see ``_bracket``): from the cover by
 all the minimals, each decide runs just above the root of the current
 cover's weight polynomial sum c_k p^k = 1/2, a cover it returns has a
 larger root, and the first None ends the climb. q is the root of the last
-cover, stepped down until that cover weighs <= 1/2 in any summation order
-(see ``expectation_threshold``), and the cover is the witness. So F is
-p-small at q, and a decide returns None a few 1e-12 above it, at the p
-that ended the climb.
+cover, stepped down until that cover weighs <= 1/2, and the cover is the
+witness. decide weighs covers as ``Cover.cost`` does, so F is p-small at
+q, and a decide returns None a few 1e-12 above it, at the p that ended
+the climb.
 """
 
 from __future__ import annotations
@@ -113,14 +118,10 @@ def candidate_cover_elements(
 
 class _CoverProblem:
     """Preprocessed search data for minimal elements and cover candidates
-    (p-independent).
-
-    ``min_cand`` is set only by ``_problem``, whose candidates include
-    every minimal; the dimension search's candidates need not.
-    """
+    (p-independent)."""
 
     __slots__ = ("min_bits", "min_sizes", "max_size", "cand_bits", "cand_sizes", "cand_cov",
-                 "cand_count", "per_min", "min_cand", "full")
+                 "cand_count", "per_min", "full")
 
     def __init__(self, min_bits: tuple[int, ...], cand_bits: tuple[int, ...]):
         self.min_bits = min_bits
@@ -190,12 +191,7 @@ def _problem(upper: UpperSet) -> _CoverProblem:
             f"exact cover search needs |F0| <= {SOLVER_MINIMALS_CAP}, got {len(min_bits)}"
         )
     closure = tuple(sorted(_intersection_closure(min_bits), key=canonical_key))
-    prob = _CoverProblem(min_bits, closure)
-    # Every minimal is a candidate (the closure starts from them); this is
-    # the cover by all the minimals, in minimal order.
-    index = {b: j for j, b in enumerate(prob.cand_bits)}
-    prob.min_cand = tuple(index[b] for b in min_bits)
-    return prob
+    return _CoverProblem(min_bits, closure)
 
 
 class _Search:
@@ -203,7 +199,8 @@ class _Search:
 
     Only the costs are built up front; branch orders and the counting
     bound's candidate scan are built on first use, so a decide call that
-    ends at the root builds neither.
+    ends at the root builds neither. Each power p^k is a dyadic rational,
+    so ``units[k]`` holds it exactly as an integer multiple of 1 / ``scale``.
     """
 
     def __init__(self, prob: _CoverProblem, p: float):
@@ -212,6 +209,9 @@ class _Search:
         powers = [p**k for k in range(prob.max_size + 1)]
         self.cost = tuple(map(powers.__getitem__, prob.cand_sizes))
         self.min_cost = tuple(map(powers.__getitem__, prob.min_sizes))
+        ratios = [c.as_integer_ratio() for c in powers]
+        self.scale = max(d for _, d in ratios)
+        self.units = [n * (self.scale // d) for n, d in ratios]
         self.nodes = 0
         self._orders: list[tuple[int, ...] | None] = [None] * len(prob.min_bits)
         self._scan: list[tuple[float, int, float]] | None = None
@@ -302,45 +302,36 @@ class _Search:
         return chosen, math.fsum(cost[j] for j in chosen)
 
     def decide(self, threshold: float) -> list[int] | None:
-        """A cover with cost <= threshold, or None if none exists. Exact."""
-        prob = self.prob
-        if math.fsum(self.min_cost) <= threshold:
-            return list(prob.min_cand)
-        # The bound is admissible: when it prunes, greedy cannot succeed.
-        if self.lower_bound(prob.full) > threshold + _PRUNE_SLACK:
-            return None
-        chosen, greedy_cost = self.greedy_cover()
-        if greedy_cost <= threshold:
-            return chosen
-        seen: dict[int, float] = {}
+        """A cover with cost <= threshold, or None if none exists. Exact: a
+        cover's cost is its exact sum rounded once, as in ``Cover.cost``."""
+        prob, units, scale = self.prob, self.units, self.scale
+        sizes = prob.cand_sizes
+        seen: dict[int, int] = {}
 
-        def dfs(uncovered: int, acc: float) -> list[int] | None:
+        def dfs(uncovered: int, acc: int) -> list[int] | None:
             self._tick()
             if uncovered == 0:
-                return [] if acc <= threshold else None
+                return [] if acc / scale <= threshold else None
             prev = seen.get(uncovered)
             if prev is not None and acc >= prev:
                 return None
             seen[uncovered] = acc
-            if acc + self.lower_bound(uncovered) > threshold + _PRUNE_SLACK:
+            if acc / scale + self.lower_bound(uncovered) > threshold + _PRUNE_SLACK:
                 return None
             bi = self._pick_branch(uncovered)
             for j in self._branch_order(bi):
-                rest = dfs(uncovered & ~prob.cand_cov[j], acc + self.cost[j])
+                rest = dfs(uncovered & ~prob.cand_cov[j], acc + units[sizes[j]])
                 if rest is not None:
                     return [j] + rest
             return None
 
-        return dfs(prob.full, 0.0)
+        return dfs(prob.full, 0)
 
     def optimize(self) -> tuple[float, list[int]]:
         """Minimum cover cost, accurate to 2 * _PRUNE_SLACK, with an optimal
         cover chosen deterministically: a descent over ``decide`` from the
         greedy cover."""
         chosen, cost = self.greedy_cover()
-        # decide returns ``min_cand`` when the cover by all the minimals fits,
-        # and the dimension problem leaves that slot unset. At p = 1 that
-        # cover costs |F0| >= the greedy cost > every threshold, so it never fits.
         while (found := self.decide(cost - 2 * _PRUNE_SLACK)) is not None:
             chosen, cost = found, math.fsum(self.cost[j] for j in found)
         return cost, chosen
@@ -413,17 +404,16 @@ def _bracket(prob: _CoverProblem) -> tuple[list[int], float]:
 
     Climbs from the cover by all the minimals: each ``decide`` runs just
     above the current cover's root, where the cover weighs 1/2 plus twice
-    the prune slack, so a cover it returns has a larger root; the first
-    None ends the climb. At the root itself no bound could prune within the
-    slack, and that last decide would search every near-optimal cover.
-    Every p strictly exceeds the one before, so the climb cannot stall on a
-    cover that is feasible only by rounding.
+    the prune slack; the first None ends the climb. At the root itself no
+    bound could prune within the slack, and that last decide would search
+    every near-optimal cover. A cover that decide returns weighs at most
+    1/2 at p, rounded once, so it weighs 1/2 plus twice the slack only at a
+    larger p, and p rises strictly.
     """
-    chosen = list(prob.min_cand)
-    p = 0.0
+    index = {b: j for j, b in enumerate(prob.cand_bits)}
+    chosen = [index[b] for b in prob.min_bits]
     while True:
-        terms = _weight_terms(prob, chosen)
-        p = max(_weight_root(terms, 0.5 + 2 * _PRUNE_SLACK), math.nextafter(p, 1.0))
+        p = _weight_root(_weight_terms(prob, chosen), 0.5 + 2 * _PRUNE_SLACK)
         found = _Search(prob, p).decide(0.5)
         if found is None:
             return chosen, p
@@ -437,16 +427,11 @@ def expectation_threshold(upper: UpperSet, tol: float = 1e-9) -> ExpectationThre
     p-smallness is monotone (a cover's weight increases with p), so the
     feasible set is an interval [0, q]. q is the root of the weight
     polynomial of the last cover ``_bracket`` climbs to, stepped down with
-    ``nextafter`` until that cover, of m elements, weighs at most 1/2 less
-    (m - 1) // 2 float spacings (2^-54 each just below 1/2); the cover is
-    the witness. The weight is the exact sum rounded once, as in
-    ``Cover.cost``, but ``decide`` adds the costs one by one. That rounding
-    and the m - 2 before ``decide``'s last one each move the sum by at most
-    half a spacing, and the last one rounds anything up to 2^-54 above 1/2
-    down to 1/2. So at q ``decide`` finds a cover whatever order
-    it adds the costs in, and ``is_p_small`` holds.
-    ``decide`` returned None at the p that ended the climb, a few 1e-12
-    above q, so q is exact to about that.
+    ``nextafter`` until that cover weighs at most 1/2; the cover is the
+    witness. The weight is the exact sum rounded once, as in ``Cover.cost``
+    and in ``decide``, so at q ``decide`` finds a cover and ``is_p_small``
+    holds. ``decide`` returned None at the p that ended the climb, a few
+    1e-12 above q, so q is exact to about that.
 
     ``tol`` does not set the accuracy of q. It is kept, and must be
     positive and finite, because callers pass it and
@@ -457,9 +442,8 @@ def expectation_threshold(upper: UpperSet, tol: float = 1e-9) -> ExpectationThre
     prob = _problem(upper)
     chosen, _ = _bracket(prob)
     terms = _weight_terms(prob, chosen)
-    limit = 0.5 - (sum(c for _, c in terms) - 1) // 2 * 2.0**-54
     q = _weight_root(terms)
-    while _weight(terms, q) > limit:
+    while _weight(terms, q) > 0.5:
         q = math.nextafter(q, 0.0)
     return ExpectationThreshold(q, _to_cover(upper, prob, chosen), tol)
 

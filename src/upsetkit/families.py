@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .core import SubsetMask, UpperSet, from_minimal_bits, normalize_to_antichain
-from .errors import CapExceeded, OutOfRange, TrivialUpperSet, WidthMismatch
+from .errors import OutOfRange, SizeLimitExceeded, TrivialUpperSet, WidthMismatch
 
 EMBEDDING_CAP = 1_000_000
 
@@ -100,9 +100,7 @@ def graph_connectivity(n: int) -> UpperSet:
     return upper
 
 
-def subgraph_containment(
-    n: int, h_edges: Sequence[tuple[int, int]], cap: int = EMBEDDING_CAP
-) -> UpperSet:
+def subgraph_containment(n: int, h_edges: Sequence[tuple[int, int]]) -> UpperSet:
     """Edge sets of K_n containing a (labelled) copy of the graph H.
 
     Minimal elements are the inclusion-minimal images of H under all
@@ -117,8 +115,8 @@ def subgraph_containment(
     count = 1
     for i in range(k):
         count *= n - i
-    if count > cap:
-        raise CapExceeded(f"{count} embeddings exceed cap {cap}")
+    if count > EMBEDDING_CAP:
+        raise SizeLimitExceeded(f"{count} embeddings exceed cap {EMBEDDING_CAP}")
     pos = {v: i for i, v in enumerate(verts)}
     ground = GraphGround(n)
     images = set()

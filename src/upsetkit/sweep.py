@@ -23,6 +23,8 @@ from .families import make_family_instance
 CSV_BASE_HEADER = (
     "n,min_count,ell0,ell,dim_u,dim_f,q,p_c,bound,width,nontrivial,ratio"
 )
+# the trailing share of usable rows a perfect-information trend must fall over
+TREND_WINDOW_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -213,9 +215,7 @@ class Classification:
         }
 
 
-def information_classification(
-    records: Sequence[SweepRecord], window_fraction: float = 0.5
-) -> Classification:
+def information_classification(records: Sequence[SweepRecord]) -> Classification:
     """Classify a sweep: bound informative from some observed N on, with a
     perfect-information trend when q*log(ell) also keeps falling over the
     trailing window."""
@@ -233,7 +233,7 @@ def information_classification(
             start = None
     if start is None:
         return Classification("inconclusive", None, never)
-    window = max(2, math.ceil(len(rows) * window_fraction))
+    window = max(2, math.ceil(len(rows) * TREND_WINDOW_FRACTION))
     tail = [r.ratio_perfect for r in rows[-window:]]
     if all(b < a for a, b in zip(tail, tail[1:])):
         return Classification("perfect_trend", start, never)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
+from fractions import Fraction
 
 
 def brute_mu(min_bits: list[int], n: int, p: float) -> float:
@@ -144,6 +146,31 @@ def naive_q(min_bits: list[int], iters: int = 60) -> float:
     return 0.5 * (lo + hi)
 
 
+def exhaustive_p_small(min_bits: list[int], p: float) -> bool:
+    """True iff some cover by intersections of the minimals weighs <= 1/2
+    at p, summed by ``math.fsum``.
+
+    Every cover of at most |F0| elements of the intersection closure is
+    tried. That suffices: any cover holds a subcover of one element per
+    minimal, which weighs no more.
+    """
+    closure = {
+        functools.reduce(operator.and_, combo)
+        for r in range(1, len(min_bits) + 1)
+        for combo in itertools.combinations(min_bits, r)
+    } - {0}
+    full = (1 << len(min_bits)) - 1
+    coverage = {
+        c: sum(1 << i for i, m in enumerate(min_bits) if c & m == c) for c in closure
+    }
+    for r in range(1, len(min_bits) + 1):
+        for combo in itertools.combinations(sorted(closure), r):
+            if functools.reduce(operator.or_, map(coverage.get, combo)) == full:
+                if math.fsum(p ** bin(c).count("1") for c in combo) <= 0.5:
+                    return True
+    return False
+
+
 def naive_dim(min_bits: list[int], n: int, candidate_bits: list[int] | None = None) -> int:
     """Smallest cover cardinality by exhausting combinations of candidate
     elements (all nonempty masks by default) in increasing size."""
@@ -234,12 +261,13 @@ class EagerSearch:
     """The cover search with every table built up front.
 
     A copy of the decision search as it stood before its tables became
-    lazy, less the node budget: the greedy cover runs before the root
-    bound, every branch order is sorted at construction, and the counting
-    bound scans every candidate. It reads the preprocessed problem (minimal and
-    candidate masks, coverages, per-minimal candidate lists) and nothing
-    else, so a faster search can be checked against it for the same
-    answers and the same node counts.
+    lazy, less the node budget: every branch order is sorted at
+    construction, and the counting bound scans every candidate. Costs are
+    summed exactly, as fractions over the common denominator of the powers
+    of p. It reads the preprocessed problem (minimal and candidate masks,
+    coverages, per-minimal candidate lists) and nothing else, so a faster
+    search can be checked against it for the same answers and the same
+    node counts.
     """
 
     def __init__(self, prob, p: float):
@@ -247,6 +275,9 @@ class EagerSearch:
         self.p = p
         self.cost = tuple(p**k for k in prob.cand_sizes)
         self.min_cost = tuple(p**k for k in prob.min_sizes)
+        exact = [Fraction(c) for c in self.cost]
+        self.scale = max((c.denominator for c in exact), default=1)
+        self.units = tuple(int(c * self.scale) for c in exact)
         self.nodes = 0
         self.branch_order = tuple(
             tuple(
@@ -287,52 +318,28 @@ class EagerSearch:
                     best_i, best_len = i, live
         return best_i
 
-    def greedy_cover(self) -> tuple[list[int], float]:
-        prob, cost = self.prob, self.cost
-        uncovered = prob.full
-        chosen: list[int] = []
-        while uncovered:
-            best_j, best_ratio = -1, math.inf
-            for j, c in enumerate(prob.cand_cov):
-                new = (c & uncovered).bit_count()
-                if new:
-                    r = cost[j] / new
-                    if r < best_ratio - 1e-18:
-                        best_j, best_ratio = j, r
-            chosen.append(best_j)
-            uncovered &= ~prob.cand_cov[best_j]
-        return chosen, math.fsum(cost[j] for j in chosen)
-
     def decide(self, threshold: float) -> list[int] | None:
         prob = self.prob
-        all_minimals = math.fsum(self.min_cost)
-        if all_minimals <= threshold:
-            return [j for i in range(len(prob.min_bits)) for j in prob.per_min[i] if prob.cand_bits[j] == prob.min_bits[i]]
-        chosen, greedy_cost = self.greedy_cover()
-        if greedy_cost <= threshold:
-            return chosen
-        if self.lower_bound(prob.full) > threshold + 1e-12:
-            return None
-        seen: dict[int, float] = {}
+        seen: dict[int, int] = {}
 
-        def dfs(uncovered: int, acc: float) -> list[int] | None:
+        def dfs(uncovered: int, acc: int) -> list[int] | None:
             self.nodes += 1
             if uncovered == 0:
-                return [] if acc <= threshold else None
+                return [] if acc / self.scale <= threshold else None
             prev = seen.get(uncovered)
             if prev is not None and acc >= prev:
                 return None
             seen[uncovered] = acc
-            if acc + self.lower_bound(uncovered) > threshold + 1e-12:
+            if acc / self.scale + self.lower_bound(uncovered) > threshold + 1e-12:
                 return None
             bi = self._pick_branch(uncovered)
             for j in self.branch_order[bi]:
-                rest = dfs(uncovered & ~prob.cand_cov[j], acc + self.cost[j])
+                rest = dfs(uncovered & ~prob.cand_cov[j], acc + self.units[j])
                 if rest is not None:
                     return [j] + rest
             return None
 
-        return dfs(prob.full, 0.0)
+        return dfs(prob.full, 0)
 
 
 def bisection_threshold(upper, tol: float = 1e-9) -> tuple[float, float]:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -182,7 +183,12 @@ class TestVerify:
     def test_corrupted_q_fails_with_exit_1(self, capsys, principal3_file, monkeypatch):
         import upsetkit.bounds
 
-        monkeypatch.setattr(upsetkit.bounds, "cached_q", lambda up, tol=1e-9: 0.99)
+        real = upsetkit.bounds.cached_threshold
+        monkeypatch.setattr(
+            upsetkit.bounds,
+            "cached_threshold",
+            lambda up, tol=1e-9: dataclasses.replace(real(up, tol), q=0.99),
+        )
         code, out, _ = run_main(capsys, ["verify", "--instance", principal3_file])
         assert code == 1
         bad = [l for l in out.strip().split("\n") if ",false," in l]
@@ -284,7 +290,7 @@ class TestDeterminism:
     # sha256 of stdout; any change to a printed number or row changes it
     PINNED = {
         ("verify", "--battery", "builtin"):
-            "72078f66d648f1310fe1ddca998cc2123e827cc8db76e3a6f9bc4fff2ebcddd6",
+            "b09be9fb8c2a9ebfbf6508546c2af690689c51a5a47179e4603e337a36191d8c",
         ("sweep", "--family", "hamilton", "--range", "4..6"):
             "324104f7646195683aebbe7e7fb2ec0994adb944cc0a9f2c64654ecd7d041b5e",
         ("compute", "--family", "connectivity", "--range", "4..4"):

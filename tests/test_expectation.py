@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from oracles import (
     EagerSearch,
     bisection_threshold,
+    exhaustive_p_small,
     naive_min_cover_cost,
     naive_q,
     subset_enumeration_min_cover_cost,
@@ -91,7 +94,7 @@ class TestSearch:
     @example(graph_connectivity(4))
     def test_decide_matches_eager_search(self, up):
         # every midpoint of the q bisection, ending at p within 1e-6 of q,
-        # where the decision needs the greedy cover and the tree search
+        # where the root bound no longer prunes and the tree search runs
         prob = _problem(up)
         lo, hi = 0.0, 1.0
         while hi - lo > 1e-6:
@@ -116,26 +119,6 @@ class TestSearch:
         assert search._counting_ratio(uncovered) == full_scan
         for mask in (uncovered, prob.full):
             assert search.lower_bound(mask) == EagerSearch(prob, p).lower_bound(mask)
-
-    def test_greedy_skipped_when_root_bound_prunes(self, monkeypatch):
-        up = graph_connectivity(4)
-        q = expectation_threshold(up).q
-        calls = []
-        greedy = _Search.greedy_cover
-
-        def spy(self):
-            calls.append(self.p)
-            return greedy(self)
-
-        monkeypatch.setattr(_Search, "greedy_cover", spy)
-        prob = _problem(up)
-        pruned = _Search(prob, 1.1 * q)
-        assert pruned.lower_bound(prob.full) > 0.5
-        assert pruned.decide(0.5) is None
-        assert calls == []
-        # below q the root bound does not prune and greedy is the next step
-        assert _Search(prob, 0.99 * q).decide(0.5) is not None
-        assert calls == [0.99 * q]
 
 
 class TestMinCoverCost:
@@ -215,6 +198,38 @@ class TestIsPSmall:
         # the early-exit decision path must agree with the full optimization
         assert is_p_small(up, p) == (min_cover_cost(up, p).cost <= 0.5)
 
+    @staticmethod
+    def assert_exact_near_q(up):
+        q = expectation_threshold(up).q
+        below = above = q
+        points = [q]
+        for _ in range(3):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
+            points += [below, above]
+        for p in points:
+            assert is_p_small(up, p) == exhaustive_p_small(list(up.minimal_bits), p)
+
+    @given(upper_sets(max_ground=8, max_gens=6))
+    @settings(max_examples=150, deadline=None)
+    # at the float above q these decided p-small with the witness, which
+    # weighs 0.5000000000000001 by fsum
+    @example(from_minimal_bits(8, [34, 140, 23, 219]))
+    @example(from_minimal_bits(6, [17, 18, 11, 28, 44]))
+    @example(from_minimal_bits(8, [68, 72, 182]))
+    def test_exact_near_q(self, up):
+        assume(len(_problem(up).cand_bits) <= 11)
+        self.assert_exact_near_q(up)
+
+    def test_exact_at_witness_fsum_root(self):
+        # its witness weighs exactly 1/2 by fsum one float above a q stepped
+        # down for summation order; 22 candidates, past the draws' bound
+        self.assert_exact_near_q(from_minimal_bits(8, [162, 51, 103, 107, 217, 189]))
+
+    @pytest.mark.parametrize("p", [1e-30, 1e-200, 5e-324])
+    def test_tiny_p(self, p):
+        # the powers of p underflow to subnormals and to 0
+        assert is_p_small(graph_connectivity(4), p)
+
 
 class TestExpectationThreshold:
     def test_principal_size_three(self):
@@ -283,9 +298,9 @@ class TestBracketedBisection:
         _, no_from = _bracket(prob)
         assert _Search(prob, no_from).decide(0.5) is None
         assert q < no_from <= q + 1e-11
-        # decide sums in search order and fsum does not, so the bisection can
-        # end a little above q: by q's allowance for that, under m * 2^-54 in
-        # weight, over a weight slope of at least 1/2
+        # Newton can stop a float short of the last p at which the witness
+        # weighs <= 1/2, so the bisection can end a float above q; m float
+        # spacings at 1/2 cover that
         lo, hi = bisection_threshold(up, tol)
         assert lo - len(got.witness_cover) * 2.0**-53 <= q < hi
 
