@@ -16,8 +16,8 @@ fails carry slack None and hold vacuously.
 A quantity past its exact cap is absent (None), never fabricated. q and
 p_c are absent past their caps, and with q go the bound, its width and
 the nontrivial flag; the report's ``absent`` holds the first of their cap
-messages. The dimensions are absent past the dimension cap. A check that
-needs an absent value is left out of the report.
+messages. The unrestricted dimension is absent past its cap. A check
+that needs an absent value is left out of the report.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from . import fmt, measure
 from .core import UpperSet
 from .errors import SizeLimitExceeded
 from .expectation import ExpectationThreshold, cached_q, cached_threshold
+from .measure import AUTO_ENUMERATION_CAP
 from .structure import (
     CONVENTIONS,
     DimensionResult,
@@ -37,7 +38,6 @@ from .structure import (
     max_nonempty_sigma_index,
 )
 
-AUTO_ENUMERATION_CAP = 20
 AUTO_INCLUSION_EXCLUSION_CAP = 20
 
 ARGUMENTS = ("ell", "two_ell0")
@@ -192,8 +192,11 @@ def verify_instance(
 
     A cap met by q or p_c leaves that value, and every value and check
     built on it, as None or out of the report; the first such cap's message
-    is the report's ``absent``. Past the dimension cap both dimensions are
-    None and their checks are left out. Nothing is fabricated.
+    is the report's ``absent``. Past the dimension cap (a ground set past
+    ``measure.AUTO_ENUMERATION_CAP`` with more minimals than the cover
+    search takes) the unrestricted dimension is None and its checks are left
+    out; the within_family dimension, |F0|, has no cap. Nothing is
+    fabricated.
     """
     absent = None
     threshold = q = None
@@ -208,13 +211,14 @@ def verify_instance(
         p_c = critical.p_c
     except SizeLimitExceeded as exc:
         absent = absent or str(exc)
-    dimensions = ()
-    dim_u = dim_f = None
-    try:
-        dimensions = tuple(cached_dimension(upper, c) for c in CONVENTIONS)
-        dim_u, dim_f = (d.dim for d in dimensions)
-    except SizeLimitExceeded:
-        pass
+    dimensions: list[DimensionResult] = []
+    for convention in CONVENTIONS:
+        try:
+            dimensions.append(cached_dimension(upper, convention))
+        except SizeLimitExceeded:
+            pass
+    dim = {d.convention: d.dim for d in dimensions}
+    dim_u, dim_f = dim.get("unrestricted"), dim.get("within_family")
 
     m = len(upper.minimals)
     t = max_nonempty_sigma_index(upper)
@@ -273,6 +277,6 @@ def verify_instance(
         inequality_checks=tuple(checks),
         threshold=threshold,
         critical=critical,
-        dimensions=dimensions,
+        dimensions=tuple(dimensions),
         absent=absent,
     )

@@ -47,16 +47,17 @@ The minimum cost (``optimize``) is a descent over decide: from the greedy
 cover, each decide asks for a cover cheaper by twice the prune slack, and
 the first None ends it. A problem is built from the minimal elements and a
 candidate list, so the covering dimension (``structure.covering_dimension``)
-runs ``optimize`` over its own candidates at p = 1. There every candidate
-costs 1, so the cheapest cover is a smallest one, and its size is exact.
+runs ``optimize`` over its own candidates at p = 1 on ground sets too wide
+to enumerate. There every candidate costs 1, so the cheapest cover is a
+smallest one, and its size is exact.
 
 q is read off a climb over covers (see ``_bracket``): from the cover by
 all the minimals, each decide runs just above the root of the current
 cover's weight polynomial sum c_k p^k = 1/2, a cover it returns has a
-larger root, and the first None ends the climb. q is the root of the last
-cover, stepped down until that cover weighs <= 1/2, and the cover is the
-witness. decide weighs covers as ``Cover.cost`` does, so F is p-small at
-q, and a decide returns None a few 1e-12 above it, at the p that ended
+larger root, and the first None ends the climb. q is the largest float at
+which the last cover weighs <= 1/2, found from its root, and the cover is
+the witness. decide weighs covers as ``Cover.cost`` does, so F is p-small
+at q, and a decide returns None a few 1e-12 above it, at the p that ended
 the climb.
 """
 
@@ -426,11 +427,11 @@ def expectation_threshold(upper: UpperSet, tol: float = 1e-9) -> ExpectationThre
 
     p-smallness is monotone (a cover's weight increases with p), so the
     feasible set is an interval [0, q]. q is the root of the weight
-    polynomial of the last cover ``_bracket`` climbs to, stepped down with
-    ``nextafter`` until that cover weighs at most 1/2; the cover is the
-    witness. The weight is the exact sum rounded once, as in ``Cover.cost``
-    and in ``decide``, so at q ``decide`` finds a cover and ``is_p_small``
-    holds. ``decide`` returned None at the p that ended the climb, a few
+    polynomial of the last cover ``_bracket`` climbs to, stepped with
+    ``nextafter`` to the largest float at which that cover weighs at most
+    1/2; the cover is the witness. The weight is the exact sum rounded
+    once, as in ``Cover.cost`` and in ``decide``, so at q ``decide`` finds
+    a cover and ``is_p_small`` holds. ``decide`` returned None at the p that ended the climb, a few
     1e-12 above q, so q is exact to about that.
 
     ``tol`` does not set the accuracy of q. It is kept, and must be
@@ -445,6 +446,9 @@ def expectation_threshold(upper: UpperSet, tol: float = 1e-9) -> ExpectationThre
     q = _weight_root(terms)
     while _weight(terms, q) > 0.5:
         q = math.nextafter(q, 0.0)
+    # Newton can stop a float short of the largest such p
+    while _weight(terms, up := math.nextafter(q, 1.0)) <= 0.5:
+        q = up
     return ExpectationThreshold(q, _to_cover(upper, prob, chosen), tol)
 
 

@@ -5,7 +5,8 @@ kept independently with probability p) lies in F. Exact evaluation goes
 through instance-level integer profiles computed once and cached:
 
 * enumeration: counts of members of F by cardinality over all 2^n subsets,
-  so mu(p) = sum_k N_k p^k (1-p)^(n-k);
+  so mu(p) = sum_k N_k p^k (1-p)^(n-k). The same pass keeps a largest
+  non-member, from which ``structure`` reads the covering dimension;
 * inclusion_exclusion: signed integer coefficients c_j over unions of
   minimal-element subsets, so mu(p) = sum_j c_j p^j. Grouping the 2^|F0|
   signed terms by union size keeps the cancellation in exact integers.
@@ -27,6 +28,9 @@ from .core import UpperSet
 from .errors import MissingMcParams, NonConvergence, SizeLimitExceeded
 
 ENUMERATION_GROUND_CAP = 24
+# auto_exact_method enumerates ground sets up to this size, and the covering
+# dimension is read from the same profile
+AUTO_ENUMERATION_CAP = 20
 INCLUSION_EXCLUSION_MINIMALS_CAP = 24
 MC_CHUNK_ROWS = 1 << 16
 
@@ -43,6 +47,16 @@ class MuEstimate:
 
 
 @dataclass(frozen=True)
+class EnumerationProfile:
+    """``counts[k]`` is N_k, the number of members of F with k elements;
+    ``largest_non_member`` is the canonically smallest of the largest
+    subsets outside F (the empty set when F holds every nonempty subset)."""
+
+    counts: tuple[int, ...]
+    largest_non_member: int
+
+
+@dataclass(frozen=True)
 class CriticalProbability:
     p_c: float
     residual: float
@@ -50,8 +64,9 @@ class CriticalProbability:
 
 
 @lru_cache(maxsize=1024)
-def _enumeration_profile(upper: UpperSet) -> tuple[int, ...]:
-    """N_k = number of members of F with exactly k elements, k = 0..n."""
+def _enumeration_profile(upper: UpperSet) -> EnumerationProfile:
+    """N_k for k = 0..n and a largest non-member, from one pass over all 2^n
+    subsets."""
     n = upper.ground_size
     if n > ENUMERATION_GROUND_CAP:
         raise SizeLimitExceeded(
@@ -62,9 +77,13 @@ def _enumeration_profile(upper: UpperSet) -> tuple[int, ...]:
     for m in upper.minimal_bits:
         mm = np.uint32(m)
         member |= (subs & mm) == mm
-    sizes = np.bitwise_count(subs[member]).astype(np.int64)
-    counts = np.bincount(sizes, minlength=n + 1)
-    return tuple(int(c) for c in counts)
+    sizes = np.bitwise_count(subs)
+    counts = np.bincount(sizes[member], minlength=n + 1)
+    # Members are nonempty, so zeroing their sizes ties them with the empty
+    # set at index 0, a non-member; argmax then takes the first, i.e. the
+    # numerically and so canonically smallest, among the largest non-members.
+    sizes[member] = 0
+    return EnumerationProfile(tuple(int(c) for c in counts), int(np.argmax(sizes)))
 
 
 @lru_cache(maxsize=1024)
@@ -111,7 +130,7 @@ def mu(
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if method == "enumeration":
-        profile = _enumeration_profile(upper)
+        profile = _enumeration_profile(upper).counts
         value = _eval_enumeration(profile, upper.ground_size, p)
         return MuEstimate(min(max(value, 0.0), 1.0), 0.0, method, 0)
     if method == "inclusion_exclusion":
@@ -163,7 +182,7 @@ def critical_probability(
         raise ValueError(f"critical_probability needs an exact method, got {method!r}")
 
     if method == "enumeration":
-        profile = _enumeration_profile(upper)
+        profile = _enumeration_profile(upper).counts
         n = upper.ground_size
         evaluate = lambda p: _eval_enumeration(profile, n, p)
     else:

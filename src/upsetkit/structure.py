@@ -11,13 +11,19 @@ minimals containing S, so an optimal cover groups the minimal elements
 into blocks with nonempty common intersection; equivalently dim(F) is the
 minimum number of ground elements hitting every minimal element, and each
 chosen element x is witnessed by the intersection of all minimals through
-x. These intersections are the candidates of the cover search that gives
-q (``expectation``), run at p = 1: there every candidate costs 1, so the
-cheapest cover is a smallest one, and the search's descent ends on one
-such cover, chosen deterministically, as the witness. Under the
-within_family convention every witness must itself belong to F, which for
-an antichain forces the witness set to be the minimals themselves, so dim
-is |F0| and no search runs.
+x. A set H hits every minimal iff its complement is not in F, so
+dim(F) = n - (size of a largest non-member of F). The enumeration profile
+(``measure``) finds a largest non-member S in its pass over all 2^n
+subsets, and the elements outside S give the witness; for ground sets up
+to ``measure.AUTO_ENUMERATION_CAP`` this is how dim is read, at no cost
+beyond a profile p_c already uses. Past that, dim comes from the cover
+search that gives q (``expectation``), run at p = 1 over the same
+intersections: there every candidate costs 1, so the cheapest cover is a
+smallest one, and the search's descent ends on one such cover, chosen
+deterministically, as the witness. Under the within_family convention
+every witness must itself belong to F, which for an antichain forces the
+witness set to be the minimals themselves, so dim is |F0| and no search
+runs.
 """
 
 from __future__ import annotations
@@ -27,10 +33,12 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Sequence
 
+from . import measure
 from .core import Cover, SubsetMask, UpperSet, canonical_key
 from .errors import KOutOfRange, SizeLimitExceeded, WidthMismatch
 from .expectation import _CoverProblem, _Search, _to_cover
 
+# the cover search's limit, which applies only past measure.AUTO_ENUMERATION_CAP
 DIMENSION_MINIMALS_CAP = 16
 
 CONVENTIONS = ("unrestricted", "within_family")
@@ -86,29 +94,48 @@ def dim_upper_bound_via_sigma(upper: UpperSet) -> int:
     return len(upper.minimals) + 1 - max_nonempty_sigma_index(upper)
 
 
+def _block(min_bits: tuple[int, ...], x: int) -> int:
+    """The intersection of the minimals through ground element x (0 if none):
+    the cover element that serves x best, covering exactly those minimals."""
+    through = [mb for mb in min_bits if mb >> x & 1]
+    return reduce(operator.and_, through) if through else 0
+
+
+def _block_problem(upper: UpperSet) -> _CoverProblem:
+    """The p = 1 cover problem of the dimension: one candidate per distinct
+    nonempty block."""
+    min_bits = upper.minimal_bits
+    blocks = {_block(min_bits, x) for x in range(upper.ground_size)} - {0}
+    return _CoverProblem(min_bits, tuple(sorted(blocks, key=canonical_key)))
+
+
 def covering_dimension(upper: UpperSet, convention: str = "unrestricted") -> DimensionResult:
     """Minimum cardinality of a nontrivial cover, with a witness of that size."""
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
     min_bits = upper.minimal_bits
-    if len(min_bits) > DIMENSION_MINIMALS_CAP:
-        raise SizeLimitExceeded(
-            f"exact dimension search needs |F0| <= {DIMENSION_MINIMALS_CAP}, "
-            f"got {len(min_bits)}"
-        )
     if convention == "within_family":
         # A member of F that fits under a minimal element must equal it, so
         # the only witnesses are the minimals, each covering only itself.
         return DimensionResult(len(min_bits), Cover(upper.minimals), convention)
 
-    # Ground element x is served best by the intersection of the minimals
-    # through x, which covers exactly those minimals.
-    blocks = set()
-    for x in range(upper.ground_size):
-        through = [mb for mb in min_bits if mb >> x & 1]
-        if through:
-            blocks.add(reduce(operator.and_, through))
-    prob = _CoverProblem(min_bits, tuple(sorted(blocks, key=canonical_key)))
+    n = upper.ground_size
+    if n <= measure.AUTO_ENUMERATION_CAP:
+        # The complement of a largest non-member is a smallest hitting set; its
+        # elements' blocks are distinct (two equal ones would make one of
+        # the elements redundant), so they form a cover of that size.
+        hitting = ((1 << n) - 1) & ~measure._enumeration_profile(upper).largest_non_member
+        blocks = [_block(min_bits, x) for x in range(n) if hitting >> x & 1]
+        return DimensionResult(
+            len(blocks), Cover.from_masks(SubsetMask(n, b) for b in blocks), convention
+        )
+    if len(min_bits) > DIMENSION_MINIMALS_CAP:
+        raise SizeLimitExceeded(
+            f"exact dimension needs ground_size <= {measure.AUTO_ENUMERATION_CAP} "
+            f"(enumeration) or |F0| <= {DIMENSION_MINIMALS_CAP} (cover search), "
+            f"got ground_size {n} and |F0| {len(min_bits)}"
+        )
+    prob = _block_problem(upper)
     _, chosen = _Search(prob, 1.0).optimize()
     return DimensionResult(len(chosen), _to_cover(upper, prob, chosen), convention)
 

@@ -13,7 +13,7 @@ import upsetkit as uk
 from upsetkit.bounds import auto_exact_method
 from upsetkit.expectation import cached_q
 from upsetkit.measure import critical_probability
-from upsetkit.structure import DIMENSION_MINIMALS_CAP, cached_dim, max_nonempty_sigma_index
+from upsetkit.structure import cached_dim, max_nonempty_sigma_index
 
 
 @dataclass(frozen=True)
@@ -22,8 +22,8 @@ class InstanceResult:
     upper: uk.UpperSet
     q: float
     p_c: float
-    dim_unrestricted: int | None
-    dim_within_family: int | None
+    dim_unrestricted: int
+    dim_within_family: int
     sigma_top: int  # largest k with sigma_k nonempty
 
 
@@ -43,15 +43,14 @@ def battery_results(battery):
     q_pc_seconds = time.perf_counter() - t0
     results = []
     for (name, f), (q, p_c) in zip(battery, q_pc):
-        small = len(f.minimals) <= DIMENSION_MINIMALS_CAP
         results.append(
             InstanceResult(
                 name=name,
                 upper=f,
                 q=q,
                 p_c=p_c,
-                dim_unrestricted=cached_dim(f, "unrestricted") if small else None,
-                dim_within_family=cached_dim(f, "within_family") if small else None,
+                dim_unrestricted=cached_dim(f, "unrestricted"),
+                dim_within_family=cached_dim(f, "within_family"),
                 sigma_top=max_nonempty_sigma_index(f),
             )
         )

@@ -144,8 +144,10 @@ class TestVerifyInstance:
         assert report.nontrivial_info is None
         assert report.p_c is not None and report.critical.p_c == report.p_c
         assert report.absent == "exact cover search needs |F0| <= 64, got 125"
-        # the sandwich and the bound checks need q, the dimension checks dim
-        assert report.inequality_checks == ()
+        # the sandwich, the bound checks and the dim-q interval need q
+        assert [c.name for c in report.inequality_checks] == [
+            "dim_le_min_count_plus_1_minus_t", "dim_vs_sigma_all_k",
+        ]
 
     def test_pc_past_cap_absent_with_reason(self):
         report = verify_instance(make_family_instance("triangle", 7), BoundVariant.bell())
@@ -157,9 +159,12 @@ class TestVerifyInstance:
         ]
 
     def test_dimension_cap_is_not_a_reason(self):
-        # past the dimension cap only the dimensions and their checks go
-        report = verify_instance(make_family_instance("triangle", 6), BoundVariant.bell())
-        assert report.dim_unrestricted is None and report.dimensions == ()
+        # past the dimension cap (21 elements, 17 minimals) only the
+        # unrestricted dimension and its checks go
+        report = verify_instance(from_minimal_bits(21, [1 << i for i in range(17)]),
+                                 BoundVariant.bell())
+        assert report.dim_unrestricted is None and report.dim_within_family == 17
+        assert [d.convention for d in report.dimensions] == ["within_family"]
         assert report.q is not None and report.p_c is not None
         assert report.absent is None
         assert [c.name for c in report.inequality_checks] == [

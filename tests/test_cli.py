@@ -152,9 +152,8 @@ class TestSweep:
         upsetkit.clear_caches()
         code, _, _ = run_main(capsys, ["sweep", "--family", "connectivity", "--range", "3..5"])
         assert code == 0
-        # one p_c bisection per row; both dimensions on the two rows under
-        # the dimension cap (|F0| = 3, 16), none returned for |F0| = 125
-        assert sorted(calls) == ["covering_dimension"] * 4 + ["critical_probability"] * 3
+        # one p_c bisection and both dimensions per row
+        assert sorted(calls) == ["covering_dimension"] * 6 + ["critical_probability"] * 3
 
     def test_bad_range_argument(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -290,13 +289,13 @@ class TestDeterminism:
     # sha256 of stdout; any change to a printed number or row changes it
     PINNED = {
         ("verify", "--battery", "builtin"):
-            "b09be9fb8c2a9ebfbf6508546c2af690689c51a5a47179e4603e337a36191d8c",
+            "65f67c6ad326e3d28df43fc7557e9448d788f5e4161221f066c8af101d3daf9f",
         ("sweep", "--family", "hamilton", "--range", "4..6"):
-            "324104f7646195683aebbe7e7fb2ec0994adb944cc0a9f2c64654ecd7d041b5e",
+            "e63dc2a7e2ddf218fd143262a02a6d67e57efc461f2f49a5aa3f2b99ac33bcca",
         ("compute", "--family", "connectivity", "--range", "4..4"):
             "c253cebb931e4ba691cbfffa70f642d816b4d3dd17fc339bf9aec06b2d841f00",
         ("compute", "--family", "hamilton", "--range", "6..6"):
-            "146950fb960eedb55680e23d2d24c16ca3ce930723bc7723008ae3ebe2eecf1e",
+            "c7eb2b42132380b9e3380dbeb3e41a08c3ff9f68e7719a06fce900c1b5ee9168",
         ("sweep", "--family", "principal", "--range", "1..20"):
             "bc4441537e5dbc4d5ff49bef841888dea4a81916d9d6bf53a7c0829d08a2052d",
     }

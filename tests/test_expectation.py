@@ -298,11 +298,8 @@ class TestBracketedBisection:
         _, no_from = _bracket(prob)
         assert _Search(prob, no_from).decide(0.5) is None
         assert q < no_from <= q + 1e-11
-        # Newton can stop a float short of the last p at which the witness
-        # weighs <= 1/2, so the bisection can end a float above q; m float
-        # spacings at 1/2 cover that
         lo, hi = bisection_threshold(up, tol)
-        assert lo - len(got.witness_cover) * 2.0**-53 <= q < hi
+        assert lo <= q < hi
 
     @given(upper_sets(max_ground=10, max_gens=8), st.booleans(), st.sampled_from(TOLS))
     @settings(max_examples=150, deadline=None)
@@ -330,6 +327,13 @@ class TestBracketedBisection:
     def test_principal(self, tol):
         for k in range(1, 21):
             self.assert_certified(make_family_instance("principal", k), tol)
+
+    def test_q_is_not_a_float_short(self):
+        # Newton's descent stops a float below the last p at which the
+        # witness p + 2 p^2 weighs <= 1/2; q is stepped up to it
+        up = from_minimal_bits(5, [0b00001, 0b00110, 0b11000])
+        q = expectation_threshold(up).q
+        assert bisection_threshold(up, 1e-300) == (q, math.nextafter(q, 1.0))
 
     def test_few_decide_calls(self, monkeypatch):
         calls = []

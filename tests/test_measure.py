@@ -10,7 +10,7 @@ from test_core import upper_sets
 from upsetkit import critical_probability, graph_connectivity, mu
 from upsetkit.core import from_minimal_bits
 from upsetkit.errors import MissingMcParams, SizeLimitExceeded
-from upsetkit.measure import MC_CHUNK_ROWS
+from upsetkit.measure import MC_CHUNK_ROWS, _enumeration_profile
 
 K4_CONNECTIVITY_PC = 0.45110975209937987  # frozen from the union-find oracle
 
@@ -60,6 +60,16 @@ class TestMuExact:
         p1 = step / 1001.0
         p2 = p1 + 1.0 / 1001.0
         assert mu(up, p1).value <= mu(up, p2).value + 1e-12
+
+    @given(upper_sets(max_ground=10))
+    @settings(max_examples=60, deadline=None)
+    def test_largest_non_member(self, up):
+        n, bits = up.ground_size, up.minimal_bits
+        profile = _enumeration_profile(up)
+        outside = [s for s in range(1 << n) if not any(m & s == m for m in bits)]
+        top = max(s.bit_count() for s in outside)
+        assert profile.largest_non_member == min(s for s in outside if s.bit_count() == top)
+        assert top == max(k for k, c in enumerate(profile.counts) if c < math.comb(n, k))
 
     def test_enumeration_cap(self):
         up = from_minimal_bits(25, [1])

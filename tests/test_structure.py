@@ -12,11 +12,13 @@ from upsetkit import (
     max_nonempty_sigma_index,
     sigma_k,
 )
+from upsetkit import structure
 from upsetkit.core import SubsetMask, from_minimal_bits
 from upsetkit.errors import KOutOfRange, SizeLimitExceeded
-from upsetkit.expectation import _Search
+from upsetkit.expectation import _Search, _to_cover
 from upsetkit.families import make_family_instance
-from upsetkit.structure import CONVENTIONS, DIMENSION_MINIMALS_CAP
+from upsetkit.measure import AUTO_ENUMERATION_CAP
+from upsetkit.structure import CONVENTIONS, DIMENSION_MINIMALS_CAP, _block_problem
 
 TRIANGLE_SETS = [SubsetMask(3, b) for b in (0b011, 0b110, 0b101)]
 
@@ -115,33 +117,41 @@ class TestCoveringDimension:
         up = from_minimal_bits(4, [1, 2, 4])
         assert covering_dimension(up).dim == 3
 
-    def test_cap(self):
-        seventeen = from_minimal_bits(18, [1 << i for i in range(17)])
-        with pytest.raises(SizeLimitExceeded):
+    def test_cap(self, monkeypatch):
+        # past the enumeration cap the cover search's minimals cap applies,
+        # and it refuses before any search is built
+        def refuse(*args):
+            raise AssertionError("a cover search was built")
+
+        monkeypatch.setattr(structure, "_CoverProblem", refuse)
+        monkeypatch.setattr(structure, "_Search", refuse)
+        n = AUTO_ENUMERATION_CAP + 1
+        seventeen = from_minimal_bits(n, [1 << i for i in range(DIMENSION_MINIMALS_CAP + 1)])
+        with pytest.raises(SizeLimitExceeded) as exc:
             covering_dimension(seventeen)
+        assert str(exc.value) == (
+            f"exact dimension needs ground_size <= {AUTO_ENUMERATION_CAP} (enumeration) "
+            f"or |F0| <= {DIMENSION_MINIMALS_CAP} (cover search), got ground_size {n} and |F0| 17"
+        )
+        assert covering_dimension(seventeen, "within_family").dim == 17
+        # up to the enumeration cap the profile gives dim with no search
+        under = from_minimal_bits(n - 1, [1 << i for i in range(DIMENSION_MINIMALS_CAP + 1)])
+        assert covering_dimension(under).dim == 17
 
     def test_k4_at_cap_boundary(self):
-        # 16 minimal elements sits exactly at the cap
+        # 16 minimal elements, the cover search's cap
         res = covering_dimension(graph_connectivity(4))
         assert res.dim == 3  # min edge set meeting every spanning tree
 
     @pytest.mark.parametrize("family, n, most", [
         ("matching2", 5, 40), ("hamilton", 5, 40), ("triangle", 5, 20),
     ])
-    def test_search_nodes(self, monkeypatch, family, n, most):
+    def test_search_nodes(self, family, n, most):
         # each decide of the descent asks for a strictly cheaper cover, so
         # covers that tie the best one so far are pruned, not explored
-        nodes = []
-        optimize = _Search.optimize
-
-        def counted(search):
-            result = optimize(search)
-            nodes.append(search.nodes)
-            return result
-
-        monkeypatch.setattr(_Search, "optimize", counted)
-        covering_dimension(make_family_instance(family, n))
-        assert len(nodes) == 1 and nodes[0] <= most
+        search = _Search(_block_problem(make_family_instance(family, n)), 1.0)
+        search.optimize()
+        assert search.nodes <= most
 
     def test_bad_convention(self):
         with pytest.raises(ValueError):
@@ -179,8 +189,21 @@ def wide_upper_sets(max_ground=12, max_minimals=16):
     return build()
 
 
+@st.composite
+def many_minimals(draw):
+    """Upper sets on 7 to 10 elements with 17 to 40 minimals, all of one size
+    (so all minimal): more than the cover search takes past the enumeration
+    cap."""
+    n = draw(st.integers(7, 10))
+    k = draw(st.integers(2, n - 2))
+    layer = [b for b in range(1 << n) if b.bit_count() == k]
+    count = draw(st.integers(DIMENSION_MINIMALS_CAP + 1, min(40, len(layer))))
+    return from_minimal_bits(n, draw(st.permutations(layer))[:count])
+
+
 class TestDimensionMatchesBlockDP:
-    """The dimension from the shared cover search equals the memoized DP's."""
+    """The dimension, from the enumeration profile and from the cover search
+    at p = 1, equals the memoized DP's."""
 
     @staticmethod
     def assert_same(up):
@@ -197,13 +220,36 @@ class TestDimensionMatchesBlockDP:
     def test_random(self, up):
         self.assert_same(up)
 
+    @given(many_minimals())
+    @settings(max_examples=100, deadline=None)
+    def test_random_many_minimals(self, up):
+        self.assert_same(up)
+
+    @given(wide_upper_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_search(self, up):
+        # the engine past the enumeration cap, run here on small grounds
+        prob = _block_problem(up)
+        _, chosen = _Search(prob, 1.0).optimize()
+        want = block_cover_dimension(list(up.minimal_bits), up.ground_size, "unrestricted")
+        assert len(chosen) == want
+        assert _to_cover(up, prob, chosen).covers(up)
+
     def test_builtin_battery(self):
+        battery = builtin_battery()
+        for _, up in battery:
+            self.assert_same(up)
+        # four of them are past the cover search's minimals cap
+        assert sum(len(up.minimals) > DIMENSION_MINIMALS_CAP for _, up in battery) == 4
+
+    def test_builtin_battery_profile_equals_search(self):
         checked = 0
         for _, up in builtin_battery():
             if len(up.minimals) <= DIMENSION_MINIMALS_CAP:
-                self.assert_same(up)
+                _, chosen = _Search(_block_problem(up), 1.0).optimize()
+                assert covering_dimension(up).dim == len(chosen)
                 checked += 1
-        assert checked > 100
+        assert checked == 199
 
 
 class TestDimSigmaBound:

@@ -32,9 +32,11 @@ class TestSweep:
         records = sweep("connectivity", range(3, 6), BELL, t_max=2)
         assert [r.min_count for r in records] == [3, 16, 125]
         assert [r.ell0 for r in records] == [2, 3, 4]
-        # q and dim are past their exact caps at n = 5: absent, not fabricated
-        assert records[2].q is None and records[2].dim_unrestricted is None
+        # q is past its exact cap at n = 5: absent, not fabricated; dim
+        # comes from the enumeration profile, which p_c uses too
+        assert records[2].q is None
         assert records[2].p_c is not None
+        assert (records[2].dim_unrestricted, records[2].dim_within_family) == (4, 125)
         assert records[0].q is not None and records[1].q is not None
 
     def test_principal_closed_form(self):
