@@ -8,6 +8,7 @@ so they hash, compare, and share across workers safely.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -133,6 +134,9 @@ class UpperSet:
     property contains exactly the supersets of its minimal elements.
     Construct through :func:`normalize_to_antichain` or a families generator
     so the antichain and nontriviality invariants always hold.
+
+    ``minimal_bits`` and ``ell0`` are computed on first use and kept in the
+    instance ``__dict__``; the fields stay frozen.
     """
 
     ground_size: int
@@ -168,9 +172,13 @@ class UpperSet:
                 raise ValueError(f"not an antichain: {m} contains a smaller minimal")
             group.append(m.bits)
 
-    @property
+    @functools.cached_property
     def minimal_bits(self) -> tuple[int, ...]:
         return tuple(m.bits for m in self.minimals)
+
+    def __hash__(self) -> int:
+        # equal instances have equal minimal_bits; ints hash faster than masks
+        return hash((self.ground_size, self.minimal_bits))
 
     def contains(self, s: SubsetMask) -> bool:
         """True iff s is a superset of some minimal element."""
@@ -181,7 +189,7 @@ class UpperSet:
         b = s.bits
         return any(m & b == m for m in self.minimal_bits)
 
-    @property
+    @functools.cached_property
     def ell0(self) -> int:
         """Size of the largest minimal element."""
         return max(m.popcount for m in self.minimals)

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -307,7 +308,8 @@ class TestDeterminism:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[argv]
 
-    def _run(self, args):
+    @staticmethod
+    def _run(args):
         return subprocess.run(
             [sys.executable, "-m", "upsetkit.cli", *args],
             capture_output=True,
@@ -328,3 +330,58 @@ class TestDeterminism:
         b = self._run(["compute", "--instance", str(path)])
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
+
+
+class TestParserReuse:
+    # each in-process call must print what a fresh process prints for the
+    # same argv, whatever ran before it on the shared parser
+    SEQUENCE = [
+        ["verify", "--family", "connectivity", "--range", "3..4", "--tol", "1e-6"],
+        ["verify", "--family", "connectivity", "--range", "3..4"],
+        ["sweep", "--family", "connectivity", "--range", "3..4"],
+        ["compute", "--family", "connectivity", "--range", "3..3",
+         "--method", "mc", "--samples", "100", "--seed", "1"],
+        ["compute", "--family", "connectivity", "--range", "3..3"],
+    ]
+
+    def test_calls_match_fresh_processes(self, capsys):
+        for argv in self.SEQUENCE:
+            upsetkit.clear_caches()
+            code, out, err = run_main(capsys, argv)
+            fresh = TestDeterminism._run(argv)
+            assert (code, out, err) == (
+                fresh.returncode, fresh.stdout.decode(), fresh.stderr.decode()
+            ), argv
+
+    def test_parse_error_between_calls(self, capsys):
+        argv = ["verify", "--family", "principal", "--range", "2..3"]
+        first = run_main(capsys, argv)
+        assert first[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--family", "principal", "--range", "35"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run_main(capsys, argv) == first
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli.build_parser.cache_clear()
+        for argv in (["family", "connectivity", "--n", "3"],
+                     ["family", "principal", "--n", "2"],
+                     ["verify", "--family", "principal", "--range", "2..2"]):
+            assert run_main(capsys, argv)[0] == 0
+        # the main parser and its compute, sweep, verify and family subparsers
+        assert len(built) == 5
+
+    def test_battery_pinned_in_fresh_process(self):
+        argv = ("verify", "--battery", "builtin")
+        fresh = TestDeterminism._run(list(argv))
+        assert fresh.returncode == 0
+        assert hashlib.sha256(fresh.stdout).hexdigest() == TestDeterminism.PINNED[argv]

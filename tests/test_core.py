@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from upsetkit.errors import (
     TrivialUpperSet,
     WidthMismatch,
 )
+from upsetkit.measure import _enumeration_profile
 
 
 def masks(width, *index_sets):
@@ -172,3 +175,41 @@ class TestInvariantEnforcement:
     def test_direct_construction_rejects_empty(self):
         with pytest.raises(TrivialUpperSet):
             UpperSet(3, ())
+
+
+class TestDerivedFieldCache:
+    def test_minimal_bits_computed_once(self):
+        up = from_minimal_bits(4, [0b0011, 0b1100])
+        assert up.minimal_bits is up.minimal_bits
+        assert up.minimal_bits == (0b0011, 0b1100)
+
+    @given(upper_sets(), upper_sets())
+    @settings(max_examples=100)
+    def test_separate_builds_agree(self, up, other):
+        again = parse_instance(up.to_instance_json())
+        assert again is not up
+        assert again == up and hash(again) == hash(up)
+        if other == up:
+            assert hash(other) == hash(up)
+        assert (other == up) == (
+            (other.ground_size, other.minimal_bits) == (up.ground_size, up.minimal_bits)
+        )
+        assert again.ell0 == up.ell0 == max(m.popcount for m in up.minimals)
+        _enumeration_profile(up)
+        hits = _enumeration_profile.cache_info().hits
+        _enumeration_profile(again)
+        assert _enumeration_profile.cache_info().hits == hits + 1
+
+    def test_pickle_round_trip(self):
+        up = from_minimal_bits(5, [0b00011, 0b01100, 0b10101])
+        up.minimal_bits, up.ell0  # pickle the cached values too
+        copy = pickle.loads(pickle.dumps(up))
+        assert copy == up and hash(copy) == hash(up)
+        assert copy.minimal_bits == up.minimal_bits and copy.ell0 == up.ell0
+
+    @pytest.mark.parametrize("name", ["ground_size", "minimals", "minimal_bits", "ell0"])
+    def test_fields_stay_frozen(self, name):
+        up = from_minimal_bits(3, [0b011])
+        up.minimal_bits, up.ell0  # cached values sit in __dict__ from here on
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(up, name, 1)
