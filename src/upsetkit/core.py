@@ -278,6 +278,11 @@ class Cover:
         return len(self.elements)
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_instance(data: str | dict) -> UpperSet:
     """Parse the JSON instance format.
 
@@ -297,11 +302,15 @@ def parse_instance(data: str | dict) -> UpperSet:
         elements = doc["minimal_elements"]
     except KeyError as missing:
         raise ValueError(f"instance document missing key {missing}") from None
-    if not isinstance(ground_size, int):
+    if not _is_int(ground_size):
         raise ValueError("ground_size must be an integer")
     if not isinstance(elements, list) or not all(isinstance(e, list) for e in elements):
         raise ValueError("minimal_elements must be a list of index lists")
-    normalize = bool(doc.get("normalize", False))
+    if not all(_is_int(i) for e in elements for i in e):
+        raise ValueError("minimal_elements indices must be integers")
+    normalize = doc.get("normalize", False)
+    if not isinstance(normalize, bool):
+        raise ValueError('"normalize" must be true or false')
     masks = [SubsetMask.from_indices(ground_size, e) for e in elements]
     if not masks:
         raise EmptyGenerators("minimal_elements is empty")

@@ -36,6 +36,18 @@ def brute_pc(min_bits: list[int], n: int, iters: int = 80) -> float:
     return 0.5 * (lo + hi)
 
 
+def signed_union_counts(min_bits: list[int], n: int) -> tuple[int, ...]:
+    """c_j = sum over nonempty subsets T of the minimals whose union has j
+    elements of (-1)^(|T|+1), term by term from the inclusion-exclusion
+    formula mu(p) = sum_T (-1)^(|T|+1) p^|union T|."""
+    coeffs = [0] * (n + 1)
+    for r in range(1, len(min_bits) + 1):
+        sign = 1 if r % 2 else -1
+        for combo in itertools.combinations(min_bits, r):
+            coeffs[bin(functools.reduce(operator.or_, combo)).count("1")] += sign
+    return tuple(coeffs)
+
+
 def naive_sigma(sets_bits: list[int], k: int, n: int) -> int:
     """Union over all k-subsets of the intersections, straight from the
     definition."""

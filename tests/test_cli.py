@@ -59,6 +59,36 @@ class TestCompute:
         code, _, _ = run_main(capsys, ["compute", "--instance", str(path)])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"ground_size": 3, "minimal_elements": [[1.5]]},
+            {"ground_size": 3, "minimal_elements": [[0], ["1"]]},
+            # JSON booleans load as Python bools, which are ints
+            {"ground_size": 3, "minimal_elements": [[True]]},
+            {"ground_size": True, "minimal_elements": [[0]]},
+            {"ground_size": 3.0, "minimal_elements": [[0]]},
+            {"ground_size": 3, "minimal_elements": [[0], [0, 1]], "normalize": "false"},
+            {"ground_size": 3, "minimal_elements": [[0]], "normalize": 1},
+        ],
+    )
+    def test_mistyped_fields_exit_2(self, capsys, tmp_path, doc):
+        path = tmp_path / "mistyped.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_main(capsys, ["compute", "--instance", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_normalize_true_reduces(self, capsys, tmp_path):
+        doc = {"ground_size": 3, "minimal_elements": [[0], [0, 1]], "normalize": True}
+        path = tmp_path / "nested.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_main(capsys, ["compute", "--instance", str(path)])
+        assert code == 0
+        assert json.loads(out)["min_count"] == 1
+
     def test_mc_without_samples(self, capsys, k3_file):
         code, _, err = run_main(
             capsys, ["compute", "--instance", k3_file, "--method", "mc"]

@@ -1,20 +1,50 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_mu, brute_pc, connectivity_profile
+from oracles import brute_mu, brute_pc, connectivity_profile, signed_union_counts
 from test_core import upper_sets
 from upsetkit import critical_probability, graph_connectivity, mu
 from upsetkit.core import from_minimal_bits
 from upsetkit.errors import MissingMcParams, SizeLimitExceeded
-from upsetkit.measure import MC_CHUNK_ROWS, _enumeration_profile
+from upsetkit.families import make_family_instance
+from upsetkit.measure import (
+    MC_CHUNK_ROWS,
+    _enumeration_profile,
+    _inclusion_exclusion_coeffs,
+    _mu_monte_carlo,
+)
 
 K4_CONNECTIVITY_PC = 0.45110975209937987  # frozen from the union-find oracle
 
 P_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
+
+
+def one_array_hits(up, p, samples, seed):
+    """Hits over one (samples, n) draw, sample by sample: the reference
+    for the chunked, word-parallel kernel."""
+    n = up.ground_size
+    draws = np.random.Generator(np.random.PCG64(seed)).random((samples, n)) < p
+    hits = np.zeros(samples, dtype=bool)
+    for m in up.minimal_bits:
+        hits |= draws[:, [x for x in range(n) if m >> x & 1]].all(axis=1)
+    return int(hits.sum())
+
+
+@st.composite
+def mc_instances(draw):
+    n = draw(st.integers(1, 30))
+    shape = draw(st.sampled_from(["random", "singleton", "full"]))
+    if shape == "singleton":
+        return from_minimal_bits(n, [1 << draw(st.integers(0, n - 1))])
+    if shape == "full":
+        return from_minimal_bits(n, [(1 << n) - 1])
+    gens = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=6))
+    return from_minimal_bits(n, gens)
 
 
 class TestMuExact:
@@ -117,14 +147,68 @@ class TestMuMonteCarlo:
         up = from_minimal_bits(5, [0b00011, 0b01100, 0b10101])
         samples = 3 * MC_CHUNK_ROWS + 1234
         est = mu(up, 0.45, "monte_carlo", samples=samples, seed=2024)
-        draws = np.random.Generator(np.random.PCG64(2024)).random((samples, 5)) < 0.45
-        hits = np.zeros(samples, dtype=bool)
-        for m in up.minimal_bits:
-            hits |= draws[:, [x for x in range(5) if m >> x & 1]].all(axis=1)
-        value = float(hits.sum()) / samples
+        value = one_array_hits(up, 0.45, samples, 2024) / samples
         assert est.value == value
         assert est.std_error == math.sqrt(value * (1.0 - value) / samples)
         assert est.samples == samples
+
+    @given(
+        mc_instances(),
+        st.sampled_from(
+            [1, 7, 8, 9, MC_CHUNK_ROWS - 1, MC_CHUNK_ROWS, MC_CHUNK_ROWS + 1]
+        ),
+        st.sampled_from([0.0, 1.0, 0.37]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_word_parallel_matches_one_array(self, up, samples, p, seed):
+        # padding lanes past the last sample must never count as hits
+        est = _mu_monte_carlo(up, p, samples, seed)
+        assert est.value == one_array_hits(up, p, samples, seed) / samples
+        if p in (0.0, 1.0):
+            assert est.value == p
+
+    def test_traced_peak_bounded(self):
+        # numpy reports its buffers to tracemalloc; one (samples, n) draw
+        # would take 2e6 * 15 * 9 bytes
+        up = make_family_instance("triangle", 6)
+        tracemalloc.start()
+        try:
+            _mu_monte_carlo(up, 0.3, 2_000_000, 20240)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4_000_000
+
+
+@st.composite
+def same_size_antichains(draw):
+    """Up to 12 distinct masks of one popcount: an antichain as drawn."""
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(1, n - 1))
+    pool = [b for b in range(1 << n) if b.bit_count() == k]
+    gens = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12, unique=True))
+    return from_minimal_bits(n, gens)
+
+
+class TestInclusionExclusion:
+    @given(st.one_of(upper_sets(max_ground=12, max_gens=12), same_size_antichains()))
+    @example(from_minimal_bits(12, [0b111 << i for i in range(10)] + [0b1011, 0b10101]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_signed_union_counts(self, up):
+        expected = signed_union_counts(list(up.minimal_bits), up.ground_size)
+        assert _inclusion_exclusion_coeffs(up) == expected
+
+    def test_traced_peak_bounded(self):
+        up = make_family_instance("triangle", 6)  # 20 minimals: 2^20 union terms
+        _inclusion_exclusion_coeffs.cache_clear()
+        tracemalloc.start()
+        try:
+            _inclusion_exclusion_coeffs(up)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9_000_000
 
 
 class TestCriticalProbability:
