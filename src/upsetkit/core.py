@@ -292,7 +292,10 @@ def parse_instance(data: str | dict) -> UpperSet:
     it is antichain-reduced first.
     """
     if isinstance(data, str):
-        doc = json.loads(data)
+        try:
+            doc = json.loads(data)
+        except RecursionError:
+            raise ValueError("instance document is nested too deeply") from None
     else:
         doc = data
     if not isinstance(doc, dict):

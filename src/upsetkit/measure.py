@@ -13,19 +13,27 @@ through instance-level integer profiles computed once and cached:
 
 Both evaluate with a fixed summation order (ascending exponent, fsum), so
 results are reproducible bit for bit. Monte Carlo uses numpy's PCG64
-generator; identical (seed, samples) gives identical estimates.
+generator on up to one thread per CPU the process may use (at most
+``MC_MAX_WORKERS``). Each thread takes a contiguous span of the samples and
+advances its own copy of the seeded stream to the span's first draw, so
+identical (seed, samples) gives identical estimates, whatever the thread
+count and timing.
 
 Memory: inclusion-exclusion holds about 5 bytes per union term (a uint32
 union and a uint8 parity for each of the 2^|F0| subsets) and counts them in
-blocks of 2^16 terms, ~6 MB at |F0| = 20. Monte Carlo draws
-``MC_CHUNK_ROWS`` samples at a time, about ``MC_CHUNK_ROWS * n * 10`` bytes
-(the float draws, their bool comparison and its transpose), ~2.5 MB at
-n = 15, whatever the sample count.
+blocks of 2^16 terms, ~6 MB at |F0| = 20. The Monte Carlo workers share
+``n * (MC_CHUNK_ROWS + 9 * MC_DRAW_ROWS) + 2 * MC_CHUNK_ROWS`` bytes, each
+holding 1/workers of them: bool blocks of ``MC_CHUNK_ROWS`` samples in all,
+filled ``MC_DRAW_ROWS`` draws at a time through float buffers and their bool
+comparison, and two rows of words each for the hit test. That is ~2.2 MB at
+n = 15, whatever the sample count and the worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,7 +47,12 @@ ENUMERATION_GROUND_CAP = 24
 # dimension is read from the same profile
 AUTO_ENUMERATION_CAP = 20
 INCLUSION_EXCLUSION_MINIMALS_CAP = 24
-MC_CHUNK_ROWS = 1 << 14
+# Monte Carlo samples in flight, and drawn at a time, across all workers
+# together; each of w workers holds 1/w of both. The cap bounds the thread
+# count and keeps each worker's block at 2^14 samples or more.
+MC_CHUNK_ROWS = 1 << 16
+MC_DRAW_ROWS = 1 << 13
+MC_MAX_WORKERS = 4
 
 EXACT_METHODS = ("enumeration", "inclusion_exclusion")
 METHODS = EXACT_METHODS + ("monte_carlo",)
@@ -163,23 +176,88 @@ def mu(
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _mu_monte_carlo(upper: UpperSet, p: float, samples: int, seed: int) -> MuEstimate:
-    # PCG64 fills arrays row-major, so drawing MC_CHUNK_ROWS rows at a time
-    # consumes the same stream as one (samples, n) draw, in bounded memory.
-    # Each chunk is transposed into one bool row per element, padded with
-    # False to whole uint64 words, so one word op tests 8 samples at once.
-    rng = np.random.Generator(np.random.PCG64(seed))
+    # Worker i takes the samples [i * samples // workers, ...), and the
+    # calling thread runs span 0. The hit count is a sum of integers, so it
+    # is the same for any worker count and any timing.
     n = upper.ground_size
     columns = [m.indices() for m in upper.minimals]
-    width = -(-min(samples, MC_CHUNK_ROWS) // 8) * 8
-    block = np.zeros((n, width), dtype=bool)
+    workers = min(_usable_cpus(), MC_MAX_WORKERS, -(-samples // MC_CHUNK_ROWS))
+    edges = [i * samples // workers for i in range(workers + 1)]
+    rows = MC_CHUNK_ROWS // workers
+    draw = MC_DRAW_ROWS // workers
+    # Made here rather than in the workers: memory a thread allocates stays
+    # in its own malloc arena, which raised the peak RSS.
+    spans = [
+        _mc_span(n, seed, edges[i], min(rows, edges[i + 1] - edges[i]), draw)
+        for i in range(workers)
+    ]
+    hits: list[int | BaseException] = [0] * workers
+
+    def run(i: int) -> None:
+        try:
+            hits[i] = _mc_span_hits(columns, p, edges[i + 1] - edges[i], spans[i])
+        except BaseException as exc:  # re-raised below, once every worker has joined
+            hits[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, workers)]
+    for t in threads:
+        t.start()
+    run(0)
+    for t in threads:
+        t.join()
+    for h in hits:
+        if isinstance(h, BaseException):
+            raise h
+    value = sum(hits) / samples
+    std_error = math.sqrt(value * (1.0 - value) / samples)
+    return MuEstimate(value, std_error, "monte_carlo", samples)
+
+
+def _mc_span(n: int, seed: int, first: int, rows: int, draw: int) -> tuple:
+    """What one worker needs to test blocks of ``rows`` samples, drawn
+    ``draw`` samples at a time, from sample ``first`` on: the seeded stream
+    at that sample's first draw, a float buffer for the draws and one for
+    their comparison, the bool block with one row per element padded to
+    whole uint64 words, and two rows of words for the hit test.
+
+    PCG64 fills arrays row-major and one double takes one 64-bit step, so
+    after ``first * n`` steps the stream yields exactly the draws that one
+    (samples, n) array holds from row ``first`` on.
+    """
+    width = -(-rows // 8) * 8
+    return (
+        np.random.Generator(np.random.PCG64(seed).advance(first * n)),
+        np.empty((min(width, draw), n)),
+        np.empty((min(width, draw), n), dtype=bool),
+        np.empty((n, width), dtype=bool),
+        np.empty(width // 8, dtype=np.uint64),
+        np.empty(width // 8, dtype=np.uint64),
+    )
+
+
+def _mc_span_hits(columns: list[tuple[int, ...]], p: float, samples: int, span: tuple) -> int:
+    """Hits among the next ``samples`` samples of a span's stream. Each block
+    is transposed into one bool row per element, padded with False, so one
+    word op tests 8 samples at once."""
+    rng, floats, less, block, hits, term = span
     words = block.view(np.uint64)
-    hits = np.empty(width // 8, dtype=np.uint64)
-    term = np.empty(width // 8, dtype=np.uint64)
+    width = block.shape[1]
     total = 0
-    for start in range(0, samples, MC_CHUNK_ROWS):
-        rows = min(MC_CHUNK_ROWS, samples - start)
-        block[:, :rows] = (rng.random((rows, n)) < p).T
+    for start in range(0, samples, width):
+        rows = min(width, samples - start)
+        for r in range(0, rows, len(floats)):
+            k = min(len(floats), rows - r)
+            rng.random(out=floats[:k])
+            np.less(floats[:k], p, out=less[:k])
+            block[:, r : r + k] = less[:k].T
         block[:, rows:] = False
         hits[:] = 0
         for idx in columns:
@@ -188,9 +266,7 @@ def _mu_monte_carlo(upper: UpperSet, p: float, samples: int, seed: int) -> MuEst
                 term &= words[i]
             hits |= term
         total += int(np.count_nonzero(hits.view(bool)))
-    value = total / samples
-    std_error = math.sqrt(value * (1.0 - value) / samples)
-    return MuEstimate(value, std_error, "monte_carlo", samples)
+    return total
 
 
 def critical_probability(

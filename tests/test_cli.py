@@ -81,6 +81,16 @@ class TestCompute:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    def test_deeply_nested_exits_2(self, capsys, tmp_path):
+        # json.loads raises RecursionError, not a ValueError, at this depth
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run_main(capsys, ["compute", "--instance", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_normalize_true_reduces(self, capsys, tmp_path):
         doc = {"ground_size": 3, "minimal_elements": [[0], [0, 1]], "normalize": True}
         path = tmp_path / "nested.json"

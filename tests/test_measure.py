@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,14 +11,17 @@ from hypothesis import strategies as st
 
 from oracles import brute_mu, brute_pc, connectivity_profile, signed_union_counts
 from test_core import upper_sets
-from upsetkit import critical_probability, graph_connectivity, mu
+from upsetkit import critical_probability, graph_connectivity, measure, mu
 from upsetkit.core import from_minimal_bits
 from upsetkit.errors import MissingMcParams, SizeLimitExceeded
 from upsetkit.families import make_family_instance
 from upsetkit.measure import (
     MC_CHUNK_ROWS,
+    MC_DRAW_ROWS,
     _enumeration_profile,
     _inclusion_exclusion_coeffs,
+    _mc_span,
+    _mc_span_hits,
     _mu_monte_carlo,
 )
 
@@ -45,6 +51,20 @@ def mc_instances(draw):
         return from_minimal_bits(n, [(1 << n) - 1])
     gens = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=6))
     return from_minimal_bits(n, gens)
+
+
+@st.composite
+def span_splits(draw):
+    """A sample count, the edges of nonempty spans covering [0, samples),
+    and a span's block and draw sizes, none of them aligned to 8."""
+    samples = draw(st.integers(1, 3000))
+    cuts = draw(st.sets(st.integers(0, samples), max_size=4))
+    rows = draw(st.sampled_from([1, 7, 8, 9, 100, 1000, 4096]))
+    return samples, sorted(cuts | {0, samples}), rows, draw(st.sampled_from([1, 3, 8, 50, 4096]))
+
+
+def force_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
 class TestMuExact:
@@ -168,6 +188,69 @@ class TestMuMonteCarlo:
         if p in (0.0, 1.0):
             assert est.value == p
 
+    @given(mc_instances(), span_splits(), st.sampled_from([0.0, 1.0, 0.37]),
+           st.integers(0, 2**32 - 1))
+    @example(
+        from_minimal_bits(5, [0b00011, 0b01100, 0b10101]),
+        (2 * MC_CHUNK_ROWS + 9, [0, 7, MC_CHUNK_ROWS, MC_CHUNK_ROWS + 1, 2 * MC_CHUNK_ROWS + 9],
+         MC_CHUNK_ROWS // 3, MC_DRAW_ROWS // 3),
+        0.37,
+        2024,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_spans_sum_to_one_array(self, up, split, p, seed):
+        # each span starts its own stream at an offset; spans, blocks and
+        # draws need not align to a word of 8 samples or to each other
+        samples, edges, rows, draw = split
+        columns = [m.indices() for m in up.minimals]
+        n = up.ground_size
+        total = sum(
+            _mc_span_hits(columns, p, b - a, _mc_span(n, seed, a, min(rows, b - a), draw))
+            for a, b in zip(edges, edges[1:])
+        )
+        assert total == one_array_hits(up, p, samples, seed)
+
+    def test_worker_count_does_not_change_estimate(self, monkeypatch):
+        up = from_minimal_bits(5, [0b00011, 0b01100, 0b10101])
+        samples = 3 * MC_CHUNK_ROWS + 1234  # room for MC_MAX_WORKERS workers
+        expected = one_array_hits(up, 0.45, samples, 2024) / samples
+        interval = sys.getswitchinterval()
+        for count in (1, 2, 3, 8):
+            force_cpus(monkeypatch, count)
+            tracemalloc.start()
+            sys.setswitchinterval(1e-6)  # interleave the workers as often as possible
+            try:
+                est = _mu_monte_carlo(up, 0.45, samples, 2024)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                sys.setswitchinterval(interval)
+                tracemalloc.stop()
+            assert est.value == expected
+            assert peak <= 4_000_000
+
+    @pytest.mark.parametrize("cpus, samples", [(8, MC_CHUNK_ROWS), (8, 1), (1, 3 * MC_CHUNK_ROWS)])
+    def test_inline_without_threads(self, monkeypatch, cpus, samples):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a worker thread was started")
+
+        up = from_minimal_bits(5, [0b00011, 0b01100, 0b10101])
+        force_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        est = _mu_monte_carlo(up, 0.45, samples, 2024)
+        assert est.value == one_array_hits(up, 0.45, samples, 2024) / samples
+
+    def test_worker_error_reaches_caller(self, monkeypatch):
+        # a lost span would otherwise count as 0 hits
+        def fail_in_worker(columns, p, samples, span):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("span")
+            return 0
+
+        force_cpus(monkeypatch, 2)
+        monkeypatch.setattr(measure, "_mc_span_hits", fail_in_worker)
+        with pytest.raises(MemoryError):
+            _mu_monte_carlo(from_minimal_bits(3, [1]), 0.5, 2 * MC_CHUNK_ROWS, 1)
+
     def test_traced_peak_bounded(self):
         # numpy reports its buffers to tracemalloc; one (samples, n) draw
         # would take 2e6 * 15 * 9 bytes
@@ -179,6 +262,15 @@ class TestMuMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak <= 4_000_000
+
+    @pytest.mark.parametrize("cpus", [4, 8, 64])
+    def test_traced_peak_bounded_any_cpu_count(self, monkeypatch, cpus):
+        # the workers share one block budget, so more CPUs add no memory
+        force_cpus(monkeypatch, cpus)
+        self.test_traced_peak_bounded()
+
+    def test_usable_cpus(self):
+        assert measure._usable_cpus() >= 1
 
 
 @st.composite
