@@ -25,18 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import fmt, measure
+from . import fmt, measure, structure
 from .core import UpperSet
 from .errors import SizeLimitExceeded
-from .expectation import ExpectationThreshold, cached_q, cached_threshold
+from .expectation import ExpectationThreshold, cached_q, expectation_threshold
 from .measure import AUTO_ENUMERATION_CAP
-from .structure import (
-    CONVENTIONS,
-    DimensionResult,
-    cached_dim,
-    cached_dimension,
-    max_nonempty_sigma_index,
-)
+from .structure import CONVENTIONS, DimensionResult, cached_dim, max_nonempty_sigma_index
 
 AUTO_INCLUSION_EXCLUSION_CAP = 20
 
@@ -201,7 +195,7 @@ def verify_instance(
     absent = None
     threshold = q = None
     try:
-        threshold = cached_threshold(upper, tol)
+        threshold = expectation_threshold(upper, tol)
         q = threshold.q
     except SizeLimitExceeded as exc:
         absent = str(exc)
@@ -214,7 +208,7 @@ def verify_instance(
     dimensions: list[DimensionResult] = []
     for convention in CONVENTIONS:
         try:
-            dimensions.append(cached_dimension(upper, convention))
+            dimensions.append(structure.covering_dimension(upper, convention))
         except SizeLimitExceeded:
             pass
     dim = {d.convention: d.dim for d in dimensions}

@@ -29,10 +29,6 @@ class MissingMcParams(UpsetError):
     """Monte Carlo estimation needs both a sample count and a seed."""
 
 
-class NonConvergence(UpsetError):
-    """Bisection stopped with a residual far above tolerance."""
-
-
 class KOutOfRange(UpsetError):
     """Symmetric-polynomial index k outside 1..len(sets)."""
 

@@ -35,13 +35,12 @@ is the exact sum rounded once, the number ``Cover.cost`` gives with
 ``math.fsum``. The bounds stay float and prune only past the threshold by
 a slack far above their rounding error. The p-independent tables
 (coverages and their counts, the candidates under each minimal) are built
-once per problem. A search takes its costs from one table of powers of p
-and builds the rest on first use: the branch order at a minimal, and the
-counting bound's candidate scan sorted by the floor cost/|cov|. The scan
-stops once the floor reaches the best cost/|cov & uncovered| so far,
-which is exact because |cov & uncovered| <= |cov|. At the root every
-coverage is whole, so the counting bound is the smallest floor and needs
-no scan.
+once per problem; a search builds only its costs, from one table of powers
+of p. The counting bound's ratio is the smallest cost/|cov & uncovered|
+over the candidates that meet the uncovered minimals; at the root every
+coverage is whole, so it is the smallest cost/|cov|. A node branches on
+the uncovered minimal with the fewest live candidates and tries its
+candidates by cost/|cov|, then in canonical order.
 
 The minimum cost (``optimize``) is a descent over decide: from the greedy
 cover, each decide asks for a cover cheaper by twice the prune slack, and
@@ -198,10 +197,9 @@ def _problem(upper: UpperSet) -> _CoverProblem:
 class _Search:
     """One branch-and-bound run at a fixed p.
 
-    Only the costs are built up front; branch orders and the counting
-    bound's candidate scan are built on first use, so a decide call that
-    ends at the root builds neither. Each power p^k is a dyadic rational,
-    so ``units[k]`` holds it exactly as an integer multiple of 1 / ``scale``.
+    It builds the candidates' costs and reads everything else from the
+    problem. Each power p^k is a dyadic rational, so ``units[k]`` holds it
+    exactly as an integer multiple of 1 / ``scale``.
     """
 
     def __init__(self, prob: _CoverProblem, p: float):
@@ -214,8 +212,6 @@ class _Search:
         self.scale = max(d for _, d in ratios)
         self.units = [n * (self.scale // d) for n, d in ratios]
         self.nodes = 0
-        self._orders: list[tuple[int, ...] | None] = [None] * len(prob.min_bits)
-        self._scan: list[tuple[float, int, float]] | None = None
 
     def _tick(self):
         self.nodes += 1
@@ -225,12 +221,16 @@ class _Search:
     def lower_bound(self, uncovered: int) -> float:
         if uncovered == 0:
             return 0.0
-        prob = self.prob
+        prob, cost = self.prob, self.cost
         if uncovered == prob.full:
-            # every coverage is whole here, so the ratio is the smallest floor
-            ratio = min(map(operator.truediv, self.cost, prob.cand_count))
+            # every coverage is whole here, so |cov & uncovered| = |cov|
+            ratio = min(map(operator.truediv, cost, prob.cand_count))
         else:
-            ratio = self._counting_ratio(uncovered)
+            ratio = min(
+                cost[j] / (c & uncovered).bit_count()
+                for j, c in enumerate(prob.cand_cov)
+                if c & uncovered
+            )
         counting = uncovered.bit_count() * ratio
         blocked = 0
         packing = 0.0
@@ -239,41 +239,6 @@ class _Search:
                 packing += self.min_cost[i]
                 blocked |= mb
         return counting if counting > packing else packing
-
-    def _counting_ratio(self, uncovered: int) -> float:
-        """Min of cost / |cov & uncovered| over candidates meeting ``uncovered``.
-
-        Scans by ascending floor cost / |cov| and stops once the floor
-        reaches the best ratio so far: |cov & uncovered| <= |cov|, so no
-        later candidate can go below it.
-        """
-        scan = self._scan
-        if scan is None:
-            cost, prob = self.cost, self.prob
-            scan = self._scan = sorted(
-                zip(map(operator.truediv, cost, prob.cand_count), prob.cand_cov, cost)
-            )
-        ratio = math.inf
-        for floor, c, cost_j in scan:
-            if floor >= ratio:
-                break
-            k = (c & uncovered).bit_count()
-            if k:
-                r = cost_j / k
-                if r < ratio:
-                    ratio = r
-        return ratio
-
-    def _branch_order(self, i: int) -> tuple[int, ...]:
-        """Candidates under minimal i by cost per covered minimal (full
-        coverage, a coarse stand-in for new coverage), then canonical."""
-        order = self._orders[i]
-        if order is None:
-            cost, count = self.cost, self.prob.cand_count
-            order = self._orders[i] = tuple(
-                sorted(self.prob.per_min[i], key=lambda j: (cost[j] / count[j], j))
-            )
-        return order
 
     def _pick_branch(self, uncovered: int) -> int:
         prob = self.prob
@@ -305,8 +270,8 @@ class _Search:
     def decide(self, threshold: float) -> list[int] | None:
         """A cover with cost <= threshold, or None if none exists. Exact: a
         cover's cost is its exact sum rounded once, as in ``Cover.cost``."""
-        prob, units, scale = self.prob, self.units, self.scale
-        sizes = prob.cand_sizes
+        prob, units, scale, cost = self.prob, self.units, self.scale, self.cost
+        sizes, count = prob.cand_sizes, prob.cand_count
         seen: dict[int, int] = {}
 
         def dfs(uncovered: int, acc: int) -> list[int] | None:
@@ -320,7 +285,9 @@ class _Search:
             if acc / scale + self.lower_bound(uncovered) > threshold + _PRUNE_SLACK:
                 return None
             bi = self._pick_branch(uncovered)
-            for j in self._branch_order(bi):
+            # by cost per covered minimal (full coverage, a coarse stand-in
+            # for new coverage), then canonical
+            for j in sorted(prob.per_min[bi], key=lambda j: (cost[j] / count[j], j)):
                 rest = dfs(uncovered & ~prob.cand_cov[j], acc + units[sizes[j]])
                 if rest is not None:
                     return [j] + rest
@@ -453,16 +420,11 @@ def expectation_threshold(upper: UpperSet, tol: float = 1e-9) -> ExpectationThre
 
 
 @lru_cache(maxsize=1024)
-def cached_threshold(upper: UpperSet, tol: float = 1e-9) -> ExpectationThreshold:
-    """Memoized expectation_threshold; q and its witness are computed once."""
-    return expectation_threshold(upper, tol)
-
-
 def cached_q(upper: UpperSet, tol: float = 1e-9) -> float:
-    """Memoized q(F); the bounds and sweep modules call this repeatedly."""
-    return cached_threshold(upper, tol).q
+    """Memoized q(F)."""
+    return expectation_threshold(upper, tol).q
 
 
 def clear_caches() -> None:
     _problem.cache_clear()
-    cached_threshold.cache_clear()
+    cached_q.cache_clear()

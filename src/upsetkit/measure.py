@@ -13,11 +13,11 @@ through instance-level integer profiles computed once and cached:
 
 Both evaluate with a fixed summation order (ascending exponent, fsum), so
 results are reproducible bit for bit. Monte Carlo uses numpy's PCG64
-generator on up to one thread per CPU the process may use (at most
-``MC_MAX_WORKERS``). Each thread takes a contiguous span of the samples and
-advances its own copy of the seeded stream to the span's first draw, so
-identical (seed, samples) gives identical estimates, whatever the thread
-count and timing.
+generator on up to one thread per CPU the process may use (its affinity,
+capped by a cgroup v2 CPU quota, and at most ``MC_MAX_WORKERS``). Each
+thread takes a contiguous span of the samples and advances its own copy of
+the seeded stream to the span's first draw, so identical (seed, samples)
+gives identical estimates, whatever the thread count and timing.
 
 Memory: inclusion-exclusion holds about 5 bytes per union term (a uint32
 union and a uint8 parity for each of the 2^|F0| subsets) and counts them in
@@ -40,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import UpperSet
-from .errors import MissingMcParams, NonConvergence, SizeLimitExceeded
+from .errors import MissingMcParams, SizeLimitExceeded
 
 ENUMERATION_GROUND_CAP = 24
 # auto_exact_method enumerates ground sets up to this size, and the covering
@@ -177,10 +177,22 @@ def mu(
 
 
 def _usable_cpus() -> int:
+    """CPUs the process may run on, capped by its cgroup v2 CPU quota."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    try:
+        quota, period = _cgroup_cpu_max().split()
+        return min(cpus, -(-int(quota) // int(period)))
+    except (OSError, ValueError):  # no readable quota, or "max": no limit
+        return cpus
+
+
+def _cgroup_cpu_max() -> str:
+    """The cgroup v2 CPU limit, "<quota> <period>" or "max <period>"."""
+    with open("/sys/fs/cgroup/cpu.max", encoding="ascii") as fh:
+        return fh.read()
 
 
 def _mu_monte_carlo(upper: UpperSet, p: float, samples: int, seed: int) -> MuEstimate:
@@ -279,7 +291,9 @@ def critical_probability(
     mu_p is strictly increasing in p for a nontrivial upper set, so the
     bracket [0, 1] always contains exactly one crossing. Iteration continues
     past bracket width <= tol until the residual |mu - 1/2| also drops
-    under tol (the crossing can be steep).
+    under tol (the crossing can be steep). If the bracket closes on adjacent
+    floats with the residual still above tol, no float meets tol, and
+    ValueError says so.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -297,26 +311,26 @@ def critical_probability(
     # The returned point is always the last evaluated midpoint, so the
     # reported residual is the residual of p_c itself. Once the bracket is
     # below tol, further halving keeps shrinking the midpoint's residual,
-    # which matters when mu crosses 1/2 steeply.
+    # which matters when mu crosses 1/2 steeply. Halving ends at adjacent
+    # floats, where the midpoint rounds onto an end of the bracket: no
+    # narrower bracket exists, so only the residual must meet tol there.
     lo, hi = 0.0, 1.0
-    p_c, residual = 0.5, 0.5
-    max_iter = 200
-    for _ in range(max_iter):
+    while True:
         p_c = 0.5 * (lo + hi)
         value = evaluate(p_c)
         residual = abs(value - 0.5)
-        if (hi - lo <= tol and residual <= tol) or hi - lo < 1e-17:
-            break
+        adjacent = p_c == lo or p_c == hi
+        if residual <= tol and (hi - lo <= tol or adjacent):
+            return CriticalProbability(p_c, residual, tol)
+        if adjacent:
+            raise ValueError(
+                f"tol {tol:g} is finer than floats resolve: the bisection reached the "
+                f"adjacent floats {lo!r} and {hi!r} with residual {residual:.3e}"
+            )
         if value < 0.5:
             lo = p_c
         else:
             hi = p_c
-    if residual > 10 * tol:
-        raise NonConvergence(
-            f"residual {residual:.3e} exceeds 10*tol after {max_iter} iterations; "
-            "the measure implementation looks broken"
-        )
-    return CriticalProbability(p_c, residual, tol)
 
 
 def clear_caches() -> None:

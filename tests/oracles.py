@@ -272,14 +272,14 @@ def connectivity_profile(n: int) -> list[int]:
 class EagerSearch:
     """The cover search with every table built up front.
 
-    A copy of the decision search as it stood before its tables became
-    lazy, less the node budget: every branch order is sorted at
-    construction, and the counting bound scans every candidate. Costs are
-    summed exactly, as fractions over the common denominator of the powers
-    of p. It reads the preprocessed problem (minimal and candidate masks,
-    coverages, per-minimal candidate lists) and nothing else, so a faster
-    search can be checked against it for the same answers and the same
-    node counts.
+    The decision search of ``expectation._Search`` written out plainly,
+    less the node budget: every branch order is sorted at construction, the
+    counting bound scans every candidate at every node, the root included,
+    and costs are summed exactly, as fractions over the common denominator
+    of the powers of p. It reads the preprocessed problem (minimal and
+    candidate masks, coverages, per-minimal candidate lists) and nothing
+    else, so the search can be checked against it for the same answers and
+    the same node counts.
     """
 
     def __init__(self, prob, p: float):

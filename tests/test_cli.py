@@ -223,10 +223,10 @@ class TestVerify:
     def test_corrupted_q_fails_with_exit_1(self, capsys, principal3_file, monkeypatch):
         import upsetkit.bounds
 
-        real = upsetkit.bounds.cached_threshold
+        real = upsetkit.bounds.expectation_threshold
         monkeypatch.setattr(
             upsetkit.bounds,
-            "cached_threshold",
+            "expectation_threshold",
             lambda up, tol=1e-9: dataclasses.replace(real(up, tol), q=0.99),
         )
         code, out, _ = run_main(capsys, ["verify", "--instance", principal3_file])
@@ -307,6 +307,23 @@ class TestTolerance:
         assert code == 2
         assert out == ""
         assert "tol must be positive and finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--family", "principal", "--range", "2..2"],
+        # principal-1 has p_c = 1/2 exactly and meets any tol; principal-2 cannot
+        ["sweep", "--family", "principal", "--range", "1..3"],
+    ])
+    def test_tol_below_float_resolution_exit_2(self, capsys, argv):
+        code, out, err = run_main(capsys, [*argv, "--tol", "1e-17"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: tol 1e-17 is finer than floats resolve: ")
+        assert "adjacent floats" in err and "residual 1.110e-16" in err
+
+    def test_battery_holds_at_tol_1e_15(self, capsys):
+        code, _, err = run_main(capsys, ["verify", "--battery", "builtin", "--tol", "1e-15"])
+        assert code == 0
+        assert err.endswith("  failed: 0\n")
 
 
 class TestFamily:

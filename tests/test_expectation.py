@@ -15,6 +15,7 @@ from oracles import (
 )
 from test_core import upper_sets
 from upsetkit import (
+    builtin_battery,
     candidate_cover_elements,
     clear_caches,
     critical_probability,
@@ -111,12 +112,6 @@ class TestSearch:
         prob = _problem(up)
         uncovered = data.draw(st.integers(1, prob.full))
         search = _Search(prob, p)
-        full_scan = min(
-            search.cost[j] / (c & uncovered).bit_count()
-            for j, c in enumerate(prob.cand_cov)
-            if c & uncovered
-        )
-        assert search._counting_ratio(uncovered) == full_scan
         for mask in (uncovered, prob.full):
             assert search.lower_bound(mask) == EagerSearch(prob, p).lower_bound(mask)
 
@@ -348,6 +343,25 @@ class TestBracketedBisection:
         expectation_threshold(graph_connectivity(4))
         # a decide at every midpoint of the bisection makes 30
         assert 1 <= len(calls) <= 6
+
+    def test_battery_climbs_within_budget(self, monkeypatch):
+        calls, nodes = [], []
+        decide = _Search.decide
+
+        def spy(self, threshold):
+            before = self.nodes
+            found = decide(self, threshold)
+            calls.append(self.p)
+            nodes.append(self.nodes - before)
+            return found
+
+        monkeypatch.setattr(_Search, "decide", spy)
+        clear_caches()
+        for _, up in builtin_battery():
+            expectation_threshold(up)
+        # the counts of the certified climb over the 203 battery instances
+        assert len(calls) <= 210
+        assert sum(nodes) <= 734
 
     def test_no_decide_calls_below_float_spacing(self, monkeypatch):
         calls = []

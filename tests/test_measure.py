@@ -63,8 +63,9 @@ def span_splits(draw):
     return samples, sorted(cuts | {0, samples}), rows, draw(st.sampled_from([1, 3, 8, 50, 4096]))
 
 
-def force_cpus(monkeypatch, count):
+def force_cpus(monkeypatch, count, cpu_max="max 100000"):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(measure, "_cgroup_cpu_max", lambda: cpu_max)
 
 
 class TestMuExact:
@@ -272,6 +273,23 @@ class TestMuMonteCarlo:
     def test_usable_cpus(self):
         assert measure._usable_cpus() >= 1
 
+    @pytest.mark.parametrize("cpu_max, usable", [
+        ("200000 100000\n", 2), ("150000 100000\n", 2), ("50000 100000\n", 1),
+        ("800000 100000\n", 4), ("max 100000\n", 4),
+    ])
+    def test_usable_cpus_honours_cgroup_quota(self, monkeypatch, cpu_max, usable):
+        force_cpus(monkeypatch, 4, cpu_max)
+        assert measure._usable_cpus() == usable
+
+    @pytest.mark.parametrize("error", [FileNotFoundError, PermissionError])
+    def test_usable_cpus_without_readable_quota(self, monkeypatch, error):
+        def unreadable():
+            raise error("cpu.max")
+
+        force_cpus(monkeypatch, 4)
+        monkeypatch.setattr(measure, "_cgroup_cpu_max", unreadable)
+        assert measure._usable_cpus() == 4
+
 
 @st.composite
 def same_size_antichains(draw):
@@ -336,6 +354,17 @@ class TestCriticalProbability:
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             critical_probability(from_minimal_bits(3, [1]), tol=0.0)
+
+    def test_tol_below_float_resolution(self):
+        # mu = p^2 crosses 1/2 between two floats, each 2^-53 off in mu
+        with pytest.raises(ValueError, match=r"adjacent floats .* residual 1\.110e-16"):
+            critical_probability(from_minimal_bits(2, [0b11]), tol=1e-17)
+
+    def test_exact_crossing_meets_any_tol(self):
+        # mu = p crosses 1/2 at a float: no bracket is that narrow, but the
+        # residual there is 0
+        res = critical_probability(from_minimal_bits(1, [1]), tol=1e-300)
+        assert (res.p_c, res.residual) == (0.5, 0.0)
 
     @given(upper_sets(max_ground=9))
     @settings(max_examples=30, deadline=None)
