@@ -29,7 +29,6 @@ from .core import (
     Cover,
     SubsetMask,
     UpperSet,
-    ell,
     normalize_to_antichain,
     parse_instance,
 )

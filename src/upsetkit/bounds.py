@@ -29,10 +29,8 @@ from . import fmt, measure, structure
 from .core import UpperSet
 from .errors import SizeLimitExceeded
 from .expectation import ExpectationThreshold, cached_q, expectation_threshold
-from .measure import AUTO_ENUMERATION_CAP
+from .measure import auto_exact_method
 from .structure import CONVENTIONS, DimensionResult, cached_dim, max_nonempty_sigma_index
-
-AUTO_INCLUSION_EXCLUSION_CAP = 20
 
 ARGUMENTS = ("ell", "two_ell0")
 LOG_BASES = ("2", "e")
@@ -47,8 +45,8 @@ class BoundVariant:
     argument: str = "two_ell0"
 
     def __post_init__(self):
-        if self.K <= 0:
-            raise ValueError(f"K must be positive, got {self.K}")
+        if not 0 < self.K < math.inf:
+            raise ValueError(f"K must be positive and finite, got {self.K}")
         if self.log_base not in LOG_BASES:
             raise ValueError(f"log_base must be one of {LOG_BASES}, got {self.log_base!r}")
         if self.argument not in ARGUMENTS:
@@ -145,19 +143,6 @@ class BoundReport:
 
     def to_json(self) -> str:
         return fmt.dumps(self.to_json_dict())
-
-
-def auto_exact_method(upper: UpperSet) -> str:
-    """Pick the exact measure engine: enumerate small grounds, otherwise
-    inclusion-exclusion over few minimals."""
-    if upper.ground_size <= AUTO_ENUMERATION_CAP:
-        return "enumeration"
-    if len(upper.minimals) <= AUTO_INCLUSION_EXCLUSION_CAP:
-        return "inclusion_exclusion"
-    raise SizeLimitExceeded(
-        f"no exact method: ground_size {upper.ground_size} > {AUTO_ENUMERATION_CAP} "
-        f"and |F0| {len(upper.minimals)} > {AUTO_INCLUSION_EXCLUSION_CAP}"
-    )
 
 
 def kk_bound(upper: UpperSet, variant: BoundVariant, tol: float = 1e-9) -> float:

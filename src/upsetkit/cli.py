@@ -27,11 +27,11 @@ import sys
 from typing import Sequence
 
 from . import fmt
-from .bounds import BoundVariant, auto_exact_method, verify_instance
+from .bounds import BoundVariant, verify_instance
 from .core import UpperSet, parse_instance
 from .errors import MissingMcParams, SizeLimitExceeded, TooFewRecords, UpsetError
 from .families import FAMILIES, builtin_battery, make_family_instance
-from .measure import mu
+from .measure import auto_exact_method, mu
 from .sweep import (
     information_classification,
     necessary_conditions_report,
@@ -67,12 +67,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-9)
 
     def add_source_flags(p, battery=False):
-        p.add_argument("--instance", help="path to a JSON instance file")
-        p.add_argument("--family", choices=sorted(FAMILIES))
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--instance", help="path to a JSON instance file")
+        source.add_argument("--family", choices=sorted(FAMILIES))
         p.add_argument("--range", type=_parse_range, metavar="A..B")
         if battery:
-            p.add_argument("--battery", choices=("builtin",))
-            p.add_argument("--limit", type=int, default=0,
+            source.add_argument("--battery", choices=("builtin",))
+            p.add_argument("--limit", type=int,
                            help="verify only the first N battery instances (0 = all)")
 
     p_compute = sub.add_parser("compute", help="bound report for one instance")
@@ -109,31 +110,36 @@ def _variant(args) -> BoundVariant:
 
 
 def _load_instances(args) -> list[tuple[str, UpperSet]]:
-    if getattr(args, "battery", None):
-        battery = builtin_battery()
-        limit = getattr(args, "limit", 0)
-        return battery[:limit] if limit else battery
+    """The instances named by exactly one of --instance, --family and
+    --battery (the parser's required group)."""
+    if args.range and not args.family:
+        raise ValueError("--range needs --family")
+    battery = getattr(args, "battery", None)
+    if getattr(args, "limit", None) is not None and not battery:
+        raise ValueError("--limit needs --battery")
+    if battery:
+        return builtin_battery()[: args.limit or None]
     if args.instance:
         with open(args.instance, "r", encoding="utf-8") as fh:
             return [(args.instance, parse_instance(fh.read()))]
-    if args.family:
-        if not args.range:
-            raise ValueError("--family needs --range A..B")
-        a, b = args.range
-        return [
-            (f"{args.family}-n{n}", make_family_instance(args.family, n))
-            for n in range(a, b + 1)
-        ]
-    raise ValueError("no input: pass --instance, --family, or --battery")
+    if not args.range:
+        raise ValueError("--family needs --range A..B")
+    a, b = args.range
+    return [
+        (f"{args.family}-n{n}", make_family_instance(args.family, n))
+        for n in range(a, b + 1)
+    ]
 
 
 def cmd_compute(args) -> int:
+    mc_check = args.method == "mc"
+    if not mc_check and (args.samples is not None or args.seed is not None):
+        raise ValueError("--samples and --seed need --method mc")
     instances = _load_instances(args)
     variant = _variant(args)
     method = {"enum": "enumeration", "ie": "inclusion_exclusion", "auto": None}.get(
         args.method
     )
-    mc_check = args.method == "mc"
     if mc_check and (args.samples is None or args.seed is None):
         raise MissingMcParams("--method mc needs --samples and --seed")
     for _, upper in instances:

@@ -46,10 +46,6 @@ class SubsetMask:
     def empty(cls, width: int) -> "SubsetMask":
         return cls(width, 0)
 
-    @classmethod
-    def full(cls, width: int) -> "SubsetMask":
-        return cls(width, (1 << width) - 1)
-
     def indices(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.width) if self.bits >> i & 1)
 
@@ -64,23 +60,6 @@ class SubsetMask:
     def issubset(self, other: "SubsetMask") -> bool:
         self._check_width(other)
         return self.bits & other.bits == self.bits
-
-    def issuperset(self, other: "SubsetMask") -> bool:
-        self._check_width(other)
-        return self.bits & other.bits == other.bits
-
-    def __and__(self, other: "SubsetMask") -> "SubsetMask":
-        self._check_width(other)
-        return SubsetMask(self.width, self.bits & other.bits)
-
-    def __or__(self, other: "SubsetMask") -> "SubsetMask":
-        self._check_width(other)
-        return SubsetMask(self.width, self.bits | other.bits)
-
-    def __lt__(self, other: "SubsetMask") -> bool:
-        # Canonical order: by popcount, then numeric value.
-        self._check_width(other)
-        return (self.popcount, self.bits) < (other.popcount, other.bits)
 
     def _check_width(self, other: "SubsetMask") -> None:
         if self.width != other.width:
@@ -213,11 +192,6 @@ class UpperSet:
 
     def to_instance_json(self) -> str:
         return json.dumps(self.to_instance_dict())
-
-
-def ell(upper: UpperSet) -> tuple[int, int]:
-    """(ell0, ell) of an upper set: max minimal size, floored at 2."""
-    return (upper.ell0, upper.ell)
 
 
 def normalize_to_antichain(ground_size: int, generators: Sequence[SubsetMask]) -> UpperSet:

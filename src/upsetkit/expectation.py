@@ -39,7 +39,7 @@ once per problem; a search builds only its costs, from one table of powers
 of p. The counting bound's ratio is the smallest cost/|cov & uncovered|
 over the candidates that meet the uncovered minimals; at the root every
 coverage is whole, so it is the smallest cost/|cov|. A node branches on
-the uncovered minimal with the fewest live candidates and tries its
+the lowest uncovered minimal (by its index in F0) and tries its
 candidates by cost/|cov|, then in canonical order.
 
 The minimum cost (``optimize``) is a descent over decide: from the greedy
@@ -240,16 +240,6 @@ class _Search:
                 blocked |= mb
         return counting if counting > packing else packing
 
-    def _pick_branch(self, uncovered: int) -> int:
-        prob = self.prob
-        best_i, best_len = -1, 1 << 30
-        for i in range(len(prob.min_bits)):
-            if uncovered >> i & 1:
-                live = sum(1 for j in prob.per_min[i] if prob.cand_cov[j] & uncovered)
-                if live < best_len:
-                    best_i, best_len = i, live
-        return best_i
-
     def greedy_cover(self) -> tuple[list[int], float]:
         """Cheapest-per-new-minimal greedy cover; upper bound, not optimal."""
         prob, cost = self.prob, self.cost
@@ -284,7 +274,7 @@ class _Search:
             seen[uncovered] = acc
             if acc / scale + self.lower_bound(uncovered) > threshold + _PRUNE_SLACK:
                 return None
-            bi = self._pick_branch(uncovered)
+            bi = (uncovered & -uncovered).bit_length() - 1
             # by cost per covered minimal (full coverage, a coarse stand-in
             # for new coverage), then canonical
             for j in sorted(prob.per_min[bi], key=lambda j: (cost[j] / count[j], j)):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -46,11 +46,6 @@ class GraphGround:
             idx -= self.n - a - 1
             a += 1
         return (a, a + 1 + idx)
-
-    def edges_mask(self, edges: Iterable[tuple[int, int]]) -> SubsetMask:
-        return SubsetMask.from_indices(
-            self.num_edges, (self.edge_to_index(u, v) for u, v in edges)
-        )
 
 
 def principal(ground_size: int, s: SubsetMask) -> UpperSet:

@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,6 +47,9 @@ ENUMERATION_GROUND_CAP = 24
 # auto_exact_method enumerates ground sets up to this size, and the covering
 # dimension is read from the same profile
 AUTO_ENUMERATION_CAP = 20
+# past AUTO_ENUMERATION_CAP, auto_exact_method takes inclusion-exclusion up
+# to this many minimals
+AUTO_INCLUSION_EXCLUSION_CAP = 20
 INCLUSION_EXCLUSION_MINIMALS_CAP = 24
 # Monte Carlo samples in flight, and drawn at a time, across all workers
 # together; each of w workers holds 1/w of both. The cap bounds the thread
@@ -55,7 +59,6 @@ MC_DRAW_ROWS = 1 << 13
 MC_MAX_WORKERS = 4
 
 EXACT_METHODS = ("enumeration", "inclusion_exclusion")
-METHODS = EXACT_METHODS + ("monte_carlo",)
 
 
 @dataclass(frozen=True)
@@ -144,6 +147,31 @@ def _eval_inclusion_exclusion(coeffs: tuple[int, ...], p: float) -> float:
     return math.fsum(c * p**j for j, c in enumerate(coeffs) if c)
 
 
+def auto_exact_method(upper: UpperSet) -> str:
+    """Pick the exact measure engine: enumerate small grounds, otherwise
+    inclusion-exclusion over few minimals."""
+    if upper.ground_size <= AUTO_ENUMERATION_CAP:
+        return "enumeration"
+    if len(upper.minimals) <= AUTO_INCLUSION_EXCLUSION_CAP:
+        return "inclusion_exclusion"
+    raise SizeLimitExceeded(
+        f"no exact method: ground_size {upper.ground_size} > {AUTO_ENUMERATION_CAP} "
+        f"and |F0| {len(upper.minimals)} > {AUTO_INCLUSION_EXCLUSION_CAP}"
+    )
+
+
+def _exact(upper: UpperSet, method: str) -> Callable[[float], float]:
+    """p -> mu_p(F) by an exact method, from the instance's cached profile."""
+    if method == "enumeration":
+        profile = _enumeration_profile(upper).counts
+        n = upper.ground_size
+        return lambda p: _eval_enumeration(profile, n, p)
+    if method == "inclusion_exclusion":
+        coeffs = _inclusion_exclusion_coeffs(upper)
+        return lambda p: _eval_inclusion_exclusion(coeffs, p)
+    raise ValueError(f"{method!r} is not an exact method; expected one of {EXACT_METHODS}")
+
+
 def mu(
     upper: UpperSet,
     p: float,
@@ -159,21 +187,14 @@ def mu(
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    if method == "enumeration":
-        profile = _enumeration_profile(upper).counts
-        value = _eval_enumeration(profile, upper.ground_size, p)
-        return MuEstimate(min(max(value, 0.0), 1.0), 0.0, method, 0)
-    if method == "inclusion_exclusion":
-        coeffs = _inclusion_exclusion_coeffs(upper)
-        value = _eval_inclusion_exclusion(coeffs, p)
-        return MuEstimate(min(max(value, 0.0), 1.0), 0.0, method, 0)
     if method == "monte_carlo":
         if samples is None or seed is None:
             raise MissingMcParams("monte_carlo needs samples and seed")
         if samples < 1:
             raise MissingMcParams(f"samples must be >= 1, got {samples}")
         return _mu_monte_carlo(upper, p, samples, seed)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    value = _exact(upper, method)(p)
+    return MuEstimate(min(max(value, 0.0), 1.0), 0.0, method, 0)
 
 
 def _usable_cpus() -> int:
@@ -297,17 +318,7 @@ def critical_probability(
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    if method not in EXACT_METHODS:
-        raise ValueError(f"critical_probability needs an exact method, got {method!r}")
-
-    if method == "enumeration":
-        profile = _enumeration_profile(upper).counts
-        n = upper.ground_size
-        evaluate = lambda p: _eval_enumeration(profile, n, p)
-    else:
-        coeffs = _inclusion_exclusion_coeffs(upper)
-        evaluate = lambda p: _eval_inclusion_exclusion(coeffs, p)
-
+    evaluate = _exact(upper, method)
     # The returned point is always the last evaluated midpoint, so the
     # reported residual is the residual of p_c itself. Once the bracket is
     # below tol, further halving keeps shrinking the midpoint's residual,

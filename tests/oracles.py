@@ -273,9 +273,10 @@ class EagerSearch:
     """The cover search with every table built up front.
 
     The decision search of ``expectation._Search`` written out plainly,
-    less the node budget: every branch order is sorted at construction, the
-    counting bound scans every candidate at every node, the root included,
-    and costs are summed exactly, as fractions over the common denominator
+    less the node budget: each node branches on the lowest uncovered
+    minimal, every branch order is sorted at construction, the counting
+    bound scans every candidate at every node, the root included, and
+    costs are summed exactly, as fractions over the common denominator
     of the powers of p. It reads the preprocessed problem (minimal and
     candidate masks, coverages, per-minimal candidate lists) and nothing
     else, so the search can be checked against it for the same answers and
@@ -320,16 +321,6 @@ class EagerSearch:
                 blocked |= mb
         return counting if counting > packing else packing
 
-    def _pick_branch(self, uncovered: int) -> int:
-        prob = self.prob
-        best_i, best_len = -1, 1 << 30
-        for i in range(len(prob.min_bits)):
-            if uncovered >> i & 1:
-                live = sum(1 for j in prob.per_min[i] if prob.cand_cov[j] & uncovered)
-                if live < best_len:
-                    best_i, best_len = i, live
-        return best_i
-
     def decide(self, threshold: float) -> list[int] | None:
         prob = self.prob
         seen: dict[int, int] = {}
@@ -344,7 +335,7 @@ class EagerSearch:
             seen[uncovered] = acc
             if acc / self.scale + self.lower_bound(uncovered) > threshold + 1e-12:
                 return None
-            bi = self._pick_branch(uncovered)
+            bi = (uncovered & -uncovered).bit_length() - 1
             for j in self.branch_order[bi]:
                 rest = dfs(uncovered & ~prob.cand_cov[j], acc + self.units[j])
                 if rest is not None:

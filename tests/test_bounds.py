@@ -31,6 +31,9 @@ class TestVariant:
     def test_validation(self):
         with pytest.raises(ValueError):
             BoundVariant(K=0.0)
+        for K in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="K must be positive and finite"):
+                BoundVariant(K=K)
         with pytest.raises(ValueError):
             BoundVariant(K=2.0, log_base="10")
         with pytest.raises(ValueError):

@@ -326,6 +326,52 @@ class TestTolerance:
         assert err.endswith("  failed: 0\n")
 
 
+class TestRejectedFlags:
+    # a flag the command would not use is an error, not silently dropped
+    @pytest.mark.parametrize("argv,message", [
+        (["compute", "--samples", "100"], "--samples and --seed need --method mc"),
+        (["compute", "--seed", "1"], "--samples and --seed need --method mc"),
+        (["compute", "--method", "enum", "--samples", "100", "--seed", "1"],
+         "--samples and --seed need --method mc"),
+        (["compute", "--range", "2..3"], "--range needs --family"),
+        (["verify", "--range", "2..3"], "--range needs --family"),
+        (["verify", "--limit", "1"], "--limit needs --battery"),
+    ])
+    def test_unused_flag_exit_2(self, capsys, principal3_file, argv, message):
+        code, out, err = run_main(capsys, [*argv, "--instance", principal3_file])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["verify", "--battery", "builtin", "--instance", "x.json"],
+         "argument --instance: not allowed with argument --battery"),
+        (["compute", "--instance", "x.json", "--family", "principal", "--range", "2..3"],
+         "argument --family: not allowed with argument --instance"),
+        (["compute"], "one of the arguments --instance --family is required"),
+        (["verify"], "one of the arguments --instance --family --battery is required"),
+    ])
+    def test_one_source_exit_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize("K", ["nan", "inf", "-inf", "0"])
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--family", "principal", "--range", "2..2"],
+        ["sweep", "--family", "principal", "--range", "2..3"],
+        ["verify", "--family", "principal", "--range", "2..2"],
+    ])
+    def test_K_positive_and_finite(self, capsys, argv, K):
+        code, out, err = run_main(capsys, [*argv, f"--K={K}"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: K must be positive and finite, got ")
+
+
 class TestFamily:
     def test_emits_instance_json(self, capsys):
         code, out, _ = run_main(capsys, ["family", "connectivity", "--n", "3"])
@@ -356,6 +402,19 @@ class TestDeterminism:
             "c7eb2b42132380b9e3380dbeb3e41a08c3ff9f68e7719a06fce900c1b5ee9168",
         ("sweep", "--family", "principal", "--range", "1..20"):
             "bc4441537e5dbc4d5ff49bef841888dea4a81916d9d6bf53a7c0829d08a2052d",
+        # the q and dim cells of the largest cover searches
+        ("sweep", "--family", "triangle", "--range", "3..7"):
+            "e63c95e7b8df615cb782c827e6b541a9aefbf8e4befcb6e981d845f10ea0a4cc",
+        ("sweep", "--family", "star3", "--range", "4..7"):
+            "affca712b6584afd22cd597280a52d485f7c28633b8930dbbd52f5e4fc12036c",
+        ("sweep", "--family", "path2", "--range", "3..8"):
+            "6c52757f9ba7694e046fab442108d08065a4185cc4b9fbeadc613f55dbb7ffe4",
+        ("sweep", "--family", "matching2", "--range", "4..7"):
+            "2313f23cf11bb639981d1a86fa7e79b148943cebdfdf6fcc078f889dad529611",
+        ("sweep", "--family", "connectivity", "--range", "3..5"):
+            "4da90696143401262c4b5cc0292f975165be0d60b00c3010d6e8fc0587c00670",
+        ("verify", "--battery", "builtin", "--format", "json"):
+            "a67cb5ab8465ab6122928c7919aa8d415e84969188f65b0be6fcb05fb4b2ebc5",
     }
 
     @pytest.mark.parametrize("argv", list(PINNED))

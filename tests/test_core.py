@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from upsetkit import SubsetMask, UpperSet, normalize_to_antichain, parse_instance
-from upsetkit.core import ell, from_minimal_bits
+from upsetkit.core import from_minimal_bits
 from upsetkit.errors import (
     EmptyGenerators,
     SizeLimitExceeded,
@@ -120,13 +120,16 @@ class TestContains:
 
 class TestEll:
     def test_floor_at_two(self):
-        assert ell(from_minimal_bits(3, [0b001])) == (1, 2)
+        up = from_minimal_bits(3, [0b001])
+        assert (up.ell0, up.ell) == (1, 2)
 
     def test_all_pairs(self):
-        assert ell(from_minimal_bits(3, [0b011, 0b110, 0b101])) == (2, 2)
+        up = from_minimal_bits(3, [0b011, 0b110, 0b101])
+        assert (up.ell0, up.ell) == (2, 2)
 
     def test_mixed_sizes(self):
-        assert ell(from_minimal_bits(4, [0b0001, 0b1110])) == (3, 3)
+        up = from_minimal_bits(4, [0b0001, 0b1110])
+        assert (up.ell0, up.ell) == (3, 3)
 
 
 class TestSerialization:

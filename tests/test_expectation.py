@@ -361,7 +361,7 @@ class TestBracketedBisection:
             expectation_threshold(up)
         # the counts of the certified climb over the 203 battery instances
         assert len(calls) <= 210
-        assert sum(nodes) <= 734
+        assert sum(nodes) <= 717
 
     def test_no_decide_calls_below_float_spacing(self, monkeypatch):
         calls = []

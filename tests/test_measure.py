@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import brute_mu, brute_pc, connectivity_profile, signed_union_counts
 from test_core import upper_sets
-from upsetkit import critical_probability, graph_connectivity, measure, mu
+from upsetkit import bounds, critical_probability, graph_connectivity, measure, mu
 from upsetkit.core import from_minimal_bits
 from upsetkit.errors import MissingMcParams, SizeLimitExceeded
 from upsetkit.families import make_family_instance
@@ -136,6 +136,25 @@ class TestMuExact:
         up = from_minimal_bits(3, [1])
         with pytest.raises(ValueError):
             mu(up, 0.5, "guesswork")
+
+
+class TestAutoExactMethod:
+    def test_enumerates_up_to_the_cap(self):
+        up = from_minimal_bits(20, [1 << i for i in range(20)])
+        assert measure.auto_exact_method(up) == "enumeration"
+
+    def test_inclusion_exclusion_past_the_ground_cap(self):
+        up = from_minimal_bits(21, [1 << i for i in range(20)])
+        assert measure.auto_exact_method(up) == "inclusion_exclusion"
+
+    def test_no_exact_method_past_both_caps(self):
+        up = from_minimal_bits(21, [1 << i for i in range(21)])
+        with pytest.raises(SizeLimitExceeded) as exc:
+            measure.auto_exact_method(up)
+        assert str(exc.value) == "no exact method: ground_size 21 > 20 and |F0| 21 > 20"
+
+    def test_bounds_reexports_it(self):
+        assert bounds.auto_exact_method is measure.auto_exact_method
 
 
 class TestMuMonteCarlo:
