@@ -20,9 +20,6 @@ from .bounds import (
     BoundReport,
     BoundVariant,
     InequalityCheck,
-    kk_bound,
-    provides_nontrivial_info,
-    q_estimate_interval,
     verify_instance,
 )
 from .core import (

@@ -25,12 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import fmt, measure, structure
+from . import measure, structure
 from .core import UpperSet
 from .errors import SizeLimitExceeded
-from .expectation import ExpectationThreshold, cached_q, expectation_threshold
+from .expectation import ExpectationThreshold, expectation_threshold
 from .measure import auto_exact_method
-from .structure import CONVENTIONS, DimensionResult, cached_dim, max_nonempty_sigma_index
+from .structure import CONVENTIONS, DimensionResult, max_nonempty_sigma_index
 
 ARGUMENTS = ("ell", "two_ell0")
 LOG_BASES = ("2", "e")
@@ -119,10 +119,6 @@ class BoundReport:
     dimensions: tuple[DimensionResult, ...]
     absent: str | None
 
-    @property
-    def all_hold(self) -> bool:
-        return all(c.holds for c in self.inequality_checks)
-
     def to_json_dict(self) -> dict:
         return {
             "variant": self.variant.to_dict(),
@@ -140,25 +136,6 @@ class BoundReport:
             "sigma_profile": [[k, empty] for k, empty in self.sigma_profile],
             "inequality_checks": [c.to_dict() for c in self.inequality_checks],
         }
-
-    def to_json(self) -> str:
-        return fmt.dumps(self.to_json_dict())
-
-
-def kk_bound(upper: UpperSet, variant: BoundVariant, tol: float = 1e-9) -> float:
-    """K * q(F) * log(argument) for the given variant."""
-    return variant.K * cached_q(upper, tol) * variant.log_argument(upper)
-
-
-def provides_nontrivial_info(upper: UpperSet, variant: BoundVariant, tol: float = 1e-9) -> bool:
-    """True when the bound value improves on the trivial bound p_c < 1."""
-    return kk_bound(upper, variant, tol) < 1.0
-
-
-def q_estimate_interval(upper: UpperSet) -> tuple[float, float]:
-    """((2 dim)^-1, (2 dim)^(-1/ell)), the dimension-based sandwich for q."""
-    dim = cached_dim(upper, "unrestricted")
-    return ((2.0 * dim) ** -1.0, (2.0 * dim) ** (-1.0 / upper.ell))
 
 
 def verify_instance(

@@ -45,10 +45,12 @@ PARSE_ERROR, CAP_ERROR = 2, 3
 
 def _parse_range(text: str) -> tuple[int, int]:
     try:
-        a, b = text.split("..")
-        return int(a), int(b)
+        a, b = (int(end) for end in text.split(".."))
     except ValueError:
         raise argparse.ArgumentTypeError(f"range must look like A..B, got {text!r}")
+    if a > b:
+        raise argparse.ArgumentTypeError(f"range A..B needs A <= B, got {text!r}")
+    return a, b
 
 
 @functools.cache
@@ -88,8 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--range", type=_parse_range, required=True, metavar="A..B")
     add_variant_flags(p_sweep)
     p_sweep.add_argument("--t-max", type=int, default=2)
-    p_sweep.add_argument("--dim-convention", choices=("unrestricted", "within-family"),
-                         default="unrestricted")
     p_sweep.add_argument("--summary", help="write the JSON summary line here instead of stderr")
 
     p_verify = sub.add_parser("verify", help="check all inequalities")
@@ -118,6 +118,8 @@ def _load_instances(args) -> list[tuple[str, UpperSet]]:
     if getattr(args, "limit", None) is not None and not battery:
         raise ValueError("--limit needs --battery")
     if battery:
+        if args.limit is not None and args.limit < 0:
+            raise ValueError(f"--limit must be >= 0, got {args.limit}")
         return builtin_battery()[: args.limit or None]
     if args.instance:
         with open(args.instance, "r", encoding="utf-8") as fh:
@@ -171,9 +173,8 @@ def cmd_sweep(args) -> int:
         summary["classification"] = None
         summary["classification_error"] = str(exc)
     try:
-        convention = args.dim_convention.replace("-", "_")
         summary["necessary_conditions"] = necessary_conditions_report(
-            records, variant, convention
+            records, variant
         ).to_json_dict()
     except UpsetError as exc:
         summary["necessary_conditions"] = None

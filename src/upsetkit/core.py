@@ -124,7 +124,6 @@ class UpperSet:
     def __post_init__(self):
         if not self.minimals:
             raise TrivialUpperSet("an upper set needs at least one minimal element")
-        prev_key = None
         for m in self.minimals:
             if m.width != self.ground_size:
                 raise WidthMismatch(
@@ -132,24 +131,10 @@ class UpperSet:
                 )
             if m.is_empty:
                 raise TrivialUpperSet("the empty set cannot be a minimal element")
-            key = canonical_key(m.bits)
-            if prev_key is not None and key <= prev_key:
-                raise ValueError("minimals must be strictly in canonical order")
-            prev_key = key
-        # Antichain: a mask can only nest under one of strictly smaller
-        # popcount, so only cross-size pairs need checking.
-        smaller: list[int] = []
-        group: list[int] = []
-        group_size = -1
-        for m in self.minimals:
-            k = m.popcount
-            if k != group_size:
-                smaller.extend(group)
-                group = []
-                group_size = k
-            if any(s & m.bits == s for s in smaller):
-                raise ValueError(f"not an antichain: {m} contains a smaller minimal")
-            group.append(m.bits)
+        # The reducer's fixed points are exactly the strictly canonically
+        # ordered antichains.
+        if _reduce_to_antichain(self.minimal_bits) != self.minimal_bits:
+            raise ValueError("minimals must be an antichain in strict canonical order")
 
     @functools.cached_property
     def minimal_bits(self) -> tuple[int, ...]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import fmt
 from .bounds import BoundVariant, verify_instance
@@ -77,7 +77,7 @@ def _instance_record(
 
 
 def sweep(
-    family: str | Callable[[int], UpperSet],
+    family: str,
     ns: Sequence[int],
     variant: BoundVariant,
     t_max: int = 2,
@@ -85,11 +85,12 @@ def sweep(
 ) -> list[SweepRecord]:
     """One record per n, computed independently; per-instance failures are
     recorded in the row and the sweep continues."""
-    gen = family if callable(family) else (lambda n: make_family_instance(family, n))
+    if t_max < 0:
+        raise ValueError(f"t_max must be >= 0, got {t_max}")
     records = []
     for n in ns:
         try:
-            upper = gen(n)
+            upper = make_family_instance(family, n)
         except UpsetError as exc:
             records.append(
                 SweepRecord(n, None, None, None, None, None, None, None, None,
@@ -137,19 +138,20 @@ class NecessaryConditionsReport:
 def necessary_conditions_report(
     records: Sequence[SweepRecord],
     variant: BoundVariant | None = None,
-    dim_convention: str = "unrestricted",
 ) -> NecessaryConditionsReport:
     """Observed-range form of the necessary conditions for the bound to
     keep informing.
 
     For each t, reports the smallest observed N past which sigma_{|F0|-t}
     is empty on every later row (None when the range never settles). Also
-    reports whether |F0| and dim (under ``dim_convention``) grow strictly,
-    and flags rows claiming nontrivial information while the minimals
-    still share a common element with K >= 2, which would contradict the
-    theory and indicates a bug. A row with an absent q or p_c still counts:
-    none of these needs them. Only rows whose instance was never built are
-    left out.
+    reports whether |F0| and the size of the smallest cover of any kind
+    (the unrestricted dimension, over the rows that have it) grow strictly;
+    the within-family dimension is |F0| itself, so the |F0| flag covers it.
+    It flags rows claiming nontrivial information while the minimals still
+    share a common element with K >= 2, which would contradict the theory
+    and indicates a bug. A row with an absent q or p_c still counts: none
+    of these needs them. Only rows whose instance was never built are left
+    out.
     """
     rows = [r for r in records if r.min_count is not None]
     if not rows:
@@ -175,12 +177,7 @@ def necessary_conditions_report(
         return all(b > a for a, b in zip(values, values[1:]))
 
     min_counts = [r.min_count for r in rows]
-    pick = (
-        (lambda r: r.dim_unrestricted)
-        if dim_convention == "unrestricted"
-        else (lambda r: r.dim_within_family)
-    )
-    dims = [pick(r) for r in rows if pick(r) is not None]
+    dims = [r.dim_unrestricted for r in rows if r.dim_unrestricted is not None]
 
     check_k = variant is None or variant.K >= 2.0
     contradictions = tuple(

@@ -15,6 +15,7 @@ import upsetkit
 from oracles import brute_pc, naive_min_cover_cost, naive_q, naive_sigma
 from upsetkit import (
     BoundVariant,
+    fmt,
     graph_connectivity,
     information_classification,
     min_cover_cost,
@@ -274,7 +275,7 @@ def test_criterion_11_dim_convention_disclosure():
 def _battery_outputs() -> tuple[str, str]:
     upsetkit.clear_caches()
     battery = upsetkit.builtin_battery()
-    reports = "\n".join(verify_instance(f, BELL).to_json() for _, f in battery)
+    reports = "\n".join(fmt.dumps(verify_instance(f, BELL).to_json_dict()) for _, f in battery)
     csv_text = records_to_csv(sweep("principal", range(2, 7), BELL), 2)
     csv_text += records_to_csv(sweep("connectivity", range(3, 6), BELL), 2)
     return reports, csv_text

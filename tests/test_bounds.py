@@ -8,10 +8,8 @@ from test_core import upper_sets
 from hypothesis import given, settings
 from upsetkit import (
     BoundVariant,
+    fmt,
     graph_connectivity,
-    kk_bound,
-    provides_nontrivial_info,
-    q_estimate_interval,
     verify_instance,
 )
 from upsetkit.core import from_minimal_bits
@@ -40,32 +38,40 @@ class TestVariant:
             BoundVariant(K=2.0, argument="ell0")
 
 
+def _check(report, name):
+    return next(c for c in report.inequality_checks if c.name == name)
+
+
+def _all_hold(report):
+    return all(c.holds for c in report.inequality_checks)
+
+
 class TestKkBound:
     def test_principal_park_vondrak(self):
-        got = kk_bound(PRINCIPAL3, BoundVariant.park_vondrak())
+        got = verify_instance(PRINCIPAL3, BoundVariant.park_vondrak()).bound_value
         assert got == pytest.approx(4.5 * 2 ** (-1 / 3) * math.log2(6), abs=1e-3)
         assert got == pytest.approx(9.233, abs=2e-3)
 
     def test_k3_bell(self):
-        got = kk_bound(graph_connectivity(3), BoundVariant.bell())
+        got = verify_instance(graph_connectivity(3), BoundVariant.bell()).bound_value
         assert got == pytest.approx(8 * 6**-0.5 * 2, abs=1e-6)
         assert got == pytest.approx(6.532, abs=1e-3)
 
     def test_natural_log_variant(self):
         # five disjoint singletons: q is exactly 1/10 and ell floors to 2
         up = from_minimal_bits(6, [1 << i for i in range(5)])
-        got = kk_bound(up, BoundVariant.kk(4.5, log_base="e"))
+        got = verify_instance(up, BoundVariant.kk(4.5, log_base="e")).bound_value
         assert got == pytest.approx(4.5 * 0.1 * math.log(2), abs=1e-6)
         assert got == pytest.approx(0.3119, abs=1e-3)
 
 
 class TestNontrivialInfo:
     def test_k3_bell_no_info(self):
-        assert not provides_nontrivial_info(graph_connectivity(3), BoundVariant.bell())
+        assert verify_instance(graph_connectivity(3), BoundVariant.bell()).nontrivial_info is False
 
     def test_small_q_gives_info(self):
         up = from_minimal_bits(6, [1 << i for i in range(5)])
-        assert provides_nontrivial_info(up, BoundVariant.kk(4.5, log_base="e"))
+        assert verify_instance(up, BoundVariant.kk(4.5, log_base="e")).nontrivial_info is True
 
     @pytest.mark.parametrize("variant", [
         BoundVariant.bell(),
@@ -76,33 +82,44 @@ class TestNontrivialInfo:
     def test_principal_never_informative_for_k_ge_2(self, variant):
         for k in range(1, 6):
             up = from_minimal_bits(k + 2, [(1 << k) - 1])
-            assert not provides_nontrivial_info(up, variant)
+            assert verify_instance(up, variant).nontrivial_info is False
 
 
 class TestQEstimateInterval:
+    # q sits in ((2 dim)^-1, (2 dim)^(-1/ell)); the report's two q-vs-dim
+    # checks carry q - lo and hi - q as their slacks
+    def _interval(self, up):
+        report = verify_instance(up, BoundVariant.bell())
+        dim = report.dim_unrestricted
+        lo, hi = (2.0 * dim) ** -1.0, (2.0 * dim) ** (-1.0 / up.ell)
+        assert _check(report, "q_ge_inverse_2dim").slack == pytest.approx(report.q - lo, abs=1e-15)
+        assert _check(report, "q_le_inverse_2dim_root_ell").slack == pytest.approx(
+            hi - report.q, abs=1e-15)
+        return dim, lo, hi, report
+
     def test_k3(self):
-        lo, hi = q_estimate_interval(graph_connectivity(3))
-        assert (lo, hi) == (0.25, 0.5)
-        q = upsetkit.expectation_threshold(graph_connectivity(3)).q
-        assert lo <= q <= hi
+        dim, lo, hi, report = self._interval(graph_connectivity(3))
+        assert (dim, lo, hi) == (2, 0.25, 0.5)
+        assert lo <= report.q <= hi
+        assert report.q == upsetkit.expectation_threshold(graph_connectivity(3)).q
 
     def test_principal_upper_boundary(self):
-        lo, hi = q_estimate_interval(PRINCIPAL3)
-        assert (lo, hi) == (0.5, 2 ** (-1 / 3))
-        q = upsetkit.expectation_threshold(PRINCIPAL3).q
-        assert q == pytest.approx(hi, abs=1e-9)
+        dim, lo, hi, report = self._interval(PRINCIPAL3)
+        assert (dim, lo, hi) == (1, 0.5, 2 ** (-1 / 3))
+        assert report.q == pytest.approx(hi, abs=1e-9)
+        assert _check(report, "q_le_inverse_2dim_root_ell").slack == pytest.approx(0.0, abs=1e-9)
 
     def test_singletons_lower_boundary(self):
-        lo, hi = q_estimate_interval(SINGLETONS2)
-        assert (lo, hi) == (0.25, 0.5)
-        q = upsetkit.expectation_threshold(SINGLETONS2).q
-        assert q == pytest.approx(lo, abs=1e-9)
+        dim, lo, hi, report = self._interval(SINGLETONS2)
+        assert (dim, lo, hi) == (2, 0.25, 0.5)
+        assert report.q == pytest.approx(lo, abs=1e-9)
+        assert _check(report, "q_ge_inverse_2dim").slack == pytest.approx(0.0, abs=1e-9)
 
 
 class TestVerifyInstance:
     def test_k3_all_hold(self):
         report = verify_instance(graph_connectivity(3), BoundVariant.bell())
-        assert report.all_hold
+        assert _all_hold(report)
         assert not report.nontrivial_info
         assert report.dim_unrestricted == 2
         assert report.dim_within_family == 3
@@ -190,13 +207,13 @@ class TestVerifyInstance:
     @settings(max_examples=25, deadline=None)
     def test_all_checks_hold_on_random_instances(self, up):
         report = verify_instance(up, BoundVariant.bell())
-        assert report.all_hold, [c for c in report.inequality_checks if not c.holds]
+        assert _all_hold(report), [c for c in report.inequality_checks if not c.holds]
 
 
 class TestReportSerialization:
     def test_fixed_field_order(self):
         report = verify_instance(graph_connectivity(3), BoundVariant.bell())
-        doc = json.loads(report.to_json())
+        doc = json.loads(fmt.dumps(report.to_json_dict()))
         assert list(doc) == [
             "variant", "ground_size", "min_count", "q", "p_c", "ell0", "ell",
             "dim_unrestricted", "dim_within_family", "bound_value", "width",
@@ -204,7 +221,7 @@ class TestReportSerialization:
         ]
 
     def test_byte_determinism_across_cache_clear(self):
-        first = verify_instance(graph_connectivity(3), BoundVariant.bell()).to_json()
+        first = fmt.dumps(verify_instance(graph_connectivity(3), BoundVariant.bell()).to_json_dict())
         upsetkit.clear_caches()
-        second = verify_instance(graph_connectivity(3), BoundVariant.bell()).to_json()
+        second = fmt.dumps(verify_instance(graph_connectivity(3), BoundVariant.bell()).to_json_dict())
         assert first == second

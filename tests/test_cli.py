@@ -155,14 +155,6 @@ class TestSweep:
             n = int(row[0])
             assert float(row[6]) == pytest.approx(2 ** (-1 / n), abs=1e-8)
 
-    def test_empty_range_header_only(self, capsys):
-        code, out, _ = run_main(
-            capsys, ["sweep", "--family", "connectivity", "--range", "3..2"]
-        )
-        assert code == 0
-        assert out.strip().split("\n") == [out.strip()]
-        assert out.startswith("n,min_count,")
-
     def test_summary_to_file(self, capsys, tmp_path):
         dest = tmp_path / "summary.json"
         code, _, err = run_main(
@@ -234,7 +226,7 @@ class TestVerify:
         bad = [l for l in out.strip().split("\n") if ",false," in l]
         assert any("sandwich_left_q_le_pc" in l for l in bad)
 
-    @pytest.mark.parametrize("flag", [["--t-max", "3"], ["--dim-convention", "unrestricted"]])
+    @pytest.mark.parametrize("flag", [["--t-max", "3"]])
     def test_sweep_only_flags_rejected(self, capsys, principal3_file, flag):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--instance", principal3_file, *flag])
@@ -326,6 +318,9 @@ class TestTolerance:
         assert err.endswith("  failed: 0\n")
 
 
+REVERSED_RANGE = "argument --range: range A..B needs A <= B, got '5..3'"
+
+
 class TestRejectedFlags:
     # a flag the command would not use is an error, not silently dropped
     @pytest.mark.parametrize("argv,message", [
@@ -352,6 +347,39 @@ class TestRejectedFlags:
         (["verify"], "one of the arguments --instance --family --battery is required"),
     ])
     def test_one_source_exit_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    # a value that would make the command check nothing or crash
+    @pytest.mark.parametrize("argv,message", [
+        (["verify", "--battery", "builtin", "--limit", "-200"], "--limit must be >= 0, got -200"),
+        (["sweep", "--family", "path2", "--range", "3..6", "--K", "2", "--t-max", "-1"],
+         "t_max must be >= 0, got -1"),
+        (["sweep", "--family", "path2", "--range", "3..6", "--K", "1", "--t-max", "-1"],
+         "t_max must be >= 0, got -1"),
+    ])
+    def test_negative_count_exit_2(self, capsys, argv, message):
+        code, out, err = run_main(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    # rejected by the parser: a reversed range, and --dim-convention, which
+    # is gone because the within-family dimension is |F0|, whose growth the
+    # sweep summary reports already
+    @pytest.mark.parametrize("argv,message", [
+        (["verify", "--family", "path2", "--range", "5..3"], REVERSED_RANGE),
+        (["compute", "--family", "path2", "--range", "5..3"], REVERSED_RANGE),
+        (["sweep", "--family", "path2", "--range", "5..3"], REVERSED_RANGE),
+        (["sweep", "--family", "principal", "--range", "2..3", "--dim-convention", "within-family"],
+         "unrecognized arguments: --dim-convention"),
+    ], ids=["verify-reversed-range", "compute-reversed-range", "sweep-reversed-range",
+            "sweep-dim-convention"])
+    def test_parser_rejects_exit_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2

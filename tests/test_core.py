@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from upsetkit import SubsetMask, UpperSet, normalize_to_antichain, parse_instance
-from upsetkit.core import from_minimal_bits
+from upsetkit.core import _reduce_to_antichain, from_minimal_bits
 from upsetkit.errors import (
     EmptyGenerators,
     SizeLimitExceeded,
@@ -178,6 +178,24 @@ class TestInvariantEnforcement:
     def test_direct_construction_rejects_empty(self):
         with pytest.raises(TrivialUpperSet):
             UpperSet(3, ())
+
+    def test_direct_construction_rejects_duplicate(self):
+        with pytest.raises(ValueError):
+            UpperSet(3, (SubsetMask(3, 0b011), SubsetMask(3, 0b011)))
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=6))))
+    @settings(max_examples=200)
+    def test_accepts_exactly_the_reducer_fixed_points(self, case):
+        # the raw masks are built in the order drawn, so unsorted, duplicated
+        # and nested lists all reach the constructor
+        n, bits = case
+        minimals = tuple(SubsetMask(n, b) for b in bits)
+        if _reduce_to_antichain(bits) == tuple(bits):
+            assert UpperSet(n, minimals).minimal_bits == tuple(bits)
+        else:
+            with pytest.raises(ValueError):
+                UpperSet(n, minimals)
 
 
 class TestDerivedFieldCache:
