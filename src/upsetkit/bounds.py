@@ -195,8 +195,8 @@ def verify_instance(
         slack = rhs - lhs if premise else None
         checks.append(InequalityCheck(name, not premise or slack >= -atol, slack))
 
-    # Sandwich: q <= p_c <= bound. p_c carries bisection error ~tol; q is
-    # certified to a few 1e-12.
+    # Sandwich: q <= p_c <= bound. p_c is the root of mu = 1/2 to float
+    # resolution and q is certified, so 2 * tol only absorbs rounding.
     add("sandwich_left_q_le_pc", q, p_c, 2 * tol)
     add("sandwich_right_pc_le_bound", p_c, bound_value, 2 * tol * max(1.0, variant.K * log_arg))
 

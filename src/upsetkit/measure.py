@@ -302,46 +302,77 @@ def _mc_span_hits(columns: list[tuple[int, ...]], p: float, samples: int, span: 
     return total
 
 
+def _interpolation_step(a: float, fa: float, b: float, fb: float, c: float, fc: float) -> float:
+    """The step from b to where the inverse quadratic through (a, fa),
+    (b, fb) and (c, fc) meets f = 0, in Newton's divided differences of p
+    as a function of f; the secant step through a and b when fa == fc."""
+    slope = (b - a) / (fb - fa)
+    if fa == fc:
+        return -fb * slope
+    curvature = (slope - (a - c) / (fa - fc)) / (fb - fc)
+    return -fb * (slope - fa * curvature)
+
+
 def critical_probability(
     upper: UpperSet,
     tol: float = 1e-9,
     method: str = "enumeration",
 ) -> CriticalProbability:
-    """The unique p with mu_p(F) = 1/2, located by bisection.
+    """The unique p with mu_p(F) = 1/2, located by Brent's method.
 
-    mu_p is strictly increasing in p for a nontrivial upper set, so the
-    bracket [0, 1] always contains exactly one crossing. Iteration continues
-    past bracket width <= tol until the residual |mu - 1/2| also drops
-    under tol (the crossing can be steep). If the bracket closes on adjacent
-    floats with the residual still above tol, no float meets tol, and
+    mu_p is strictly increasing in p for a nontrivial upper set, so
+    mu - 1/2 changes sign exactly once on [0, 1], where it is -1/2 and
+    +1/2. Inverse quadratic and secant steps shrink that sign-change
+    bracket, with a midpoint whenever a step would leave it or fails to
+    halve the step before last, until its ends are adjacent floats (or
+    mu = 1/2 exactly). p_c is the evaluated point with the smallest
+    residual |mu - 1/2|, so it is the root to float resolution whatever
+    tol is. If that residual is above tol, no float meets tol, and
     ValueError says so.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     evaluate = _exact(upper, method)
-    # The returned point is always the last evaluated midpoint, so the
-    # reported residual is the residual of p_c itself. Once the bracket is
-    # below tol, further halving keeps shrinking the midpoint's residual,
-    # which matters when mu crosses 1/2 steeply. Halving ends at adjacent
-    # floats, where the midpoint rounds onto an end of the bracket: no
-    # narrower bracket exists, so only the residual must meet tol there.
-    lo, hi = 0.0, 1.0
+    # Brent's bookkeeping: b is the newest point, c the other end of the
+    # bracket, a the point before b; b is kept the end with the smaller
+    # |f|. step is the last step and last the one before it.
+    a, fa = 0.0, -0.5
+    b, fb = 1.0, 0.5
+    c, fc = a, fa
+    step = last = b - a
+    p_c, residual = math.nan, math.inf
     while True:
-        p_c = 0.5 * (lo + hi)
-        value = evaluate(p_c)
-        residual = abs(value - 0.5)
-        adjacent = p_c == lo or p_c == hi
-        if residual <= tol and (hi - lo <= tol or adjacent):
-            return CriticalProbability(p_c, residual, tol)
-        if adjacent:
-            raise ValueError(
-                f"tol {tol:g} is finer than floats resolve: the bisection reached the "
-                f"adjacent floats {lo!r} and {hi!r} with residual {residual:.3e}"
-            )
-        if value < 0.5:
-            lo = p_c
+        if abs(fc) < abs(fb):
+            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
+        if math.nextafter(b, c) == c:
+            break
+        half = 0.5 * (c - b)
+        guess = _interpolation_step(a, fa, b, fb, c, fc) if abs(fa) > abs(fb) else 0.0
+        # an interpolated step must point into the bracket, end short of
+        # 3/4 of the way to c and halve the step before last
+        if 0 < guess / half < 1.5 and abs(guess) < 0.5 * abs(last):
+            last, step = step, guess
         else:
-            hi = p_c
+            last = step = half
+        a, fa = b, fb
+        b += step
+        if b == a or b == c:  # the step rounded onto an end of the bracket
+            b = math.nextafter(a, c)
+        fb = evaluate(b) - 0.5
+        if abs(fb) < residual:
+            p_c, residual = b, abs(fb)
+        if fb == 0:
+            break
+        if (fb > 0) == (fc > 0):  # the sign changes between a and b
+            c, fc = a, fa
+            step = last = b - a
+    if residual > tol:
+        lo, hi = sorted((b, c))
+        raise ValueError(
+            f"tol {tol:g} is finer than floats resolve: mu - 1/2 changes sign between the "
+            f"adjacent floats {lo!r} and {hi!r}, with residual {residual:.3e}"
+        )
+    return CriticalProbability(p_c, residual, tol)
 
 
 def clear_caches() -> None:

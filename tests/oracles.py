@@ -12,6 +12,7 @@ import functools
 import itertools
 import math
 import operator
+import struct
 from fractions import Fraction
 
 
@@ -46,6 +47,74 @@ def signed_union_counts(min_bits: list[int], n: int) -> tuple[int, ...]:
         for combo in itertools.combinations(min_bits, r):
             coeffs[bin(functools.reduce(operator.or_, combo)).count("1")] += sign
     return tuple(coeffs)
+
+
+def member_counts(min_bits: list[int], n: int) -> list[int]:
+    """N_k, the number of subsets of size k that contain some minimal,
+    counted over all 2^n subsets."""
+    counts = [0] * (n + 1)
+    for s in range(1 << n):
+        if any(m & s == m for m in min_bits):
+            counts[bin(s).count("1")] += 1
+    return counts
+
+
+def profile_sign(counts: list[int], n: int):
+    """p -> the sign of mu(p) - 1/2 for mu(p) = sum_k N_k p^k (1-p)^(n-k),
+    exactly: for a float p = a / 2^e in (0, 1), the big-int sum
+    sum_k N_k a^k (2^e - a)^(n-k) against 2^(e n - 1)."""
+
+    def sign(p: float) -> int:
+        a, d = p.as_integer_ratio()  # d = 2^e
+        total = sum(c * a**k * (d - a) ** (n - k) for k, c in enumerate(counts))
+        half = d**n // 2
+        return (total > half) - (total < half)
+
+    return sign
+
+
+def coeffs_sign(coeffs: tuple[int, ...]):
+    """p -> the sign of mu(p) - 1/2 for mu(p) = sum_j c_j p^j, exactly: for
+    a float p = a / 2^e in (0, 1), the big-int sum sum_j c_j a^j 2^(e(J-j))
+    against 2^(e J - 1), J the top degree."""
+    top = len(coeffs) - 1
+
+    def sign(p: float) -> int:
+        a, d = p.as_integer_ratio()
+        total = sum(c * a**j * d ** (top - j) for j, c in enumerate(coeffs))
+        half = d**top // 2
+        return (total > half) - (total < half)
+
+    return sign
+
+
+def _float_bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _bits_float(b: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", b))[0]
+
+
+def exact_root_bracket(sign) -> tuple[float, float]:
+    """The adjacent floats lo < hi between which the exact mu - 1/2 changes
+    sign, or (p, p) when mu(p) = 1/2 exactly at a float p.
+
+    Bisects over the bit patterns of the floats in [0, 1], which order like
+    the floats, taking each sign from ``sign`` (``profile_sign`` or
+    ``coeffs_sign``); mu - 1/2 is -1/2 at 0 and +1/2 at 1.
+    """
+    lo, hi = _float_bits(0.0), _float_bits(1.0)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        s = sign(_bits_float(mid))
+        if s == 0:
+            return _bits_float(mid), _bits_float(mid)
+        if s < 0:
+            lo = mid
+        else:
+            hi = mid
+    return _bits_float(lo), _bits_float(hi)
 
 
 def naive_sigma(sets_bits: list[int], k: int, n: int) -> int:

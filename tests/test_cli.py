@@ -185,7 +185,7 @@ class TestSweep:
         upsetkit.clear_caches()
         code, _, _ = run_main(capsys, ["sweep", "--family", "connectivity", "--range", "3..5"])
         assert code == 0
-        # one p_c bisection and both dimensions per row
+        # one p_c search and both dimensions per row
         assert sorted(calls) == ["covering_dimension"] * 6 + ["critical_probability"] * 3
 
     def test_bad_range_argument(self, capsys):
@@ -202,7 +202,7 @@ class TestVerify:
         assert lines[0] == "instance,check,holds,slack"
         sandwich = next(l for l in lines if "sandwich_left_q_le_pc" in l)
         assert ",true," in sandwich
-        # q = p_c for a principal instance: slack is 0 up to bisection error
+        # q = p_c for a principal instance: slack is 0 up to float rounding
         assert abs(float(sandwich.split(",")[3])) <= 2e-9
 
     def test_battery_subset(self, capsys):
@@ -211,6 +211,15 @@ class TestVerify:
         )
         assert code == 0
         assert all(",true," in l or l.startswith("instance,") for l in out.strip().split("\n"))
+
+    def test_battery_q_le_pc_at_float_resolution(self, capsys):
+        # p_c is the root of mu = 1/2 to float resolution, so q <= p_c needs
+        # no tol allowance: q sits at most an ulp above that root
+        code, out, _ = run_main(capsys, ["verify", "--battery", "builtin"])
+        assert code == 0
+        slacks = [float(l.rsplit(",", 1)[1]) for l in out.splitlines() if ",sandwich_left_q_le_pc," in l]
+        assert len(slacks) == 203
+        assert min(slacks) >= -1e-15
 
     def test_corrupted_q_fails_with_exit_1(self, capsys, principal3_file, monkeypatch):
         import upsetkit.bounds
@@ -254,7 +263,7 @@ class TestVerify:
         upsetkit.clear_caches()
         code, _, _ = run_main(capsys, ["verify", "--instance", str(path)])
         assert code == 0
-        # one p_c bisection, one dimension search per convention
+        # one p_c search, one dimension search per convention
         assert sorted(calls) == ["covering_dimension"] * 2 + ["critical_probability"]
 
     def test_witness_cost_checked_at_reported_q(self, capsys, k3_file):
@@ -421,28 +430,28 @@ class TestDeterminism:
     # sha256 of stdout; any change to a printed number or row changes it
     PINNED = {
         ("verify", "--battery", "builtin"):
-            "65f67c6ad326e3d28df43fc7557e9448d788f5e4161221f066c8af101d3daf9f",
+            "f4ea6bd945b72b1c8e4152c194935c4d0cf3fb88d099bea95c4b914b12c3bae9",
         ("sweep", "--family", "hamilton", "--range", "4..6"):
-            "e63dc2a7e2ddf218fd143262a02a6d67e57efc461f2f49a5aa3f2b99ac33bcca",
+            "f00f969bd9b2491c41dbe9bff6b7b8482130eac1fb69c59156586f214cf5900e",
         ("compute", "--family", "connectivity", "--range", "4..4"):
-            "c253cebb931e4ba691cbfffa70f642d816b4d3dd17fc339bf9aec06b2d841f00",
+            "37634c02aa7d06a496923ea6928ec88c10602489f7629e4e6c3e6dc0d321d285",
         ("compute", "--family", "hamilton", "--range", "6..6"):
-            "c7eb2b42132380b9e3380dbeb3e41a08c3ff9f68e7719a06fce900c1b5ee9168",
+            "7dcb895fcd2aa7c09f5d2ec7894751400d721dfb14d8e0a2b3c02b7ebac79a18",
         ("sweep", "--family", "principal", "--range", "1..20"):
-            "bc4441537e5dbc4d5ff49bef841888dea4a81916d9d6bf53a7c0829d08a2052d",
+            "3d62ff13e5313e693b66dc9f0ab8773b277b9a32f702f837a5d8d935e73168c7",
         # the q and dim cells of the largest cover searches
         ("sweep", "--family", "triangle", "--range", "3..7"):
-            "e63c95e7b8df615cb782c827e6b541a9aefbf8e4befcb6e981d845f10ea0a4cc",
+            "ff0f6c402a2716291a182c5a03499bf7e910329eb80ba63c14a4831b09faa188",
         ("sweep", "--family", "star3", "--range", "4..7"):
-            "affca712b6584afd22cd597280a52d485f7c28633b8930dbbd52f5e4fc12036c",
+            "20c12df3db4dbcaf96d8de7161481349385b1ce4fa7423d1e793f72d3dcee4c3",
         ("sweep", "--family", "path2", "--range", "3..8"):
-            "6c52757f9ba7694e046fab442108d08065a4185cc4b9fbeadc613f55dbb7ffe4",
+            "a8cce19861146b0966699e524c4cfb41cb49653a35bf97148573cfaf3f695dda",
         ("sweep", "--family", "matching2", "--range", "4..7"):
-            "2313f23cf11bb639981d1a86fa7e79b148943cebdfdf6fcc078f889dad529611",
+            "74994d97ca37f37c1e141f1b680d47d10a55e8a75dddf80caa10e8e388c08700",
         ("sweep", "--family", "connectivity", "--range", "3..5"):
-            "4da90696143401262c4b5cc0292f975165be0d60b00c3010d6e8fc0587c00670",
+            "cabff192467288eeec20b03bd12054122edf98d88681a390a6b1691d710e7b28",
         ("verify", "--battery", "builtin", "--format", "json"):
-            "a67cb5ab8465ab6122928c7919aa8d415e84969188f65b0be6fcb05fb4b2ebc5",
+            "e8c0d5ceaa31ceddf4d398b3246a0cf1219edd8a2e7108455079b44f45d0babc",
     }
 
     @pytest.mark.parametrize("argv", list(PINNED))

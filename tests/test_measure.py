@@ -9,13 +9,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_mu, brute_pc, connectivity_profile, signed_union_counts
+from oracles import (
+    brute_mu,
+    brute_pc,
+    coeffs_sign,
+    connectivity_profile,
+    exact_root_bracket,
+    member_counts,
+    profile_sign,
+    signed_union_counts,
+)
 from test_core import upper_sets
 from upsetkit import bounds, critical_probability, graph_connectivity, measure, mu
 from upsetkit.core import from_minimal_bits
 from upsetkit.errors import MissingMcParams, SizeLimitExceeded
-from upsetkit.families import make_family_instance
+from upsetkit.families import builtin_battery, make_family_instance
 from upsetkit.measure import (
+    EXACT_METHODS,
     MC_CHUNK_ROWS,
     MC_DRAW_ROWS,
     _enumeration_profile,
@@ -391,3 +401,42 @@ class TestCriticalProbability:
         res = critical_probability(up, tol=1e-9)
         assert res.residual <= 1e-9
         assert 0.0 < res.p_c < 1.0
+
+    def test_battery_within_1e_14_of_exact_root(self):
+        for name, up in builtin_battery():
+            n = up.ground_size
+            lo, hi = exact_root_bracket(profile_sign(member_counts(list(up.minimal_bits), n), n))
+            p_c = critical_probability(up, 1e-9, measure.auto_exact_method(up)).p_c
+            assert lo - 1e-14 <= p_c <= hi + 1e-14, name
+
+    @given(st.one_of(upper_sets(max_ground=12, max_gens=12), same_size_antichains()))
+    @settings(max_examples=60, deadline=None)
+    def test_both_methods_within_1e_14_of_exact_root(self, up):
+        n, bits = up.ground_size, list(up.minimal_bits)
+        lo, hi = exact_root_bracket(profile_sign(member_counts(bits, n), n))
+        # the same polynomial in its other basis crosses 1/2 between the same floats
+        assert exact_root_bracket(coeffs_sign(signed_union_counts(bits, n))) == (lo, hi)
+        for method in EXACT_METHODS:
+            p_c = critical_probability(up, 1e-9, method).p_c
+            assert lo - 1e-14 <= p_c <= hi + 1e-14, method
+
+    def test_principal_within_1e_14_of_inverse_root_of_two(self):
+        # mu = p^k for a principal upper set with a k-element generator
+        principals = [up for name, up in builtin_battery() if name.startswith("principal")]
+        principals += [make_family_instance("principal", k) for k in range(1, 21)]
+        for up in principals:
+            k = up.ell0
+            assert abs(critical_probability(up).p_c - 2 ** (-1 / k)) <= 1e-14, k
+
+    def test_battery_within_eval_budget(self, monkeypatch):
+        calls = []
+        for name in ("_eval_enumeration", "_eval_inclusion_exclusion"):
+            def counted(*args, _original=getattr(measure, name)):
+                calls.append(args[-1])
+                return _original(*args)
+
+            monkeypatch.setattr(measure, name, counted)
+        for _, up in builtin_battery():
+            critical_probability(up, 1e-9, measure.auto_exact_method(up))
+        # the exact count over the 203 battery instances
+        assert len(calls) <= 1677
