@@ -176,7 +176,7 @@ def verify_instance(
     dim = {d.convention: d.dim for d in dimensions}
     dim_u, dim_f = dim.get("unrestricted"), dim.get("within_family")
 
-    m = len(upper.minimals)
+    m = len(upper.minimal_bits)
     t = max_nonempty_sigma_index(upper)
     sigma_profile = tuple((k, k > t) for k in range(1, m + 1))
     log_arg = variant.log_argument(upper)
@@ -209,7 +209,7 @@ def verify_instance(
         # tightest case is k = t, so one slack covers all of them.
         add("dim_vs_sigma_all_k", float(dim_u), float(m + 1 - t), 0.0)
 
-    intersection_nonempty = not upper.minimals_intersection().is_empty
+    intersection_nonempty = t == m  # some element lies in every minimal
     add("nonempty_intersection_forces_bound_ge_1", 1.0, bound_value, 2 * tol * variant.K,
         premise=intersection_nonempty and variant.K >= 2.0)
     if dim_u is not None:

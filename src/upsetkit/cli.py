@@ -210,7 +210,7 @@ def _instance_checks(name: str, upper: UpperSet, variant: BoundVariant, tol: flo
     hi = mu(upper, 1.0, method).value
     rows.append((name, "mu_boundaries", lo == 0.0 and hi == 1.0, None))
 
-    if upper.ground_size <= 12 and len(upper.minimals) <= 10:
+    if upper.ground_size <= 12 and len(upper.minimal_bits) <= 10:
         gap = abs(
             mu(upper, 0.3, "enumeration").value
             - mu(upper, 0.3, "inclusion_exclusion").value

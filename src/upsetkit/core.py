@@ -2,8 +2,9 @@
 
 The ground set is always {0, ..., n-1}. A subset is stored as an integer
 bitmask of fixed width n; an upper set (nontrivial monotone property) is
-stored as its canonical minimal antichain. All types are immutable values,
-so they hash, compare, and share across workers safely.
+stored as the integer masks of its canonical minimal antichain, which its
+one constructor reduces from any generating list. All types are immutable
+values, so they hash, compare, and share across workers safely.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ class SubsetMask:
     def __post_init__(self):
         if self.width < 1:
             raise ValueError(f"width must be positive, got {self.width}")
-        if not 0 <= self.bits < (1 << self.width):
+        if self.bits < 0 or self.bits.bit_length() > self.width:
             raise ValueError(f"bits 0x{self.bits:x} out of range for width {self.width}")
 
     @classmethod
@@ -105,44 +106,50 @@ def _reduce_to_antichain(bits_list: Sequence[int]) -> tuple[int, ...]:
     return tuple(kept)
 
 
+def check_ground_cap(ground_size: int) -> None:
+    """Raise ``SizeLimitExceeded`` past ``GROUND_SIZE_CAP``."""
+    if ground_size > GROUND_SIZE_CAP:
+        raise SizeLimitExceeded(
+            f"ground_size {ground_size} exceeds exact-operation cap {GROUND_SIZE_CAP}"
+        )
+
+
 @dataclass(frozen=True)
 class UpperSet:
     """A nontrivial monotone property, stored as its minimal antichain.
 
-    ``minimals`` is canonically ordered (popcount, then numeric value); the
-    property contains exactly the supersets of its minimal elements.
-    Construct through :func:`normalize_to_antichain` or a families generator
-    so the antichain and nontriviality invariants always hold.
+    ``UpperSet(ground_size, bits)`` is the one constructor. It takes any
+    nonempty list of nonempty integer masks inside the ground set and keeps
+    their inclusion-minimal masks as ``minimal_bits``, canonically ordered
+    (popcount, then numeric value); duplicates and absorbed supersets are
+    dropped. The property contains exactly the supersets of its minimal
+    elements.
 
-    ``minimal_bits`` and ``ell0`` are computed on first use and kept in the
-    instance ``__dict__``; the fields stay frozen.
+    ``minimals``, the same masks as ``SubsetMask`` values, is computed on
+    first use and kept in the instance ``__dict__``; the fields stay frozen.
     """
 
     ground_size: int
-    minimals: tuple[SubsetMask, ...]
+    minimal_bits: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.minimals:
-            raise TrivialUpperSet("an upper set needs at least one minimal element")
-        for m in self.minimals:
-            if m.width != self.ground_size:
-                raise WidthMismatch(
-                    f"minimal width {m.width} != ground_size {self.ground_size}"
-                )
-            if m.is_empty:
-                raise TrivialUpperSet("the empty set cannot be a minimal element")
-        # The reducer's fixed points are exactly the strictly canonically
-        # ordered antichains.
-        if _reduce_to_antichain(self.minimal_bits) != self.minimal_bits:
-            raise ValueError("minimals must be an antichain in strict canonical order")
+        n = self.ground_size
+        if n < 1:
+            raise ValueError(f"ground_size must be positive, got {n}")
+        check_ground_cap(n)
+        bits = self.minimal_bits
+        if not bits:
+            raise EmptyGenerators("at least one generator is required")
+        lo, hi = min(bits), max(bits)
+        if lo < 0 or hi >> n:
+            raise ValueError(f"minimal masks must lie inside the ground set of size {n}")
+        if lo == 0:
+            raise TrivialUpperSet("empty generator would make the property all of 2^X")
+        object.__setattr__(self, "minimal_bits", _reduce_to_antichain(bits))
 
     @functools.cached_property
-    def minimal_bits(self) -> tuple[int, ...]:
-        return tuple(m.bits for m in self.minimals)
-
-    def __hash__(self) -> int:
-        # equal instances have equal minimal_bits; ints hash faster than masks
-        return hash((self.ground_size, self.minimal_bits))
+    def minimals(self) -> tuple[SubsetMask, ...]:
+        return tuple(SubsetMask(self.ground_size, b) for b in self.minimal_bits)
 
     def contains(self, s: SubsetMask) -> bool:
         """True iff s is a superset of some minimal element."""
@@ -153,10 +160,10 @@ class UpperSet:
         b = s.bits
         return any(m & b == m for m in self.minimal_bits)
 
-    @functools.cached_property
+    @property
     def ell0(self) -> int:
-        """Size of the largest minimal element."""
-        return max(m.popcount for m in self.minimals)
+        """Size of the largest minimal element, the last in canonical order."""
+        return self.minimal_bits[-1].bit_count()
 
     @property
     def ell(self) -> int:
@@ -180,32 +187,16 @@ class UpperSet:
 
 
 def normalize_to_antichain(ground_size: int, generators: Sequence[SubsetMask]) -> UpperSet:
-    """Build the upper set generated by ``generators``.
-
-    The result's minimal elements are exactly the inclusion-minimal
-    generators, canonically ordered; duplicates and absorbed supersets are
-    dropped.
-    """
-    if ground_size < 1:
-        raise ValueError(f"ground_size must be positive, got {ground_size}")
-    if ground_size > GROUND_SIZE_CAP:
-        raise SizeLimitExceeded(
-            f"ground_size {ground_size} exceeds exact-operation cap {GROUND_SIZE_CAP}"
-        )
-    if not generators:
-        raise EmptyGenerators("at least one generator is required")
+    """The upper set generated by ``generators``, masks of width ``ground_size``."""
     for g in generators:
         if g.width != ground_size:
             raise WidthMismatch(f"generator width {g.width} != ground_size {ground_size}")
-        if g.is_empty:
-            raise TrivialUpperSet("empty generator would make the property all of 2^X")
-    reduced = _reduce_to_antichain([g.bits for g in generators])
-    return UpperSet(ground_size, tuple(SubsetMask(ground_size, b) for b in reduced))
+    return UpperSet(ground_size, [g.bits for g in generators])
 
 
 def from_minimal_bits(ground_size: int, bits_list: Sequence[int]) -> UpperSet:
-    """Internal-ish fast path: build from raw integer masks."""
-    return normalize_to_antichain(ground_size, [SubsetMask(ground_size, b) for b in bits_list])
+    """The upper set generated by raw integer masks: ``UpperSet(ground_size, bits_list)``."""
+    return UpperSet(ground_size, bits_list)
 
 
 @dataclass(frozen=True)
@@ -277,7 +268,7 @@ def parse_instance(data: str | dict) -> UpperSet:
     if not masks:
         raise EmptyGenerators("minimal_elements is empty")
     upper = normalize_to_antichain(ground_size, masks)
-    if not normalize and len(upper.minimals) != len(masks):
+    if not normalize and len(upper.minimal_bits) != len(masks):
         raise ValueError(
             "minimal_elements is not an antichain; set \"normalize\": true to reduce it"
         )

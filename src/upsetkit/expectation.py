@@ -106,7 +106,7 @@ def candidate_cover_elements(
     upper: UpperSet, cap: int = CANDIDATE_GENERATION_CAP
 ) -> tuple[SubsetMask, ...]:
     """All nonempty subsets of minimal elements, deduplicated, canonical order."""
-    total = sum(1 << m.popcount for m in upper.minimals)
+    total = sum(1 << m.bit_count() for m in upper.minimal_bits)
     if total > cap:
         raise SizeLimitExceeded(
             f"candidate generation would touch {total} masks, above cap {cap}"

@@ -3,7 +3,8 @@ random antichains, and the builtin verification battery.
 
 Graph-backed instances map the edges of the complete graph K_n to ground
 indices lexicographically by (min endpoint, max endpoint), so instance
-files are portable across runs and platforms.
+files are portable across runs and platforms. The ``FAMILIES`` generators
+check their ground size against ``GROUND_SIZE_CAP`` before enumerating.
 """
 
 from __future__ import annotations
@@ -15,10 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import SubsetMask, UpperSet, from_minimal_bits, normalize_to_antichain
-from .errors import OutOfRange, SizeLimitExceeded, TrivialUpperSet, WidthMismatch
-
-EMBEDDING_CAP = 1_000_000
+from .core import SubsetMask, UpperSet, check_ground_cap, from_minimal_bits
+from .errors import OutOfRange, TrivialUpperSet, WidthMismatch
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,7 @@ def principal(ground_size: int, s: SubsetMask) -> UpperSet:
         raise WidthMismatch(f"mask width {s.width} != ground_size {ground_size}")
     if s.is_empty or s.popcount == ground_size:
         raise TrivialUpperSet("principal generator must be neither empty nor the full set")
-    return normalize_to_antichain(ground_size, [s])
+    return UpperSet(ground_size, [s.bits])
 
 
 def _prufer_decode(seq: Sequence[int], n: int, ground: GraphGround) -> int:
@@ -91,7 +90,7 @@ def graph_connectivity(n: int) -> UpperSet:
         for seq in itertools.product(range(n), repeat=n - 2)
     ]
     upper = from_minimal_bits(ground.num_edges, trees)
-    assert len(upper.minimals) == n ** (n - 2), "spanning tree count disagrees with Cayley"
+    assert len(upper.minimal_bits) == n ** (n - 2), "spanning tree count disagrees with Cayley"
     return upper
 
 
@@ -107,13 +106,9 @@ def subgraph_containment(n: int, h_edges: Sequence[tuple[int, int]]) -> UpperSet
     k = len(verts)
     if k > n:
         raise OutOfRange(f"H has {k} vertices, more than n = {n}")
-    count = 1
-    for i in range(k):
-        count *= n - i
-    if count > EMBEDDING_CAP:
-        raise SizeLimitExceeded(f"{count} embeddings exceed cap {EMBEDDING_CAP}")
-    pos = {v: i for i, v in enumerate(verts)}
     ground = GraphGround(n)
+    check_ground_cap(ground.num_edges)
+    pos = {v: i for i, v in enumerate(verts)}
     images = set()
     for target in itertools.permutations(range(n), k):
         bits = 0
@@ -153,6 +148,7 @@ def random_upper_set(ground_size: int, count: int, max_size: int, seed: int) -> 
 
 def _family_principal(n: int) -> UpperSet:
     # Parameter n is the size of the single minimal element.
+    check_ground_cap(n + 1)
     return principal(n + 1, SubsetMask.from_indices(n + 1, range(n)))
 
 
@@ -176,6 +172,7 @@ def _family_singletons(n: int) -> UpperSet:
     # n disjoint singleton minimals on a ground set one element larger.
     if n < 1:
         raise OutOfRange("singletons family needs n >= 1")
+    check_ground_cap(n + 1)
     return from_minimal_bits(n + 1, [1 << i for i in range(n)])
 
 

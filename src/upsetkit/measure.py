@@ -112,7 +112,7 @@ def _enumeration_profile(upper: UpperSet) -> EnumerationProfile:
 @lru_cache(maxsize=1024)
 def _inclusion_exclusion_coeffs(upper: UpperSet) -> tuple[int, ...]:
     """c_j with mu(p) = sum_j c_j p^j, from signed union-size counts."""
-    m = len(upper.minimals)
+    m = len(upper.minimal_bits)
     if m > INCLUSION_EXCLUSION_MINIMALS_CAP:
         raise SizeLimitExceeded(
             f"inclusion-exclusion needs |F0| <= {INCLUSION_EXCLUSION_MINIMALS_CAP}, got {m}"
@@ -152,11 +152,11 @@ def auto_exact_method(upper: UpperSet) -> str:
     inclusion-exclusion over few minimals."""
     if upper.ground_size <= AUTO_ENUMERATION_CAP:
         return "enumeration"
-    if len(upper.minimals) <= AUTO_INCLUSION_EXCLUSION_CAP:
+    if len(upper.minimal_bits) <= AUTO_INCLUSION_EXCLUSION_CAP:
         return "inclusion_exclusion"
     raise SizeLimitExceeded(
         f"no exact method: ground_size {upper.ground_size} > {AUTO_ENUMERATION_CAP} "
-        f"and |F0| {len(upper.minimals)} > {AUTO_INCLUSION_EXCLUSION_CAP}"
+        f"and |F0| {len(upper.minimal_bits)} > {AUTO_INCLUSION_EXCLUSION_CAP}"
     )
 
 

@@ -91,7 +91,7 @@ def max_nonempty_sigma_index(upper: UpperSet) -> int:
 
 def dim_upper_bound_via_sigma(upper: UpperSet) -> int:
     """|F0| + 1 - max{m : sigma_m nonempty}, an upper bound for dim(F)."""
-    return len(upper.minimals) + 1 - max_nonempty_sigma_index(upper)
+    return len(upper.minimal_bits) + 1 - max_nonempty_sigma_index(upper)
 
 
 def _block(min_bits: tuple[int, ...], x: int) -> int:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -424,6 +425,32 @@ class TestFamily:
         code, out2, _ = run_main(capsys, ["compute", "--instance", str(path)])
         assert code == 0
         assert json.loads(out2)["min_count"] == 4
+
+
+class TestOutOfRangeSizes:
+    @pytest.mark.parametrize("argv, ground", [
+        (["verify", "--instance", "HUGE"], 100_000_000_000),
+        (["family", "singletons", "--n", "3000000"], 3_000_001),
+        (["family", "principal", "--n", "100000000"], 100_000_001),
+        (["family", "path2", "--n", "100"], 4950),
+        (["family", "hamilton", "--n", "100000"], 4_999_950_000),
+        (["sweep", "--family", "path2", "--range", "98..100"], None),
+    ])
+    def test_fails_fast_on_the_ground_cap(self, capsys, tmp_path, argv, ground):
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps({"ground_size": 100_000_000_000, "minimal_elements": [[0]]}))
+        argv = [str(huge) if a == "HUGE" else a for a in argv]
+        t0 = time.perf_counter()
+        code, out, err = run_main(capsys, argv)
+        assert time.perf_counter() - t0 < 1.0
+        if ground is None:  # a sweep goes on, leaving each row past the cap empty
+            assert code == 0
+            rows = [line.split(",") for line in out.splitlines()[1:]]
+            assert [r[0] for r in rows] == ["98", "99", "100"]
+            assert all(set(r[1:]) == {""} for r in rows)
+        else:
+            assert (code, out) == (3, "")
+            assert err == f"error: ground_size {ground} exceeds exact-operation cap 30\n"
 
 
 class TestDeterminism:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from upsetkit import SubsetMask, UpperSet, normalize_to_antichain, parse_instance
+from upsetkit import SubsetMask, UpperSet, core, normalize_to_antichain, parse_instance
 from upsetkit.core import _reduce_to_antichain, from_minimal_bits
 from upsetkit.errors import (
     EmptyGenerators,
@@ -166,43 +166,87 @@ class TestSerialization:
             parse_instance({"ground_size": 3, "minimal_elements": [[]]})
 
 
-class TestInvariantEnforcement:
-    def test_direct_construction_rejects_nesting(self):
-        with pytest.raises(ValueError):
-            UpperSet(3, (SubsetMask(3, 0b001), SubsetMask(3, 0b011)))
+def bit_lists(max_ground=6, max_gens=6):
+    """Hypothesis strategy for (n, bits): raw nonempty masks in the order
+    drawn, so unsorted, duplicated and nested lists all occur."""
+    return st.integers(1, max_ground).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=max_gens),
+    ))
 
-    def test_direct_construction_rejects_bad_order(self):
-        with pytest.raises(ValueError):
-            UpperSet(3, (SubsetMask(3, 0b110), SubsetMask(3, 0b011)))
+
+def _front_doors(n, bits):
+    """The same generators through every public way of building an instance."""
+    masks = [SubsetMask(n, b) for b in bits]
+    doc = {
+        "ground_size": n,
+        "minimal_elements": [list(m.indices()) for m in masks],
+        "normalize": True,
+    }
+    return {
+        "UpperSet": lambda: UpperSet(n, bits),
+        "from_minimal_bits": lambda: from_minimal_bits(n, bits),
+        "normalize_to_antichain": lambda: normalize_to_antichain(n, masks),
+        "parse_instance": lambda: parse_instance(doc),
+    }
+
+
+class TestInvariantEnforcement:
+    @pytest.mark.parametrize("bits, kept", [
+        ((0b001, 0b011), (0b001,)),
+        ((0b110, 0b011), (0b011, 0b110)),
+        ((0b011, 0b011), (0b011,)),
+    ], ids=["nesting", "bad_order", "duplicate"])
+    def test_direct_construction_reduces(self, bits, kept):
+        assert UpperSet(3, bits).minimal_bits == kept
 
     def test_direct_construction_rejects_empty(self):
-        with pytest.raises(TrivialUpperSet):
+        with pytest.raises(EmptyGenerators):
             UpperSet(3, ())
 
-    def test_direct_construction_rejects_duplicate(self):
-        with pytest.raises(ValueError):
-            UpperSet(3, (SubsetMask(3, 0b011), SubsetMask(3, 0b011)))
+    def test_direct_construction_rejects_empty_mask(self):
+        with pytest.raises(TrivialUpperSet):
+            UpperSet(3, (0b011, 0))
 
-    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
-        st.just(n), st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=6))))
+    @pytest.mark.parametrize("bad", [0b1000, -1])
+    def test_direct_construction_rejects_mask_outside_ground(self, bad):
+        with pytest.raises(ValueError, match="inside the ground set of size 3"):
+            UpperSet(3, (0b011, bad))
+
+    @given(bit_lists())
     @settings(max_examples=200)
-    def test_accepts_exactly_the_reducer_fixed_points(self, case):
-        # the raw masks are built in the order drawn, so unsorted, duplicated
-        # and nested lists all reach the constructor
+    def test_stores_the_reduced_bits(self, case):
         n, bits = case
-        minimals = tuple(SubsetMask(n, b) for b in bits)
-        if _reduce_to_antichain(bits) == tuple(bits):
-            assert UpperSet(n, minimals).minimal_bits == tuple(bits)
-        else:
-            with pytest.raises(ValueError):
-                UpperSet(n, minimals)
+        assert UpperSet(n, bits).minimal_bits == _reduce_to_antichain(bits)
+
+    @given(bit_lists(), st.data())
+    @settings(max_examples=100)
+    def test_front_doors_agree(self, case, data):
+        n, bits = case
+        shuffled = data.draw(st.permutations(bits))
+        built = [door() for door in _front_doors(n, bits).values()]
+        built += [door() for door in _front_doors(n, shuffled).values()]
+        assert all(up == built[0] and hash(up) == hash(built[0]) for up in built)
+
+    @pytest.mark.parametrize("door", list(_front_doors(4, [0b1100, 0b0011, 0b0111])))
+    def test_each_front_door_reduces_once(self, monkeypatch, door):
+        real, calls = _reduce_to_antichain, []
+
+        def counted(bits_list):
+            calls.append(bits_list)
+            return real(bits_list)
+
+        monkeypatch.setattr(core, "_reduce_to_antichain", counted)
+        up = _front_doors(4, [0b1100, 0b0011, 0b0111])[door]()
+        assert up.minimal_bits == (0b0011, 0b1100)
+        assert len(calls) == 1
 
 
 class TestDerivedFieldCache:
-    def test_minimal_bits_computed_once(self):
-        up = from_minimal_bits(4, [0b0011, 0b1100])
-        assert up.minimal_bits is up.minimal_bits
-        assert up.minimal_bits == (0b0011, 0b1100)
+    def test_minimals_computed_once(self):
+        up = from_minimal_bits(4, [0b1100, 0b0011])
+        assert up.minimals is up.minimals
+        assert up.minimals == (SubsetMask(4, 0b0011), SubsetMask(4, 0b1100))
 
     @given(upper_sets(), upper_sets())
     @settings(max_examples=100)
@@ -223,14 +267,14 @@ class TestDerivedFieldCache:
 
     def test_pickle_round_trip(self):
         up = from_minimal_bits(5, [0b00011, 0b01100, 0b10101])
-        up.minimal_bits, up.ell0  # pickle the cached values too
+        up.minimals  # pickle the cached value too
         copy = pickle.loads(pickle.dumps(up))
         assert copy == up and hash(copy) == hash(up)
-        assert copy.minimal_bits == up.minimal_bits and copy.ell0 == up.ell0
+        assert copy.minimals == up.minimals and copy.ell0 == up.ell0
 
     @pytest.mark.parametrize("name", ["ground_size", "minimals", "minimal_bits", "ell0"])
     def test_fields_stay_frozen(self, name):
         up = from_minimal_bits(3, [0b011])
-        up.minimal_bits, up.ell0  # cached values sit in __dict__ from here on
+        up.minimals  # the cached value sits in __dict__ from here on
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(up, name, 1)

@@ -93,6 +93,12 @@ class TestMaxNonemptyIndex:
         top = max(k for k in range(1, len(bits) + 1) if naive_sigma(bits, k, n))
         assert max_nonempty_sigma_index(up) == top
 
+    @given(upper_sets(max_ground=10))
+    @settings(max_examples=100)
+    def test_top_is_count_iff_minimals_intersect(self, up):
+        t = max_nonempty_sigma_index(up)
+        assert (t == len(up.minimal_bits)) == (not up.minimals_intersection().is_empty)
+
 
 class TestCoveringDimension:
     def test_k3_unrestricted(self):
