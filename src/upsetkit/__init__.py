@@ -7,8 +7,8 @@ as minimal antichains (UpperSet), and covers (Cover). On top of them:
   and the critical probability p_c with mu = 1/2;
 * expectation: p-smallness via exact weighted set cover and the
   expectation threshold q(F);
-* structure: covering dimension (two conventions) and the lattice
-  symmetric polynomials sigma_k;
+* structure: covering dimension and the lattice symmetric polynomials
+  sigma_k;
 * bounds: the K * q * log(ell) bound family and per-instance inequality
   verification;
 * families / sweep: instance generators and finite-n trend diagnostics;
@@ -26,7 +26,6 @@ from .core import (
     Cover,
     SubsetMask,
     UpperSet,
-    normalize_to_antichain,
     parse_instance,
 )
 from .expectation import (

@@ -16,8 +16,8 @@ fails carry slack None and hold vacuously.
 A quantity past its exact cap is absent (None), never fabricated. q and
 p_c are absent past their caps, and with q go the bound, its width and
 the nontrivial flag; the report's ``absent`` holds the first of their cap
-messages. The unrestricted dimension is absent past its cap. A check
-that needs an absent value is left out of the report.
+messages. The covering dimension is absent past its cap. A check that
+needs an absent value is left out of the report.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .core import UpperSet
 from .errors import SizeLimitExceeded
 from .expectation import ExpectationThreshold, expectation_threshold
 from .measure import auto_exact_method
-from .structure import CONVENTIONS, DimensionResult, max_nonempty_sigma_index
+from .structure import DimensionResult, max_nonempty_sigma_index
 
 ARGUMENTS = ("ell", "two_ell0")
 LOG_BASES = ("2", "e")
@@ -107,7 +107,7 @@ class BoundReport:
     ell0: int
     ell: int
     dim_unrestricted: int | None
-    dim_within_family: int | None
+    dim_within_family: int
     bound_value: float | None
     width: float | None
     nontrivial_info: bool | None
@@ -116,7 +116,7 @@ class BoundReport:
     # Not printed: what the numbers above came from, and why any is absent.
     threshold: ExpectationThreshold | None
     critical: measure.CriticalProbability | None
-    dimensions: tuple[DimensionResult, ...]
+    dimension: DimensionResult | None
     absent: str | None
 
     def to_json_dict(self) -> dict:
@@ -167,14 +167,12 @@ def verify_instance(
         p_c = critical.p_c
     except SizeLimitExceeded as exc:
         absent = absent or str(exc)
-    dimensions: list[DimensionResult] = []
-    for convention in CONVENTIONS:
-        try:
-            dimensions.append(structure.covering_dimension(upper, convention))
-        except SizeLimitExceeded:
-            pass
-    dim = {d.convention: d.dim for d in dimensions}
-    dim_u, dim_f = dim.get("unrestricted"), dim.get("within_family")
+    dimension = dim_u = None
+    try:
+        dimension = structure.covering_dimension(upper)
+        dim_u = dimension.dim
+    except SizeLimitExceeded:
+        pass
 
     m = len(upper.minimal_bits)
     t = max_nonempty_sigma_index(upper)
@@ -225,7 +223,7 @@ def verify_instance(
         ell0=upper.ell0,
         ell=upper.ell,
         dim_unrestricted=dim_u,
-        dim_within_family=dim_f,
+        dim_within_family=m,
         bound_value=bound_value,
         width=width,
         nontrivial_info=nontrivial,
@@ -233,6 +231,6 @@ def verify_instance(
         inequality_checks=tuple(checks),
         threshold=threshold,
         critical=critical,
-        dimensions=tuple(dimensions),
+        dimension=dimension,
         absent=absent,
     )

@@ -28,7 +28,7 @@ from typing import Sequence
 
 from . import fmt
 from .bounds import BoundVariant, verify_instance
-from .core import UpperSet, parse_instance
+from .core import Cover, UpperSet, parse_instance
 from .errors import MissingMcParams, SizeLimitExceeded, TooFewRecords, UpsetError
 from .families import FAMILIES, builtin_battery, make_family_instance
 from .measure import auto_exact_method, mu
@@ -217,9 +217,14 @@ def _instance_checks(name: str, upper: UpperSet, variant: BoundVariant, tol: flo
         )
         rows.append((name, "mu_method_agreement", gap <= 1e-12, 1e-12 - gap))
 
-    for result in report.dimensions:
-        ok = result.witness.covers(upper) and len(result.witness) == result.dim
-        rows.append((name, f"dim_witness_{result.convention}", ok, None))
+    dim = report.dimension
+    if dim is not None:
+        ok = dim.witness.covers(upper) and len(dim.witness) == dim.dim
+        rows.append((name, "dim_witness_unrestricted", ok, None))
+    # restricted to members of F, the witnesses are the minimal elements
+    witness = Cover(upper.minimals)
+    ok = witness.covers(upper) and len(witness) == report.dim_within_family
+    rows.append((name, "dim_witness_within_family", ok, None))
 
     sets = list(upper.minimals)
     sigmas = [sigma_k(sets, k).value for k in range(1, len(sets) + 1)]

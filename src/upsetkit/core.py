@@ -186,19 +186,6 @@ class UpperSet:
         return json.dumps(self.to_instance_dict())
 
 
-def normalize_to_antichain(ground_size: int, generators: Sequence[SubsetMask]) -> UpperSet:
-    """The upper set generated by ``generators``, masks of width ``ground_size``."""
-    for g in generators:
-        if g.width != ground_size:
-            raise WidthMismatch(f"generator width {g.width} != ground_size {ground_size}")
-    return UpperSet(ground_size, [g.bits for g in generators])
-
-
-def from_minimal_bits(ground_size: int, bits_list: Sequence[int]) -> UpperSet:
-    """The upper set generated by raw integer masks: ``UpperSet(ground_size, bits_list)``."""
-    return UpperSet(ground_size, bits_list)
-
-
 @dataclass(frozen=True)
 class Cover:
     """A witness family of nonempty masks; covers F when every minimal
@@ -264,11 +251,13 @@ def parse_instance(data: str | dict) -> UpperSet:
     normalize = doc.get("normalize", False)
     if not isinstance(normalize, bool):
         raise ValueError('"normalize" must be true or false')
-    masks = [SubsetMask.from_indices(ground_size, e) for e in elements]
-    if not masks:
+    if not elements:
         raise EmptyGenerators("minimal_elements is empty")
-    upper = normalize_to_antichain(ground_size, masks)
-    if not normalize and len(upper.minimal_bits) != len(masks):
+    # before any mask is built: an in-range index past the cap would need
+    # an integer of that many bits
+    check_ground_cap(ground_size)
+    upper = UpperSet(ground_size, [SubsetMask.from_indices(ground_size, e).bits for e in elements])
+    if not normalize and len(upper.minimal_bits) != len(elements):
         raise ValueError(
             "minimal_elements is not an antichain; set \"normalize\": true to reduce it"
         )

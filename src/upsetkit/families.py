@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import SubsetMask, UpperSet, check_ground_cap, from_minimal_bits
+from .core import SubsetMask, UpperSet, check_ground_cap
 from .errors import OutOfRange, TrivialUpperSet, WidthMismatch
 
 
@@ -89,7 +89,7 @@ def graph_connectivity(n: int) -> UpperSet:
         _prufer_decode(seq, n, ground)
         for seq in itertools.product(range(n), repeat=n - 2)
     ]
-    upper = from_minimal_bits(ground.num_edges, trees)
+    upper = UpperSet(ground.num_edges, trees)
     assert len(upper.minimal_bits) == n ** (n - 2), "spanning tree count disagrees with Cayley"
     return upper
 
@@ -115,7 +115,7 @@ def subgraph_containment(n: int, h_edges: Sequence[tuple[int, int]]) -> UpperSet
         for u, v in h_edges:
             bits |= 1 << ground.edge_to_index(target[pos[u]], target[pos[v]])
         images.add(bits)
-    return from_minimal_bits(ground.num_edges, sorted(images))
+    return UpperSet(ground.num_edges, sorted(images))
 
 
 def hamiltonian_cycle(n: int) -> UpperSet:
@@ -143,11 +143,13 @@ def random_upper_set(ground_size: int, count: int, max_size: int, seed: int) -> 
         size = int(rng.integers(1, max_size + 1))
         elems = rng.choice(ground_size, size=size, replace=False)
         masks.append(sum(1 << int(i) for i in elems))
-    return from_minimal_bits(ground_size, masks)
+    return UpperSet(ground_size, masks)
 
 
 def _family_principal(n: int) -> UpperSet:
     # Parameter n is the size of the single minimal element.
+    if n < 1:
+        raise OutOfRange("principal family needs n >= 1")
     check_ground_cap(n + 1)
     return principal(n + 1, SubsetMask.from_indices(n + 1, range(n)))
 
@@ -173,7 +175,7 @@ def _family_singletons(n: int) -> UpperSet:
     if n < 1:
         raise OutOfRange("singletons family needs n >= 1")
     check_ground_cap(n + 1)
-    return from_minimal_bits(n + 1, [1 << i for i in range(n)])
+    return UpperSet(n + 1, [1 << i for i in range(n)])
 
 
 FAMILIES: dict[str, Callable[[int], UpperSet]] = {
@@ -209,7 +211,7 @@ def builtin_battery() -> list[tuple[str, UpperSet]]:
         for n in (k + 1, k + 2, min(k + 4, 13)):
             out.append((f"principal-k{k}-n{n}", principal(n, SubsetMask.from_indices(n, range(k)))))
     for m, n in ((2, 3), (2, 4), (3, 4), (3, 5), (4, 5)):
-        out.append((f"singletons-m{m}-n{n}", from_minimal_bits(n, [1 << i for i in range(m)])))
+        out.append((f"singletons-m{m}-n{n}", UpperSet(n, [1 << i for i in range(m)])))
     for n in (3, 4):
         out.append((f"connectivity-n{n}", graph_connectivity(n)))
     for n in (3, 4, 5, 6):
@@ -222,10 +224,10 @@ def builtin_battery() -> list[tuple[str, UpperSet]]:
         out.append((f"matching2-n{n}", _family_matching2(n)))
     for n in (4, 5):
         out.append((f"hamilton-n{n}", hamiltonian_cycle(n)))
-    out.append(("mixed-single-pair", from_minimal_bits(3, [0b001, 0b110])))
-    out.append(("mixed-single-triple", from_minimal_bits(4, [0b0001, 0b1110])))
-    out.append(("mixed-chain-pairs", from_minimal_bits(3, [0b011, 0b110])))
-    out.append(("mixed-disjoint-pairs", from_minimal_bits(4, [0b0011, 0b1100])))
+    out.append(("mixed-single-pair", UpperSet(3, [0b001, 0b110])))
+    out.append(("mixed-single-triple", UpperSet(4, [0b0001, 0b1110])))
+    out.append(("mixed-chain-pairs", UpperSet(3, [0b011, 0b110])))
+    out.append(("mixed-disjoint-pairs", UpperSet(4, [0b0011, 0b1100])))
     for i in range(RANDOM_BATTERY_COUNT):
         n = 4 + i % 9
         max_size = 2 + i % min(4, n - 2)

@@ -6,7 +6,7 @@ counting form is O(m*n) and the combinatorial definition stays available
 as a test oracle.
 
 The covering dimension of F is the minimum size of a nontrivial cover.
-Under the unrestricted convention a cover element S serves exactly the
+Any nonempty set may be a cover element; an element S serves exactly the
 minimals containing S, so an optimal cover groups the minimal elements
 into blocks with nonempty common intersection; equivalently dim(F) is the
 minimum number of ground elements hitting every minimal element, and each
@@ -20,10 +20,9 @@ beyond a profile p_c already uses. Past that, dim comes from the cover
 search that gives q (``expectation``), run at p = 1 over the same
 intersections: there every candidate costs 1, so the cheapest cover is a
 smallest one, and the search's descent ends on one such cover, chosen
-deterministically, as the witness. Under the within_family convention
-every witness must itself belong to F, which for an antichain forces the
-witness set to be the minimals themselves, so dim is |F0| and no search
-runs.
+deterministically, as the witness. Restricting the witnesses to members
+of F would force them to be the minimals themselves, so that dimension
+is |F0|, which the reports print beside dim(F) with no search.
 """
 
 from __future__ import annotations
@@ -41,8 +40,6 @@ from .expectation import _CoverProblem, _Search, _to_cover
 # the cover search's limit, which applies only past measure.AUTO_ENUMERATION_CAP
 DIMENSION_MINIMALS_CAP = 16
 
-CONVENTIONS = ("unrestricted", "within_family")
-
 
 @dataclass(frozen=True)
 class SigmaResult:
@@ -54,7 +51,6 @@ class SigmaResult:
 class DimensionResult:
     dim: int
     witness: Cover
-    convention: str
 
 
 def sigma_k(sets: Sequence[SubsetMask], k: int) -> SigmaResult:
@@ -109,16 +105,9 @@ def _block_problem(upper: UpperSet) -> _CoverProblem:
     return _CoverProblem(min_bits, tuple(sorted(blocks, key=canonical_key)))
 
 
-def covering_dimension(upper: UpperSet, convention: str = "unrestricted") -> DimensionResult:
+def covering_dimension(upper: UpperSet) -> DimensionResult:
     """Minimum cardinality of a nontrivial cover, with a witness of that size."""
-    if convention not in CONVENTIONS:
-        raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
     min_bits = upper.minimal_bits
-    if convention == "within_family":
-        # A member of F that fits under a minimal element must equal it, so
-        # the only witnesses are the minimals, each covering only itself.
-        return DimensionResult(len(min_bits), Cover(upper.minimals), convention)
-
     n = upper.ground_size
     if n <= measure.AUTO_ENUMERATION_CAP:
         # The complement of a largest non-member is a smallest hitting set; its
@@ -126,9 +115,7 @@ def covering_dimension(upper: UpperSet, convention: str = "unrestricted") -> Dim
         # the elements redundant), so they form a cover of that size.
         hitting = ((1 << n) - 1) & ~measure._enumeration_profile(upper).largest_non_member
         blocks = [_block(min_bits, x) for x in range(n) if hitting >> x & 1]
-        return DimensionResult(
-            len(blocks), Cover.from_masks(SubsetMask(n, b) for b in blocks), convention
-        )
+        return DimensionResult(len(blocks), Cover.from_masks(SubsetMask(n, b) for b in blocks))
     if len(min_bits) > DIMENSION_MINIMALS_CAP:
         raise SizeLimitExceeded(
             f"exact dimension needs ground_size <= {measure.AUTO_ENUMERATION_CAP} "
@@ -137,13 +124,13 @@ def covering_dimension(upper: UpperSet, convention: str = "unrestricted") -> Dim
         )
     prob = _block_problem(upper)
     _, chosen = _Search(prob, 1.0).optimize()
-    return DimensionResult(len(chosen), _to_cover(upper, prob, chosen), convention)
+    return DimensionResult(len(chosen), _to_cover(upper, prob, chosen))
 
 
 @lru_cache(maxsize=1024)
-def cached_dim(upper: UpperSet, convention: str = "unrestricted") -> int:
+def cached_dim(upper: UpperSet) -> int:
     """Memoized covering dimension."""
-    return covering_dimension(upper, convention).dim
+    return covering_dimension(upper).dim
 
 
 def clear_caches() -> None:

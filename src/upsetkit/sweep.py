@@ -137,7 +137,7 @@ class NecessaryConditionsReport:
 
 def necessary_conditions_report(
     records: Sequence[SweepRecord],
-    variant: BoundVariant | None = None,
+    variant: BoundVariant,
 ) -> NecessaryConditionsReport:
     """Observed-range form of the necessary conditions for the bound to
     keep informing.
@@ -179,11 +179,10 @@ def necessary_conditions_report(
     min_counts = [r.min_count for r in rows]
     dims = [r.dim_unrestricted for r in rows if r.dim_unrestricted is not None]
 
-    check_k = variant is None or variant.K >= 2.0
     contradictions = tuple(
         r.n
         for r in rows
-        if check_k and r.nontrivial_info and r.sigma_empty_at[0] is False
+        if variant.K >= 2.0 and r.nontrivial_info and r.sigma_empty_at[0] is False
     )
     return NecessaryConditionsReport(
         sigma_empty_from=tuple(sigma_from),

@@ -23,7 +23,6 @@ class InstanceResult:
     q: float
     p_c: float
     dim_unrestricted: int
-    dim_within_family: int
     sigma_top: int  # largest k with sigma_k nonempty
 
 
@@ -49,8 +48,7 @@ def battery_results(battery):
                 upper=f,
                 q=q,
                 p_c=p_c,
-                dim_unrestricted=cached_dim(f, "unrestricted"),
-                dim_within_family=cached_dim(f, "within_family"),
+                dim_unrestricted=cached_dim(f),
                 sigma_top=max_nonempty_sigma_index(f),
             )
         )

@@ -12,11 +12,11 @@ from upsetkit import (
     graph_connectivity,
     verify_instance,
 )
-from upsetkit.core import from_minimal_bits
+from upsetkit.core import UpperSet
 from upsetkit.families import make_family_instance
 
-PRINCIPAL3 = from_minimal_bits(5, [0b00111])
-SINGLETONS2 = from_minimal_bits(3, [0b001, 0b010])
+PRINCIPAL3 = UpperSet(5, [0b00111])
+SINGLETONS2 = UpperSet(3, [0b001, 0b010])
 
 
 class TestVariant:
@@ -59,7 +59,7 @@ class TestKkBound:
 
     def test_natural_log_variant(self):
         # five disjoint singletons: q is exactly 1/10 and ell floors to 2
-        up = from_minimal_bits(6, [1 << i for i in range(5)])
+        up = UpperSet(6, [1 << i for i in range(5)])
         got = verify_instance(up, BoundVariant.kk(4.5, log_base="e")).bound_value
         assert got == pytest.approx(4.5 * 0.1 * math.log(2), abs=1e-6)
         assert got == pytest.approx(0.3119, abs=1e-3)
@@ -70,7 +70,7 @@ class TestNontrivialInfo:
         assert verify_instance(graph_connectivity(3), BoundVariant.bell()).nontrivial_info is False
 
     def test_small_q_gives_info(self):
-        up = from_minimal_bits(6, [1 << i for i in range(5)])
+        up = UpperSet(6, [1 << i for i in range(5)])
         assert verify_instance(up, BoundVariant.kk(4.5, log_base="e")).nontrivial_info is True
 
     @pytest.mark.parametrize("variant", [
@@ -81,7 +81,7 @@ class TestNontrivialInfo:
     ])
     def test_principal_never_informative_for_k_ge_2(self, variant):
         for k in range(1, 6):
-            up = from_minimal_bits(k + 2, [(1 << k) - 1])
+            up = UpperSet(k + 2, [(1 << k) - 1])
             assert verify_instance(up, variant).nontrivial_info is False
 
 
@@ -140,7 +140,7 @@ class TestVerifyInstance:
         assert check.holds and check.slack is None
 
     def test_intersecting_minimals_bound_at_least_one(self):
-        up = from_minimal_bits(4, [0b0011, 0b0101])  # share element 0
+        up = UpperSet(4, [0b0011, 0b0101])  # share element 0
         report = verify_instance(up, BoundVariant.bell())
         check = next(
             c for c in report.inequality_checks
@@ -181,10 +181,10 @@ class TestVerifyInstance:
     def test_dimension_cap_is_not_a_reason(self):
         # past the dimension cap (21 elements, 17 minimals) only the
         # unrestricted dimension and its checks go
-        report = verify_instance(from_minimal_bits(21, [1 << i for i in range(17)]),
+        report = verify_instance(UpperSet(21, [1 << i for i in range(17)]),
                                  BoundVariant.bell())
         assert report.dim_unrestricted is None and report.dim_within_family == 17
-        assert [d.convention for d in report.dimensions] == ["within_family"]
+        assert report.dimension is None
         assert report.q is not None and report.p_c is not None
         assert report.absent is None
         assert [c.name for c in report.inequality_checks] == [
@@ -198,10 +198,9 @@ class TestVerifyInstance:
         assert report.absent is None
         assert report.threshold.witness_cover.covers(up)
         assert report.critical.residual <= report.critical.tolerance
-        assert [(d.convention, d.dim) for d in report.dimensions] == [
-            ("unrestricted", report.dim_unrestricted),
-            ("within_family", report.dim_within_family),
-        ]
+        assert report.dimension.dim == report.dim_unrestricted == 3
+        assert report.dimension.witness.covers(up)
+        assert report.dim_within_family == len(up.minimals) == 16
 
     @given(upper_sets(max_ground=8, max_gens=5))
     @settings(max_examples=25, deadline=None)

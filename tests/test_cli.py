@@ -10,7 +10,7 @@ import pytest
 
 import upsetkit
 from upsetkit import cli, expectation_threshold, fmt, graph_connectivity
-from upsetkit.core import from_minimal_bits
+from upsetkit.core import UpperSet
 
 
 @pytest.fixture()
@@ -23,7 +23,7 @@ def k3_file(tmp_path):
 @pytest.fixture()
 def principal3_file(tmp_path):
     path = tmp_path / "principal3.json"
-    path.write_text(from_minimal_bits(5, [0b00111]).to_instance_json())
+    path.write_text(UpperSet(5, [0b00111]).to_instance_json())
     return str(path)
 
 
@@ -186,8 +186,8 @@ class TestSweep:
         upsetkit.clear_caches()
         code, _, _ = run_main(capsys, ["sweep", "--family", "connectivity", "--range", "3..5"])
         assert code == 0
-        # one p_c search and both dimensions per row
-        assert sorted(calls) == ["covering_dimension"] * 6 + ["critical_probability"] * 3
+        # one p_c search and one dimension search per row
+        assert sorted(calls) == ["covering_dimension"] * 3 + ["critical_probability"] * 3
 
     def test_bad_range_argument(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -264,8 +264,8 @@ class TestVerify:
         upsetkit.clear_caches()
         code, _, _ = run_main(capsys, ["verify", "--instance", str(path)])
         assert code == 0
-        # one p_c search, one dimension search per convention
-        assert sorted(calls) == ["covering_dimension"] * 2 + ["critical_probability"]
+        # one p_c search and one dimension search
+        assert sorted(calls) == ["covering_dimension", "critical_probability"]
 
     def test_witness_cost_checked_at_reported_q(self, capsys, k3_file):
         # the recheck costs the witness at q itself, whatever --tol is
@@ -426,6 +426,13 @@ class TestFamily:
         assert code == 0
         assert json.loads(out2)["min_count"] == 4
 
+    @pytest.mark.parametrize("name", ["principal", "singletons"])
+    @pytest.mark.parametrize("n", ["-1", "0"])
+    def test_n_below_one_rejected(self, capsys, name, n):
+        code, out, err = run_main(capsys, ["family", name, "--n", n])
+        assert (code, out) == (2, "")
+        assert err == f"error: {name} family needs n >= 1\n"
+
 
 class TestOutOfRangeSizes:
     @pytest.mark.parametrize("argv, ground", [
@@ -435,11 +442,15 @@ class TestOutOfRangeSizes:
         (["family", "path2", "--n", "100"], 4950),
         (["family", "hamilton", "--n", "100000"], 4_999_950_000),
         (["sweep", "--family", "path2", "--range", "98..100"], None),
+        # the mask of an in-range index this large would take 2.5 GB
+        (["verify", "--instance", "HUGE_INDEX"], 100_000_000_000),
     ])
     def test_fails_fast_on_the_ground_cap(self, capsys, tmp_path, argv, ground):
-        huge = tmp_path / "huge.json"
-        huge.write_text(json.dumps({"ground_size": 100_000_000_000, "minimal_elements": [[0]]}))
-        argv = [str(huge) if a == "HUGE" else a for a in argv]
+        files = {"HUGE": [[0]], "HUGE_INDEX": [[20_000_000_000]]}
+        for tag, elements in files.items():
+            doc = {"ground_size": 100_000_000_000, "minimal_elements": elements}
+            (tmp_path / f"{tag}.json").write_text(json.dumps(doc))
+        argv = [str(tmp_path / f"{a}.json") if a in files else a for a in argv]
         t0 = time.perf_counter()
         code, out, err = run_main(capsys, argv)
         assert time.perf_counter() - t0 < 1.0

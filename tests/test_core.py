@@ -6,19 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from upsetkit import SubsetMask, UpperSet, core, normalize_to_antichain, parse_instance
-from upsetkit.core import _reduce_to_antichain, from_minimal_bits
-from upsetkit.errors import (
-    EmptyGenerators,
-    SizeLimitExceeded,
-    TrivialUpperSet,
-    WidthMismatch,
-)
+from upsetkit import SubsetMask, UpperSet, core, parse_instance
+from upsetkit.core import _reduce_to_antichain
+from upsetkit.errors import EmptyGenerators, SizeLimitExceeded, TrivialUpperSet, WidthMismatch
 from upsetkit.measure import _enumeration_profile
 
 
 def masks(width, *index_sets):
-    return [SubsetMask.from_indices(width, ixs) for ixs in index_sets]
+    return [SubsetMask.from_indices(width, ixs).bits for ixs in index_sets]
 
 
 def upper_sets(max_ground=10, max_gens=8):
@@ -30,50 +25,51 @@ def upper_sets(max_ground=10, max_gens=8):
         gens = draw(
             st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=max_gens)
         )
-        return from_minimal_bits(n, gens)
+        return UpperSet(n, gens)
 
     return build()
 
 
 class TestNormalize:
     def test_absorbs_supersets(self):
-        up = normalize_to_antichain(3, masks(3, {0, 1}, {0, 1, 2}, {1, 2}))
+        up = UpperSet(3, masks(3, {0, 1}, {0, 1, 2}, {1, 2}))
         assert [m.indices() for m in up.minimals] == [(0, 1), (1, 2)]
 
     def test_singleton_generator(self):
-        up = normalize_to_antichain(3, masks(3, {0}))
+        up = UpperSet(3, masks(3, {0}))
         assert [m.indices() for m in up.minimals] == [(0,)]
 
     def test_incomparable_generators_all_kept(self):
         gens = masks(3, {0, 1}, {1, 2}, {0, 2})
-        up = normalize_to_antichain(3, gens)
+        up = UpperSet(3, gens)
         assert len(up.minimals) == 3
         # brute-force pairwise incomparability
         for a in gens:
             for b in gens:
                 if a != b:
-                    assert not a.issubset(b)
+                    assert a & b != a
 
     def test_empty_generator_list(self):
         with pytest.raises(EmptyGenerators):
-            normalize_to_antichain(3, [])
+            UpperSet(3, [])
 
     def test_empty_mask_rejected(self):
         with pytest.raises(TrivialUpperSet):
-            normalize_to_antichain(3, [SubsetMask.empty(3)])
+            UpperSet(3, [0])
 
     def test_width_mismatch(self):
-        with pytest.raises(WidthMismatch):
-            normalize_to_antichain(3, masks(4, {0, 1}))
+        # a mask of a wider ground set reaches past this one
+        with pytest.raises(ValueError, match="inside the ground set of size 3"):
+            UpperSet(3, masks(4, {0, 3}))
 
     def test_ground_size_cap(self):
         with pytest.raises(SizeLimitExceeded):
-            normalize_to_antichain(31, [SubsetMask.from_indices(31, {0})])
+            UpperSet(31, masks(31, {0}))
 
     @given(upper_sets())
     @settings(max_examples=100)
     def test_idempotent(self, up):
-        again = normalize_to_antichain(up.ground_size, list(up.minimals))
+        again = UpperSet(up.ground_size, up.minimal_bits)
         assert again.minimals == up.minimals
 
     @given(upper_sets())
@@ -90,19 +86,19 @@ class TestNormalize:
 
 class TestContains:
     def test_superset_of_generator(self):
-        up = from_minimal_bits(3, [0b011])
+        up = UpperSet(3, [0b011])
         assert up.contains(SubsetMask.from_indices(3, {0, 1, 2}))
 
     def test_proper_subset(self):
-        up = from_minimal_bits(3, [0b011])
+        up = UpperSet(3, [0b011])
         assert not up.contains(SubsetMask.from_indices(3, {0}))
 
     def test_equal_to_minimal(self):
-        up = from_minimal_bits(3, [0b011, 0b110, 0b101])
+        up = UpperSet(3, [0b011, 0b110, 0b101])
         assert up.contains(SubsetMask.from_indices(3, {1, 2}))
 
     def test_width_mismatch(self):
-        up = from_minimal_bits(3, [0b011])
+        up = UpperSet(3, [0b011])
         with pytest.raises(WidthMismatch):
             up.contains(SubsetMask.from_indices(4, {0, 1}))
 
@@ -120,21 +116,21 @@ class TestContains:
 
 class TestEll:
     def test_floor_at_two(self):
-        up = from_minimal_bits(3, [0b001])
+        up = UpperSet(3, [0b001])
         assert (up.ell0, up.ell) == (1, 2)
 
     def test_all_pairs(self):
-        up = from_minimal_bits(3, [0b011, 0b110, 0b101])
+        up = UpperSet(3, [0b011, 0b110, 0b101])
         assert (up.ell0, up.ell) == (2, 2)
 
     def test_mixed_sizes(self):
-        up = from_minimal_bits(4, [0b0001, 0b1110])
+        up = UpperSet(4, [0b0001, 0b1110])
         assert (up.ell0, up.ell) == (3, 3)
 
 
 class TestSerialization:
     def test_round_trip_fixed(self):
-        up = from_minimal_bits(4, [0b0011, 0b1100, 0b0101])
+        up = UpperSet(4, [0b0011, 0b1100, 0b0101])
         assert parse_instance(up.to_instance_json()) == up
 
     @given(upper_sets())
@@ -143,7 +139,7 @@ class TestSerialization:
         assert parse_instance(up.to_instance_json()) == up
 
     def test_canonical_element_order_in_json(self):
-        up = from_minimal_bits(4, [0b1100, 0b0011])
+        up = UpperSet(4, [0b1100, 0b0011])
         doc = json.loads(up.to_instance_json())
         assert doc["minimal_elements"] == [[0, 1], [2, 3]]
 
@@ -176,17 +172,15 @@ def bit_lists(max_ground=6, max_gens=6):
 
 
 def _front_doors(n, bits):
-    """The same generators through every public way of building an instance."""
-    masks = [SubsetMask(n, b) for b in bits]
+    """The same generators through both public ways of building an instance:
+    the constructor, and the instance format that calls it."""
     doc = {
         "ground_size": n,
-        "minimal_elements": [list(m.indices()) for m in masks],
+        "minimal_elements": [list(SubsetMask(n, b).indices()) for b in bits],
         "normalize": True,
     }
     return {
         "UpperSet": lambda: UpperSet(n, bits),
-        "from_minimal_bits": lambda: from_minimal_bits(n, bits),
-        "normalize_to_antichain": lambda: normalize_to_antichain(n, masks),
         "parse_instance": lambda: parse_instance(doc),
     }
 
@@ -244,7 +238,7 @@ class TestInvariantEnforcement:
 
 class TestDerivedFieldCache:
     def test_minimals_computed_once(self):
-        up = from_minimal_bits(4, [0b1100, 0b0011])
+        up = UpperSet(4, [0b1100, 0b0011])
         assert up.minimals is up.minimals
         assert up.minimals == (SubsetMask(4, 0b0011), SubsetMask(4, 0b1100))
 
@@ -266,7 +260,7 @@ class TestDerivedFieldCache:
         assert _enumeration_profile.cache_info().hits == hits + 1
 
     def test_pickle_round_trip(self):
-        up = from_minimal_bits(5, [0b00011, 0b01100, 0b10101])
+        up = UpperSet(5, [0b00011, 0b01100, 0b10101])
         up.minimals  # pickle the cached value too
         copy = pickle.loads(pickle.dumps(up))
         assert copy == up and hash(copy) == hash(up)
@@ -274,7 +268,7 @@ class TestDerivedFieldCache:
 
     @pytest.mark.parametrize("name", ["ground_size", "minimals", "minimal_bits", "ell0"])
     def test_fields_stay_frozen(self, name):
-        up = from_minimal_bits(3, [0b011])
+        up = UpperSet(3, [0b011])
         up.minimals  # the cached value sits in __dict__ from here on
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(up, name, 1)

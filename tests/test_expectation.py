@@ -24,7 +24,7 @@ from upsetkit import (
     is_p_small,
     min_cover_cost,
 )
-from upsetkit.core import from_minimal_bits
+from upsetkit.core import UpperSet
 from upsetkit.errors import SizeLimitExceeded
 from upsetkit.expectation import SOLVER_CANDIDATES_CAP, _bracket, _problem, _Search
 from upsetkit.families import make_family_instance
@@ -32,7 +32,7 @@ from upsetkit.families import make_family_instance
 
 class TestCandidates:
     def test_single_pair(self):
-        up = from_minimal_bits(4, [0b0011])
+        up = UpperSet(4, [0b0011])
         got = {c.indices() for c in candidate_cover_elements(up)}
         assert got == {(0,), (1,), (0, 1)}
 
@@ -42,12 +42,12 @@ class TestCandidates:
         assert got == {(0,), (1,), (2,), (0, 1), (1, 2), (0, 2)}
 
     def test_disjoint_singletons(self):
-        up = from_minimal_bits(3, [0b001, 0b010])
+        up = UpperSet(3, [0b001, 0b010])
         got = {c.indices() for c in candidate_cover_elements(up)}
         assert got == {(0,), (1,)}
 
     def test_cap(self):
-        up = from_minimal_bits(8, [0b11111111 >> 1])
+        up = UpperSet(8, [0b11111111 >> 1])
         with pytest.raises(SizeLimitExceeded):
             candidate_cover_elements(up, cap=32)
 
@@ -56,7 +56,7 @@ def co_singletons(n: int):
     """The n sets of size n - 1 on an n-element ground set; their
     intersection closure is every nonempty proper subset, 2^n - 2 masks."""
     full = (1 << n) - 1
-    return from_minimal_bits(n, [full ^ (1 << i) for i in range(n)])
+    return UpperSet(n, [full ^ (1 << i) for i in range(n)])
 
 
 class TestCoverProblem:
@@ -68,7 +68,7 @@ class TestCoverProblem:
             # complemented minimals: large sets with long intersection chains
             full = (1 << up.ground_size) - 1
             assume(full not in up.minimal_bits)
-            up = from_minimal_bits(up.ground_size, [full ^ b for b in up.minimal_bits])
+            up = UpperSet(up.ground_size, [full ^ b for b in up.minimal_bits])
         prob = _problem(up)
         assert list(prob.cand_bits) == subset_pipeline_candidates(list(up.minimal_bits))
         for s, cov in zip(prob.cand_bits, prob.cand_cov):
@@ -76,7 +76,7 @@ class TestCoverProblem:
 
     def test_principal_k20_is_exact(self):
         # 2^20 subsets of the generator, but a one-element closure
-        up = from_minimal_bits(21, [(1 << 20) - 1])
+        up = UpperSet(21, [(1 << 20) - 1])
         assert _problem(up).cand_bits == ((1 << 20) - 1,)
         assert expectation_threshold(up).q == pytest.approx(2 ** (-1 / 20), abs=1e-9)
 
@@ -126,13 +126,13 @@ class TestMinCoverCost:
         assert len(sol.cover) == 3
 
     def test_principal_uses_generator(self):
-        up = from_minimal_bits(5, [0b00111])
+        up = UpperSet(5, [0b00111])
         sol = min_cover_cost(up, 0.7)
         assert sol.cost == pytest.approx(0.343, abs=1e-12)
         assert [c.indices() for c in sol.cover.elements] == [(0, 1, 2)]
 
     def test_disjoint_singletons(self):
-        up = from_minimal_bits(3, [0b001, 0b010])
+        up = UpperSet(3, [0b001, 0b010])
         sol = min_cover_cost(up, 0.2)
         assert sol.cost == pytest.approx(0.4, abs=1e-12)
         assert [c.indices() for c in sol.cover.elements] == [(0,), (1,)]
@@ -144,7 +144,7 @@ class TestMinCoverCost:
         assert sol.cost == pytest.approx(sol.cover.cost(0.3), abs=1e-12)
 
     def test_p_range(self):
-        up = from_minimal_bits(3, [1])
+        up = UpperSet(3, [1])
         with pytest.raises(ValueError):
             min_cover_cost(up, 0.0)
         with pytest.raises(ValueError):
@@ -175,7 +175,7 @@ class TestIsPSmall:
         assert min_cover_cost(up, 0.45).cost == pytest.approx(0.6075, abs=1e-12)
 
     def test_endpoints(self):
-        up = from_minimal_bits(4, [0b0011, 0b1100])
+        up = UpperSet(4, [0b0011, 0b1100])
         assert is_p_small(up, 0.0)
         assert not is_p_small(up, 1.0)
 
@@ -208,9 +208,9 @@ class TestIsPSmall:
     @settings(max_examples=150, deadline=None)
     # at the float above q these decided p-small with the witness, which
     # weighs 0.5000000000000001 by fsum
-    @example(from_minimal_bits(8, [34, 140, 23, 219]))
-    @example(from_minimal_bits(6, [17, 18, 11, 28, 44]))
-    @example(from_minimal_bits(8, [68, 72, 182]))
+    @example(UpperSet(8, [34, 140, 23, 219]))
+    @example(UpperSet(6, [17, 18, 11, 28, 44]))
+    @example(UpperSet(8, [68, 72, 182]))
     def test_exact_near_q(self, up):
         assume(len(_problem(up).cand_bits) <= 11)
         self.assert_exact_near_q(up)
@@ -218,7 +218,7 @@ class TestIsPSmall:
     def test_exact_at_witness_fsum_root(self):
         # its witness weighs exactly 1/2 by fsum one float above a q stepped
         # down for summation order; 22 candidates, past the draws' bound
-        self.assert_exact_near_q(from_minimal_bits(8, [162, 51, 103, 107, 217, 189]))
+        self.assert_exact_near_q(UpperSet(8, [162, 51, 103, 107, 217, 189]))
 
     @pytest.mark.parametrize("p", [1e-30, 1e-200, 5e-324])
     def test_tiny_p(self, p):
@@ -228,7 +228,7 @@ class TestIsPSmall:
 
 class TestExpectationThreshold:
     def test_principal_size_three(self):
-        up = from_minimal_bits(5, [0b00111])
+        up = UpperSet(5, [0b00111])
         res = expectation_threshold(up)
         assert res.q == pytest.approx(2 ** (-1 / 3), abs=1e-9)
 
@@ -237,7 +237,7 @@ class TestExpectationThreshold:
         assert res.q == pytest.approx(6 ** -0.5, abs=1e-9)
 
     def test_disjoint_singletons(self):
-        res = expectation_threshold(from_minimal_bits(3, [0b001, 0b010]))
+        res = expectation_threshold(UpperSet(3, [0b001, 0b010]))
         assert res.q == pytest.approx(0.25, abs=1e-9)
 
     def test_witness_validity(self):
@@ -248,7 +248,7 @@ class TestExpectationThreshold:
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_principal_exactness(self, k):
-        up = from_minimal_bits(k + 1, [(1 << k) - 1])
+        up = UpperSet(k + 1, [(1 << k) - 1])
         res = expectation_threshold(up)
         assert res.q == pytest.approx(2 ** (-1 / k), abs=1e-9)
 
@@ -300,12 +300,12 @@ class TestBracketedBisection:
     @settings(max_examples=150, deadline=None)
     # its witness weighs exactly 1/2 by fsum at its root, yet more when
     # summed one by one, so a q stepped down only that far is not p-small
-    @example(from_minimal_bits(8, [162, 51, 103, 107, 217, 189]), False, 1e-9)
+    @example(UpperSet(8, [162, 51, 103, 107, 217, 189]), False, 1e-9)
     def test_random_and_complements(self, up, dense, tol):
         if dense:
             full = (1 << up.ground_size) - 1
             assume(full not in up.minimal_bits)
-            up = from_minimal_bits(up.ground_size, [full ^ b for b in up.minimal_bits])
+            up = UpperSet(up.ground_size, [full ^ b for b in up.minimal_bits])
         self.assert_certified(up, tol)
 
     @pytest.mark.parametrize("tol", TOLS)
@@ -326,7 +326,7 @@ class TestBracketedBisection:
     def test_q_is_not_a_float_short(self):
         # Newton's descent stops a float below the last p at which the
         # witness p + 2 p^2 weighs <= 1/2; q is stepped up to it
-        up = from_minimal_bits(5, [0b00001, 0b00110, 0b11000])
+        up = UpperSet(5, [0b00001, 0b00110, 0b11000])
         q = expectation_threshold(up).q
         assert bisection_threshold(up, 1e-300) == (q, math.nextafter(q, 1.0))
 

@@ -2,6 +2,7 @@ import math
 import os
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,7 @@ from oracles import (
 )
 from test_core import upper_sets
 from upsetkit import bounds, critical_probability, graph_connectivity, measure, mu
-from upsetkit.core import from_minimal_bits
+from upsetkit.core import UpperSet
 from upsetkit.errors import MissingMcParams, SizeLimitExceeded
 from upsetkit.families import builtin_battery, make_family_instance
 from upsetkit.measure import (
@@ -56,11 +57,11 @@ def mc_instances(draw):
     n = draw(st.integers(1, 30))
     shape = draw(st.sampled_from(["random", "singleton", "full"]))
     if shape == "singleton":
-        return from_minimal_bits(n, [1 << draw(st.integers(0, n - 1))])
+        return UpperSet(n, [1 << draw(st.integers(0, n - 1))])
     if shape == "full":
-        return from_minimal_bits(n, [(1 << n) - 1])
+        return UpperSet(n, [(1 << n) - 1])
     gens = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=6))
-    return from_minimal_bits(n, gens)
+    return UpperSet(n, gens)
 
 
 @st.composite
@@ -80,7 +81,7 @@ def force_cpus(monkeypatch, count, cpu_max="max 100000"):
 
 class TestMuExact:
     def test_principal_pair(self):
-        up = from_minimal_bits(4, [0b0011])
+        up = UpperSet(4, [0b0011])
         assert mu(up, 0.5).value == pytest.approx(0.25, abs=1e-15)
 
     def test_k3_connectivity_half(self):
@@ -133,32 +134,32 @@ class TestMuExact:
         assert top == max(k for k, c in enumerate(profile.counts) if c < math.comb(n, k))
 
     def test_enumeration_cap(self):
-        up = from_minimal_bits(25, [1])
+        up = UpperSet(25, [1])
         with pytest.raises(SizeLimitExceeded):
             mu(up, 0.5, "enumeration")
 
     def test_inclusion_exclusion_cap(self):
-        up = from_minimal_bits(26, [1 << i for i in range(25)])
+        up = UpperSet(26, [1 << i for i in range(25)])
         with pytest.raises(SizeLimitExceeded):
             mu(up, 0.5, "inclusion_exclusion")
 
     def test_unknown_method(self):
-        up = from_minimal_bits(3, [1])
+        up = UpperSet(3, [1])
         with pytest.raises(ValueError):
             mu(up, 0.5, "guesswork")
 
 
 class TestAutoExactMethod:
     def test_enumerates_up_to_the_cap(self):
-        up = from_minimal_bits(20, [1 << i for i in range(20)])
+        up = UpperSet(20, [1 << i for i in range(20)])
         assert measure.auto_exact_method(up) == "enumeration"
 
     def test_inclusion_exclusion_past_the_ground_cap(self):
-        up = from_minimal_bits(21, [1 << i for i in range(20)])
+        up = UpperSet(21, [1 << i for i in range(20)])
         assert measure.auto_exact_method(up) == "inclusion_exclusion"
 
     def test_no_exact_method_past_both_caps(self):
-        up = from_minimal_bits(21, [1 << i for i in range(21)])
+        up = UpperSet(21, [1 << i for i in range(21)])
         with pytest.raises(SizeLimitExceeded) as exc:
             measure.auto_exact_method(up)
         assert str(exc.value) == "no exact method: ground_size 21 > 20 and |F0| 21 > 20"
@@ -169,7 +170,7 @@ class TestAutoExactMethod:
 
 class TestMuMonteCarlo:
     def test_missing_params(self):
-        up = from_minimal_bits(3, [1])
+        up = UpperSet(3, [1])
         with pytest.raises(MissingMcParams):
             mu(up, 0.5, "monte_carlo")
         with pytest.raises(MissingMcParams):
@@ -194,7 +195,7 @@ class TestMuMonteCarlo:
 
     def test_chunked_draws_match_one_array(self):
         # several full chunks plus a ragged last one
-        up = from_minimal_bits(5, [0b00011, 0b01100, 0b10101])
+        up = UpperSet(5, [0b00011, 0b01100, 0b10101])
         samples = 3 * MC_CHUNK_ROWS + 1234
         est = mu(up, 0.45, "monte_carlo", samples=samples, seed=2024)
         value = one_array_hits(up, 0.45, samples, 2024) / samples
@@ -221,7 +222,7 @@ class TestMuMonteCarlo:
     @given(mc_instances(), span_splits(), st.sampled_from([0.0, 1.0, 0.37]),
            st.integers(0, 2**32 - 1))
     @example(
-        from_minimal_bits(5, [0b00011, 0b01100, 0b10101]),
+        UpperSet(5, [0b00011, 0b01100, 0b10101]),
         (2 * MC_CHUNK_ROWS + 9, [0, 7, MC_CHUNK_ROWS, MC_CHUNK_ROWS + 1, 2 * MC_CHUNK_ROWS + 9],
          MC_CHUNK_ROWS // 3, MC_DRAW_ROWS // 3),
         0.37,
@@ -241,7 +242,7 @@ class TestMuMonteCarlo:
         assert total == one_array_hits(up, p, samples, seed)
 
     def test_worker_count_does_not_change_estimate(self, monkeypatch):
-        up = from_minimal_bits(5, [0b00011, 0b01100, 0b10101])
+        up = UpperSet(5, [0b00011, 0b01100, 0b10101])
         samples = 3 * MC_CHUNK_ROWS + 1234  # room for MC_MAX_WORKERS workers
         expected = one_array_hits(up, 0.45, samples, 2024) / samples
         interval = sys.getswitchinterval()
@@ -263,7 +264,7 @@ class TestMuMonteCarlo:
         def no_thread(*args, **kwargs):
             raise AssertionError("a worker thread was started")
 
-        up = from_minimal_bits(5, [0b00011, 0b01100, 0b10101])
+        up = UpperSet(5, [0b00011, 0b01100, 0b10101])
         force_cpus(monkeypatch, cpus)
         monkeypatch.setattr(threading, "Thread", no_thread)
         est = _mu_monte_carlo(up, 0.45, samples, 2024)
@@ -278,8 +279,30 @@ class TestMuMonteCarlo:
 
         force_cpus(monkeypatch, 2)
         monkeypatch.setattr(measure, "_mc_span_hits", fail_in_worker)
+        before = set(threading.enumerate())
         with pytest.raises(MemoryError):
-            _mu_monte_carlo(from_minimal_bits(3, [1]), 0.5, 2 * MC_CHUNK_ROWS, 1)
+            _mu_monte_carlo(UpperSet(3, [1]), 0.5, 2 * MC_CHUNK_ROWS, 1)
+        assert set(threading.enumerate()) == before
+
+    def test_inline_error_joins_workers(self, monkeypatch):
+        # span 0 fails in the calling thread while the other spans still run;
+        # the error comes out only once they have finished
+        finished = []
+
+        def fail_inline(columns, p, samples, span):
+            if threading.current_thread() is threading.main_thread():
+                raise MemoryError("span 0")
+            time.sleep(0.05)
+            finished.append(samples)
+            return 0
+
+        force_cpus(monkeypatch, 4)
+        monkeypatch.setattr(measure, "_mc_span_hits", fail_inline)
+        before = set(threading.enumerate())
+        with pytest.raises(MemoryError, match="span 0"):
+            _mu_monte_carlo(UpperSet(3, [1]), 0.5, 4 * MC_CHUNK_ROWS, 1)
+        assert len(finished) == 3
+        assert set(threading.enumerate()) == before
 
     def test_traced_peak_bounded(self):
         # numpy reports its buffers to tracemalloc; one (samples, n) draw
@@ -327,12 +350,12 @@ def same_size_antichains(draw):
     k = draw(st.integers(1, n - 1))
     pool = [b for b in range(1 << n) if b.bit_count() == k]
     gens = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12, unique=True))
-    return from_minimal_bits(n, gens)
+    return UpperSet(n, gens)
 
 
 class TestInclusionExclusion:
     @given(st.one_of(upper_sets(max_ground=12, max_gens=12), same_size_antichains()))
-    @example(from_minimal_bits(12, [0b111 << i for i in range(10)] + [0b1011, 0b10101]))
+    @example(UpperSet(12, [0b111 << i for i in range(10)] + [0b1011, 0b10101]))
     @settings(max_examples=60, deadline=None)
     def test_matches_signed_union_counts(self, up):
         expected = signed_union_counts(list(up.minimal_bits), up.ground_size)
@@ -352,7 +375,7 @@ class TestInclusionExclusion:
 
 class TestCriticalProbability:
     def test_principal_cube_root(self):
-        up = from_minimal_bits(5, [0b00111])
+        up = UpperSet(5, [0b00111])
         res = critical_probability(up)
         assert res.p_c == pytest.approx(2 ** (-1 / 3), abs=1e-9)
         assert res.residual <= res.tolerance
@@ -371,28 +394,28 @@ class TestCriticalProbability:
         assert res.p_c == pytest.approx(oracle, abs=1e-9)
 
     def test_methods_agree(self):
-        up = from_minimal_bits(6, [0b000011, 0b001100, 0b110000])
+        up = UpperSet(6, [0b000011, 0b001100, 0b110000])
         a = critical_probability(up, method="enumeration").p_c
         b = critical_probability(up, method="inclusion_exclusion").p_c
         assert a == pytest.approx(b, abs=2e-9)
 
     def test_monte_carlo_rejected(self):
         with pytest.raises(ValueError):
-            critical_probability(from_minimal_bits(3, [1]), method="monte_carlo")
+            critical_probability(UpperSet(3, [1]), method="monte_carlo")
 
     def test_bad_tol(self):
         with pytest.raises(ValueError):
-            critical_probability(from_minimal_bits(3, [1]), tol=0.0)
+            critical_probability(UpperSet(3, [1]), tol=0.0)
 
     def test_tol_below_float_resolution(self):
         # mu = p^2 crosses 1/2 between two floats, each 2^-53 off in mu
         with pytest.raises(ValueError, match=r"adjacent floats .* residual 1\.110e-16"):
-            critical_probability(from_minimal_bits(2, [0b11]), tol=1e-17)
+            critical_probability(UpperSet(2, [0b11]), tol=1e-17)
 
     def test_exact_crossing_meets_any_tol(self):
         # mu = p crosses 1/2 at a float: no bracket is that narrow, but the
         # residual there is 0
-        res = critical_probability(from_minimal_bits(1, [1]), tol=1e-300)
+        res = critical_probability(UpperSet(1, [1]), tol=1e-300)
         assert (res.p_c, res.residual) == (0.5, 0.0)
 
     @given(upper_sets(max_ground=9))

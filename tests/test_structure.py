@@ -5,20 +5,22 @@ from hypothesis import strategies as st
 from oracles import block_cover_dimension, naive_dim, naive_sigma
 from test_core import upper_sets
 from upsetkit import (
+    BoundVariant,
     builtin_battery,
     covering_dimension,
     dim_upper_bound_via_sigma,
     graph_connectivity,
     max_nonempty_sigma_index,
     sigma_k,
+    verify_instance,
 )
 from upsetkit import structure
-from upsetkit.core import SubsetMask, from_minimal_bits
+from upsetkit.core import Cover, SubsetMask, UpperSet
 from upsetkit.errors import KOutOfRange, SizeLimitExceeded
 from upsetkit.expectation import _Search, _to_cover
 from upsetkit.families import make_family_instance
 from upsetkit.measure import AUTO_ENUMERATION_CAP
-from upsetkit.structure import CONVENTIONS, DIMENSION_MINIMALS_CAP, _block_problem
+from upsetkit.structure import DIMENSION_MINIMALS_CAP, _block_problem
 
 TRIANGLE_SETS = [SubsetMask(3, b) for b in (0b011, 0b110, 0b101)]
 
@@ -72,10 +74,10 @@ class TestMaxNonemptyIndex:
         assert max_nonempty_sigma_index(graph_connectivity(3)) == 2
 
     def test_single_minimal(self):
-        assert max_nonempty_sigma_index(from_minimal_bits(3, [0b011])) == 1
+        assert max_nonempty_sigma_index(UpperSet(3, [0b011])) == 1
 
     def test_disjoint_singletons(self):
-        assert max_nonempty_sigma_index(from_minimal_bits(3, [1, 2, 4])) == 1
+        assert max_nonempty_sigma_index(UpperSet(3, [1, 2, 4])) == 1
 
     @given(upper_sets(max_ground=10))
     @settings(max_examples=80)
@@ -102,25 +104,28 @@ class TestMaxNonemptyIndex:
 
 class TestCoveringDimension:
     def test_k3_unrestricted(self):
-        res = covering_dimension(graph_connectivity(3), "unrestricted")
+        res = covering_dimension(graph_connectivity(3))
         assert res.dim == 2
         assert res.witness.covers(graph_connectivity(3))
         assert len(res.witness) == 2
 
     def test_k3_within_family(self):
+        # with witnesses restricted to members of F, the minimals are the
+        # only ones: dim is |F0|, here the spanning-tree count
         up = graph_connectivity(3)
-        res = covering_dimension(up, "within_family")
-        assert res.dim == 3 == 3 ** (3 - 2)
-        for elem in res.witness.elements:
+        assert verify_instance(up, BoundVariant.bell()).dim_within_family == 3 == 3 ** (3 - 2)
+        assert block_cover_dimension(list(up.minimal_bits), 3, "within_family") == 3
+        for elem in up.minimals:
             assert up.contains(elem)
 
     def test_principal_both_conventions(self):
-        up = from_minimal_bits(5, [0b00111])
-        for convention in ("unrestricted", "within_family"):
-            assert covering_dimension(up, convention).dim == 1
+        up = UpperSet(5, [0b00111])
+        report = verify_instance(up, BoundVariant.bell())
+        assert covering_dimension(up).dim == report.dim_unrestricted == 1
+        assert report.dim_within_family == 1
 
     def test_disjoint_singletons(self):
-        up = from_minimal_bits(4, [1, 2, 4])
+        up = UpperSet(4, [1, 2, 4])
         assert covering_dimension(up).dim == 3
 
     def test_cap(self, monkeypatch):
@@ -132,16 +137,15 @@ class TestCoveringDimension:
         monkeypatch.setattr(structure, "_CoverProblem", refuse)
         monkeypatch.setattr(structure, "_Search", refuse)
         n = AUTO_ENUMERATION_CAP + 1
-        seventeen = from_minimal_bits(n, [1 << i for i in range(DIMENSION_MINIMALS_CAP + 1)])
+        seventeen = UpperSet(n, [1 << i for i in range(DIMENSION_MINIMALS_CAP + 1)])
         with pytest.raises(SizeLimitExceeded) as exc:
             covering_dimension(seventeen)
         assert str(exc.value) == (
             f"exact dimension needs ground_size <= {AUTO_ENUMERATION_CAP} (enumeration) "
             f"or |F0| <= {DIMENSION_MINIMALS_CAP} (cover search), got ground_size {n} and |F0| 17"
         )
-        assert covering_dimension(seventeen, "within_family").dim == 17
         # up to the enumeration cap the profile gives dim with no search
-        under = from_minimal_bits(n - 1, [1 << i for i in range(DIMENSION_MINIMALS_CAP + 1)])
+        under = UpperSet(n - 1, [1 << i for i in range(DIMENSION_MINIMALS_CAP + 1)])
         assert covering_dimension(under).dim == 17
 
     def test_k4_at_cap_boundary(self):
@@ -159,25 +163,20 @@ class TestCoveringDimension:
         search.optimize()
         assert search.nodes <= most
 
-    def test_bad_convention(self):
-        with pytest.raises(ValueError):
-            covering_dimension(from_minimal_bits(3, [1]), "informal")
-
     @given(upper_sets(max_ground=4, max_gens=4))
     @settings(max_examples=60, deadline=None)
     def test_matches_naive_all_covers(self, up):
-        got = covering_dimension(up, "unrestricted").dim
+        got = covering_dimension(up).dim
         assert got == naive_dim(list(up.minimal_bits), up.ground_size)
 
     @given(upper_sets(max_ground=9, max_gens=8))
     @settings(max_examples=80, deadline=None)
     def test_witness_and_ordering(self, up):
-        res_u = covering_dimension(up, "unrestricted")
-        res_f = covering_dimension(up, "within_family")
-        assert res_u.witness.covers(up) and len(res_u.witness) == res_u.dim
-        assert res_f.witness.covers(up) and len(res_f.witness) == res_f.dim
-        assert res_u.dim <= res_f.dim <= len(up.minimals)
-        assert res_f.dim == len(up.minimals)
+        # the minimals cover F, so the smallest cover has at most |F0| elements
+        res = covering_dimension(up)
+        assert res.witness.covers(up) and len(res.witness) == res.dim
+        assert Cover(up.minimals).covers(up)
+        assert res.dim <= len(up.minimals)
 
 
 def wide_upper_sets(max_ground=12, max_minimals=16):
@@ -190,7 +189,7 @@ def wide_upper_sets(max_ground=12, max_minimals=16):
         k = draw(st.integers(1, n - 1))
         layers = [b for b in range(1, 1 << n) if b.bit_count() in (k, k + 1)]
         count = draw(st.integers(1, min(max_minimals, len(layers))))
-        return from_minimal_bits(n, draw(st.permutations(layers))[:count])
+        return UpperSet(n, draw(st.permutations(layers))[:count])
 
     return build()
 
@@ -204,7 +203,7 @@ def many_minimals(draw):
     k = draw(st.integers(2, n - 2))
     layer = [b for b in range(1 << n) if b.bit_count() == k]
     count = draw(st.integers(DIMENSION_MINIMALS_CAP + 1, min(40, len(layer))))
-    return from_minimal_bits(n, draw(st.permutations(layer))[:count])
+    return UpperSet(n, draw(st.permutations(layer))[:count])
 
 
 class TestDimensionMatchesBlockDP:
@@ -213,13 +212,12 @@ class TestDimensionMatchesBlockDP:
 
     @staticmethod
     def assert_same(up):
-        for convention in CONVENTIONS:
-            want = block_cover_dimension(list(up.minimal_bits), up.ground_size, convention)
-            res = covering_dimension(up, convention)
-            assert res.dim == want
-            assert res.witness.covers(up) and len(res.witness) == res.dim
-            if convention == "within_family":
-                assert res.witness.elements == up.minimals
+        min_bits, n = list(up.minimal_bits), up.ground_size
+        res = covering_dimension(up)
+        assert res.dim == block_cover_dimension(min_bits, n, "unrestricted")
+        assert res.witness.covers(up) and len(res.witness) == res.dim
+        # the within-family dimension the reports print is |F0|
+        assert block_cover_dimension(min_bits, n, "within_family") == len(min_bits)
 
     @given(wide_upper_sets())
     @settings(max_examples=150, deadline=None)
@@ -263,10 +261,10 @@ class TestDimSigmaBound:
         assert dim_upper_bound_via_sigma(graph_connectivity(3)) == 2
 
     def test_principal(self):
-        assert dim_upper_bound_via_sigma(from_minimal_bits(3, [0b011])) == 1
+        assert dim_upper_bound_via_sigma(UpperSet(3, [0b011])) == 1
 
     def test_disjoint_singletons(self):
-        assert dim_upper_bound_via_sigma(from_minimal_bits(4, [1, 2, 4])) == 3
+        assert dim_upper_bound_via_sigma(UpperSet(4, [1, 2, 4])) == 3
 
     @given(upper_sets(max_ground=9, max_gens=8))
     @settings(max_examples=80, deadline=None)
