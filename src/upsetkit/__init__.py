@@ -37,7 +37,6 @@ from .expectation import (
     min_cover_cost,
 )
 from .families import (
-    GraphGround,
     builtin_battery,
     graph_connectivity,
     hamiltonian_cycle,

@@ -78,36 +78,28 @@ def canonical_key(bits: int) -> tuple[int, int]:
 def _reduce_to_antichain(bits_list: Sequence[int]) -> tuple[int, ...]:
     """Keep the inclusion-minimal masks, canonically ordered.
 
-    Masks are scanned in canonical order; a mask of popcount k can only be
-    absorbed by a kept mask of strictly smaller popcount (or a duplicate),
-    so same-size groups need no pairwise subset tests.
+    One scan in canonical order: distinct masks of equal popcount are never
+    nested, so a mask is tested only against the kept masks of the popcount
+    layers before its own.
     """
-    ordered = sorted(set(bits_list), key=canonical_key)
     kept: list[int] = []
-    kept_by_size: list[list[int]] = []
-    sizes: list[int] = []
-    for b in ordered:
-        k = b.bit_count()
-        absorbed = False
-        for sz, group in zip(sizes, kept_by_size):
-            if sz >= k:
+    lower: tuple[int, ...] = ()  # kept masks of smaller popcount than b
+    size = 0
+    for b in sorted(set(bits_list), key=canonical_key):
+        if b.bit_count() != size:
+            size, lower = b.bit_count(), tuple(kept)
+        for m in lower:
+            if m & b == m:
                 break
-            if any(m & b == m for m in group):
-                absorbed = True
-                break
-        if absorbed:
-            continue
-        if sizes and sizes[-1] == k:
-            kept_by_size[-1].append(b)
         else:
-            sizes.append(k)
-            kept_by_size.append([b])
-        kept.append(b)
+            kept.append(b)
     return tuple(kept)
 
 
 def check_ground_cap(ground_size: int) -> None:
-    """Raise ``SizeLimitExceeded`` past ``GROUND_SIZE_CAP``."""
+    """Raise ``ValueError`` below 1 and ``SizeLimitExceeded`` past ``GROUND_SIZE_CAP``."""
+    if ground_size < 1:
+        raise ValueError(f"ground_size must be positive, got {ground_size}")
     if ground_size > GROUND_SIZE_CAP:
         raise SizeLimitExceeded(
             f"ground_size {ground_size} exceeds exact-operation cap {GROUND_SIZE_CAP}"
@@ -134,8 +126,6 @@ class UpperSet:
 
     def __post_init__(self):
         n = self.ground_size
-        if n < 1:
-            raise ValueError(f"ground_size must be positive, got {n}")
         check_ground_cap(n)
         bits = self.minimal_bits
         if not bits:
@@ -253,8 +243,9 @@ def parse_instance(data: str | dict) -> UpperSet:
         raise ValueError('"normalize" must be true or false')
     if not elements:
         raise EmptyGenerators("minimal_elements is empty")
-    # before any mask is built: an in-range index past the cap would need
-    # an integer of that many bits
+    # before any mask is built: SubsetMask would report a nonpositive size
+    # as a mask width, and an in-range index past the cap would need an
+    # integer of that many bits
     check_ground_cap(ground_size)
     upper = UpperSet(ground_size, [SubsetMask.from_indices(ground_size, e).bits for e in elements])
     if not normalize and len(upper.minimal_bits) != len(elements):

@@ -1,17 +1,19 @@
 """Instance generators: principal sets, graph properties on K_n, seeded
 random antichains, and the builtin verification battery.
 
-Graph-backed instances map the edges of the complete graph K_n to ground
-indices lexicographically by (min endpoint, max endpoint), so instance
-files are portable across runs and platforms. The ``FAMILIES`` generators
+Graph-backed instances number the edges of the complete graph K_n
+lexicographically by (min endpoint, max endpoint), so instance files are
+portable across runs and platforms. One edge table, ``_edge_bits(n)``, holds
+that numbering: entry [u][v] is the mask of edge {u, v}, and a subgraph's
+mask is the OR of its edges' entries. The ``FAMILIES`` generators
 check their ground size against ``GROUND_SIZE_CAP`` before enumerating.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,31 +22,13 @@ from .core import SubsetMask, UpperSet, check_ground_cap
 from .errors import OutOfRange, TrivialUpperSet, WidthMismatch
 
 
-@dataclass(frozen=True)
-class GraphGround:
-    """Edge-indexed ground set for properties of subgraphs of K_n."""
-
-    n: int
-
-    @property
-    def num_edges(self) -> int:
-        return self.n * (self.n - 1) // 2
-
-    def edge_to_index(self, u: int, v: int) -> int:
-        if u == v or not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"not an edge of K_{self.n}: ({u}, {v})")
-        a, b = (u, v) if u < v else (v, u)
-        # Lexicographic rank of (a, b) among all pairs a < b.
-        return a * self.n - a * (a + 1) // 2 + (b - a - 1)
-
-    def index_to_edge(self, idx: int) -> tuple[int, int]:
-        if not 0 <= idx < self.num_edges:
-            raise ValueError(f"edge index {idx} out of range")
-        a = 0
-        while idx >= self.n - a - 1:
-            idx -= self.n - a - 1
-            a += 1
-        return (a, a + 1 + idx)
+def _edge_bits(n: int) -> list[list[int]]:
+    """The edge table of K_n: ``bits[u][v]`` is the mask of edge {u, v}
+    (0 on the diagonal), numbered by lexicographic rank of (min, max)."""
+    bits = [[0] * n for _ in range(n)]
+    for i, (u, v) in enumerate(itertools.combinations(range(n), 2)):
+        bits[u][v] = bits[v][u] = 1 << i
+    return bits
 
 
 def principal(ground_size: int, s: SubsetMask) -> UpperSet:
@@ -56,7 +40,8 @@ def principal(ground_size: int, s: SubsetMask) -> UpperSet:
     return UpperSet(ground_size, [s.bits])
 
 
-def _prufer_decode(seq: Sequence[int], n: int, ground: GraphGround) -> int:
+def _prufer_decode(seq: Sequence[int], edge: list[list[int]]) -> int:
+    n = len(edge)
     degree = [1] * n
     for v in seq:
         degree[v] += 1
@@ -65,14 +50,11 @@ def _prufer_decode(seq: Sequence[int], n: int, ground: GraphGround) -> int:
     bits = 0
     for v in seq:
         leaf = heapq.heappop(leaves)
-        bits |= 1 << ground.edge_to_index(leaf, v)
+        bits |= edge[leaf][v]
         degree[v] -= 1
         if degree[v] == 1:
             heapq.heappush(leaves, v)
-    u = heapq.heappop(leaves)
-    w = heapq.heappop(leaves)
-    bits |= 1 << ground.edge_to_index(u, w)
-    return bits
+    return bits | edge[heapq.heappop(leaves)][heapq.heappop(leaves)]
 
 
 def graph_connectivity(n: int) -> UpperSet:
@@ -84,12 +66,9 @@ def graph_connectivity(n: int) -> UpperSet:
     """
     if not 3 <= n <= 7:
         raise OutOfRange(f"graph_connectivity supports 3 <= n <= 7, got {n}")
-    ground = GraphGround(n)
-    trees = [
-        _prufer_decode(seq, n, ground)
-        for seq in itertools.product(range(n), repeat=n - 2)
-    ]
-    upper = UpperSet(ground.num_edges, trees)
+    edge = _edge_bits(n)
+    trees = [_prufer_decode(seq, edge) for seq in itertools.product(range(n), repeat=n - 2)]
+    upper = UpperSet(n * (n - 1) // 2, trees)
     assert len(upper.minimal_bits) == n ** (n - 2), "spanning tree count disagrees with Cayley"
     return upper
 
@@ -102,26 +81,31 @@ def subgraph_containment(n: int, h_edges: Sequence[tuple[int, int]]) -> UpperSet
     """
     if not h_edges:
         raise OutOfRange("H must have at least one edge")
+    for u, v in h_edges:
+        if u == v:
+            raise ValueError(f"H has a loop at vertex {u}")
     verts = sorted({v for e in h_edges for v in e})
     k = len(verts)
     if k > n:
         raise OutOfRange(f"H has {k} vertices, more than n = {n}")
-    ground = GraphGround(n)
-    check_ground_cap(ground.num_edges)
+    check_ground_cap(n * (n - 1) // 2)
+    edge = _edge_bits(n)
     pos = {v: i for i, v in enumerate(verts)}
+    pairs = [(pos[u], pos[v]) for u, v in h_edges]
     images = set()
     for target in itertools.permutations(range(n), k):
         bits = 0
-        for u, v in h_edges:
-            bits |= 1 << ground.edge_to_index(target[pos[u]], target[pos[v]])
+        for a, b in pairs:
+            bits |= edge[target[a]][target[b]]
         images.add(bits)
-    return UpperSet(ground.num_edges, sorted(images))
+    return UpperSet(n * (n - 1) // 2, images)
 
 
 def hamiltonian_cycle(n: int) -> UpperSet:
     """Edge sets of K_n containing a Hamiltonian cycle."""
     if n < 3:
         raise OutOfRange(f"hamiltonian_cycle needs n >= 3, got {n}")
+    check_ground_cap(n * (n - 1) // 2)  # before H, which has n edges
     cycle = [(i, (i + 1) % n) for i in range(n)]
     return subgraph_containment(n, cycle)
 
@@ -154,22 +138,6 @@ def _family_principal(n: int) -> UpperSet:
     return principal(n + 1, SubsetMask.from_indices(n + 1, range(n)))
 
 
-def _family_triangle(n: int) -> UpperSet:
-    return subgraph_containment(n, [(0, 1), (1, 2), (0, 2)])
-
-
-def _family_star3(n: int) -> UpperSet:
-    return subgraph_containment(n, [(0, 1), (0, 2), (0, 3)])
-
-
-def _family_matching2(n: int) -> UpperSet:
-    return subgraph_containment(n, [(0, 1), (2, 3)])
-
-
-def _family_path2(n: int) -> UpperSet:
-    return subgraph_containment(n, [(0, 1), (1, 2)])
-
-
 def _family_singletons(n: int) -> UpperSet:
     # n disjoint singleton minimals on a ground set one element larger.
     if n < 1:
@@ -178,13 +146,18 @@ def _family_singletons(n: int) -> UpperSet:
     return UpperSet(n + 1, [1 << i for i in range(n)])
 
 
+# The fixed graphs H whose copies in K_n the subgraph-containment families ask for.
+PATTERNS: dict[str, tuple[tuple[int, int], ...]] = {
+    "triangle": ((0, 1), (1, 2), (0, 2)),
+    "star3": ((0, 1), (0, 2), (0, 3)),
+    "matching2": ((0, 1), (2, 3)),
+    "path2": ((0, 1), (1, 2)),
+}
+
 FAMILIES: dict[str, Callable[[int], UpperSet]] = {
     "connectivity": graph_connectivity,
     "principal": _family_principal,
-    "triangle": _family_triangle,
-    "star3": _family_star3,
-    "matching2": _family_matching2,
-    "path2": _family_path2,
+    **{name: functools.partial(subgraph_containment, h_edges=h) for name, h in PATTERNS.items()},
     "hamilton": hamiltonian_cycle,
     "singletons": _family_singletons,
 }
@@ -212,18 +185,10 @@ def builtin_battery() -> list[tuple[str, UpperSet]]:
             out.append((f"principal-k{k}-n{n}", principal(n, SubsetMask.from_indices(n, range(k)))))
     for m, n in ((2, 3), (2, 4), (3, 4), (3, 5), (4, 5)):
         out.append((f"singletons-m{m}-n{n}", UpperSet(n, [1 << i for i in range(m)])))
-    for n in (3, 4):
-        out.append((f"connectivity-n{n}", graph_connectivity(n)))
-    for n in (3, 4, 5, 6):
-        out.append((f"triangle-n{n}", _family_triangle(n)))
-    for n in (4, 5, 6):
-        out.append((f"star3-n{n}", _family_star3(n)))
-    for n in (3, 4, 5):
-        out.append((f"path2-n{n}", _family_path2(n)))
-    for n in (4, 5):
-        out.append((f"matching2-n{n}", _family_matching2(n)))
-    for n in (4, 5):
-        out.append((f"hamilton-n{n}", hamiltonian_cycle(n)))
+    for family, sizes in (("connectivity", (3, 4)), ("triangle", (3, 4, 5, 6)),
+                          ("star3", (4, 5, 6)), ("path2", (3, 4, 5)),
+                          ("matching2", (4, 5)), ("hamilton", (4, 5))):
+        out += [(f"{family}-n{n}", make_family_instance(family, n)) for n in sizes]
     out.append(("mixed-single-pair", UpperSet(3, [0b001, 0b110])))
     out.append(("mixed-single-triple", UpperSet(4, [0b0001, 0b1110])))
     out.append(("mixed-chain-pairs", UpperSet(3, [0b011, 0b110])))

@@ -338,6 +338,60 @@ def connectivity_profile(n: int) -> list[int]:
     return counts
 
 
+def naive_antichain(bits: list[int]) -> tuple[int, ...]:
+    """The distinct masks with no other input mask as a proper subset,
+    sorted by (popcount, value)."""
+    distinct = set(bits)
+    kept = [b for b in distinct if not any(o != b and o & b == o for o in distinct)]
+    return tuple(sorted(kept, key=lambda b: (bin(b).count("1"), b)))
+
+
+def k_n_edges(n: int) -> list[tuple[int, int]]:
+    """The edges of K_n in ground-index order: pairs (a, b), a < b, lexicographically."""
+    return list(itertools.combinations(range(n), 2))
+
+
+def _mask(edge_ids) -> int:
+    return sum(1 << i for i in edge_ids)
+
+
+def spanning_tree_masks(n: int) -> set[int]:
+    """Masks of the (n-1)-edge subsets of K_n that connect all n vertices."""
+    edges = k_n_edges(n)
+    out = set()
+    for ids in itertools.combinations(range(len(edges)), n - 1):
+        reached, grew = {0}, True
+        while grew:
+            grew = False
+            for i in ids:
+                a, b = edges[i]
+                if (a in reached) != (b in reached):
+                    reached |= {a, b}
+                    grew = True
+        if len(reached) == n:
+            out.add(_mask(ids))
+    return out
+
+
+def copy_masks(n: int, h_edges: list[tuple[int, int]]) -> set[int]:
+    """Masks of the edge subsets of K_n that form a graph isomorphic to H
+    (H without isolated vertices), found by trying every vertex bijection."""
+    edges = k_n_edges(n)
+    h = {frozenset(e) for e in h_edges}
+    h_verts = sorted({v for e in h_edges for v in e})
+    out = set()
+    for ids in itertools.combinations(range(len(edges)), len(h)):
+        verts = sorted({v for i in ids for v in edges[i]})
+        if len(verts) != len(h_verts):
+            continue
+        for image in itertools.permutations(h_verts):
+            to_h = dict(zip(verts, image))
+            if {frozenset(to_h[v] for v in edges[i]) for i in ids} == h:
+                out.add(_mask(ids))
+                break
+    return out
+
+
 class EagerSearch:
     """The cover search with every table built up front.
 

@@ -284,6 +284,14 @@ class TestVerify:
         rows = json.loads(out)
         assert all(row["holds"] for row in rows)
 
+    @pytest.mark.parametrize("ground, elements", [(0, [[]]), (-3, [[0]]), (-3, [[]])])
+    def test_nonpositive_ground_size_named(self, capsys, tmp_path, ground, elements):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"ground_size": ground, "minimal_elements": elements}))
+        code, out, err = run_main(capsys, ["verify", "--instance", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: ground_size must be positive, got {ground}\n"
+
     def test_format_is_verify_only(self, capsys, principal3_file):
         # compute prints only JSON and sweep only CSV: neither takes --format
         for argv in (["compute", "--instance", principal3_file, "--format", "json"],
@@ -444,6 +452,8 @@ class TestOutOfRangeSizes:
         (["sweep", "--family", "path2", "--range", "98..100"], None),
         # the mask of an in-range index this large would take 2.5 GB
         (["verify", "--instance", "HUGE_INDEX"], 100_000_000_000),
+        # a cycle of this length would take 0.6 GB before the cap check
+        (["family", "hamilton", "--n", "3000000"], 4_499_998_500_000),
     ])
     def test_fails_fast_on_the_ground_cap(self, capsys, tmp_path, argv, ground):
         files = {"HUGE": [[0]], "HUGE_INDEX": [[20_000_000_000]]}
@@ -490,6 +500,24 @@ class TestDeterminism:
             "cabff192467288eeec20b03bd12054122edf98d88681a390a6b1691d710e7b28",
         ("verify", "--battery", "builtin", "--format", "json"):
             "e8c0d5ceaa31ceddf4d398b3246a0cf1219edd8a2e7108455079b44f45d0babc",
+        # the instance files, whose edge numbering the sweep cells above
+        # cannot see
+        ("family", "connectivity", "--n", "5"):
+            "8c0dddbc0b9a7104e8c603354b57a6a2a68c237c7882131c74b62be8f205c02d",
+        ("family", "hamilton", "--n", "6"):
+            "a153b40e1c462a01569ed9db4affada4fdc7178f82ed17ae41824f8b81986006",
+        ("family", "triangle", "--n", "6"):
+            "b62d60c780db209cad4fc0bda2dc4c6a1488563fe4cca643a3a49b72c169bf58",
+        ("family", "star3", "--n", "6"):
+            "b5ed61b138c74bf3f07dc17ef7cf8915a51f48160b3388e29a3cad851d288954",
+        ("family", "path2", "--n", "6"):
+            "0ff530b339eb362e39378fbb06124e67817416854c149761614d5b757e9ba2b5",
+        ("family", "matching2", "--n", "6"):
+            "8781e0956c3e25265deb79fa8d0abc52476c869fb1cd71bbce1afc2da8100448",
+        ("family", "principal", "--n", "5"):
+            "b282a1d52f5a49719ad6a4d55a54890bd8d8606e62c421de4dd338a5fda9b7dc",
+        ("family", "singletons", "--n", "5"):
+            "8bf54b7dab0ff3792ed9ffff388d9f749092682b368086e6effcc7df710ae593",
     }
 
     @pytest.mark.parametrize("argv", list(PINNED))

@@ -5,6 +5,7 @@ import pickle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import naive_antichain
 
 from upsetkit import SubsetMask, UpperSet, core, parse_instance
 from upsetkit.core import _reduce_to_antichain
@@ -171,6 +172,17 @@ def bit_lists(max_ground=6, max_gens=6):
     ))
 
 
+@st.composite
+def nested_bit_lists(draw, max_ground=8):
+    """(n, bits): random masks plus supersets of some of them (a superset
+    drawn with no new element is a duplicate), shuffled."""
+    n = draw(st.integers(1, max_ground))
+    full = (1 << n) - 1
+    base = draw(st.lists(st.integers(1, full), min_size=1, max_size=8))
+    grown = draw(st.lists(st.tuples(st.sampled_from(base), st.integers(0, full)), max_size=8))
+    return n, draw(st.permutations(base + [b | extra for b, extra in grown]))
+
+
 def _front_doors(n, bits):
     """The same generators through both public ways of building an instance:
     the constructor, and the instance format that calls it."""
@@ -234,6 +246,15 @@ class TestInvariantEnforcement:
         up = _front_doors(4, [0b1100, 0b0011, 0b0111])[door]()
         assert up.minimal_bits == (0b0011, 0b1100)
         assert len(calls) == 1
+
+
+class TestReductionOracle:
+    @given(nested_bit_lists())
+    @settings(max_examples=150)
+    def test_keeps_exactly_the_minimal_inputs(self, case):
+        n, bits = case
+        assert _reduce_to_antichain(bits) == naive_antichain(bits)
+        assert UpperSet(n, bits).minimal_bits == naive_antichain(bits)
 
 
 class TestDerivedFieldCache:

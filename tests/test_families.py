@@ -1,9 +1,11 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import copy_masks, k_n_edges, spanning_tree_masks
 
 from upsetkit import (
-    GraphGround,
     SubsetMask,
     graph_connectivity,
     hamiltonian_cycle,
@@ -12,33 +14,33 @@ from upsetkit import (
     subgraph_containment,
 )
 from upsetkit.errors import OutOfRange, TrivialUpperSet
-from upsetkit.families import RANDOM_BATTERY_COUNT, make_family_instance
+from upsetkit.families import (
+    PATTERNS,
+    RANDOM_BATTERY_COUNT,
+    _edge_bits,
+    make_family_instance,
+)
 
 TRIANGLE = [(0, 1), (1, 2), (0, 2)]
 
 
-class TestGraphGround:
-    @pytest.mark.parametrize("n", [3, 4, 5, 7])
+def edges_of(mask, n):
+    return [e for i, e in enumerate(k_n_edges(n)) if mask.bits >> i & 1]
+
+
+class TestEdgeTable:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8])
     def test_edge_index_bijection(self, n):
-        g = GraphGround(n)
-        seen = set()
-        for u in range(n):
-            for v in range(u + 1, n):
-                idx = g.edge_to_index(u, v)
-                assert g.edge_to_index(v, u) == idx
-                assert g.index_to_edge(idx) == (u, v)
-                seen.add(idx)
-        assert seen == set(range(g.num_edges))
+        table = _edge_bits(n)
+        for i, (u, v) in enumerate(k_n_edges(n)):
+            assert table[u][v] == table[v][u] == 1 << i
+        assert all(table[u][u] == 0 for u in range(n))
+        assert sum(map(sum, table)) == 2 * ((1 << n * (n - 1) // 2) - 1)
 
     def test_lexicographic_layout(self):
-        g = GraphGround(4)
-        assert [g.index_to_edge(i) for i in range(6)] == [
-            (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
-        ]
-
-    def test_rejects_loops(self):
-        with pytest.raises(ValueError):
-            GraphGround(4).edge_to_index(2, 2)
+        table = _edge_bits(4)
+        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        assert [table[u][v] for u, v in pairs] == [1 << i for i in range(6)]
 
 
 class TestPrincipal:
@@ -69,12 +71,13 @@ class TestConnectivity:
             graph_connectivity(8)
 
     def test_trees_are_spanning(self):
-        g = GraphGround(4)
         for tree in graph_connectivity(4).minimals:
-            touched = set()
-            for idx in tree.indices():
-                touched.update(g.index_to_edge(idx))
+            touched = {v for e in edges_of(tree, 4) for v in e}
             assert touched == set(range(4))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_minimals_are_the_spanning_trees(self, n):
+        assert set(graph_connectivity(n).minimal_bits) == spanning_tree_masks(n)
 
 
 class TestSubgraphContainment:
@@ -93,14 +96,26 @@ class TestSubgraphContainment:
         assert all(m.popcount == 3 for m in up.minimals)
 
     def test_images_are_embeddings(self):
-        g = GraphGround(5)
         up = subgraph_containment(5, TRIANGLE)
         assert len(up.minimals) == 10  # C(5,3) triangles
         for m in up.minimals:
-            verts = set()
-            for idx in m.indices():
-                verts.update(g.index_to_edge(idx))
+            edges = edges_of(m, 5)
+            verts = {v for e in edges for v in e}
             assert len(verts) == 3  # three mutually adjacent vertices
+            assert sorted(edges) == list(itertools.combinations(sorted(verts), 2))
+
+    @pytest.mark.parametrize("family, n", [
+        *((name, n) for name in PATTERNS for n in (4, 5, 6)),
+        ("hamilton", 3), ("hamilton", 4), ("hamilton", 5),
+    ])
+    def test_minimals_are_the_copies_of_h(self, family, n):
+        h = PATTERNS.get(family) or [(i, (i + 1) % n) for i in range(n)]
+        assert set(make_family_instance(family, n).minimal_bits) == copy_masks(n, h)
+
+    @pytest.mark.parametrize("h", [[(0, 0)], [(0, 1), (2, 2)]])
+    def test_rejects_loops(self, h):
+        with pytest.raises(ValueError, match="loop"):
+            subgraph_containment(4, h)
 
     def test_hamilton(self):
         up = hamiltonian_cycle(4)
