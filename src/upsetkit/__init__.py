@@ -1,7 +1,9 @@
 """Exact threshold quantities for monotone properties of small ground sets.
 
-Core objects: bitmask subsets (SubsetMask), nontrivial upper sets stored
-as minimal antichains (UpperSet), and covers (Cover). On top of them:
+Core objects: subsets are plain int bitmasks (bit i set = element i
+present); nontrivial upper sets are stored as the int masks of their
+minimal antichains (UpperSet); covers (Cover) hand out their witness
+elements as SubsetMask values. On top of them:
 
 * measure: mu_p(F) by enumeration / inclusion-exclusion / Monte Carlo,
   and the critical probability p_c with mu = 1/2;
@@ -47,7 +49,6 @@ from .families import (
 from .measure import CriticalProbability, MuEstimate, critical_probability, mu
 from .structure import (
     DimensionResult,
-    SigmaResult,
     covering_dimension,
     dim_upper_bound_via_sigma,
     max_nonempty_sigma_index,

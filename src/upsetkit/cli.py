@@ -137,6 +137,10 @@ def cmd_compute(args) -> int:
     mc_check = args.method == "mc"
     if not mc_check and (args.samples is not None or args.seed is not None):
         raise ValueError("--samples and --seed need --method mc")
+    if args.samples is not None and args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     instances = _load_instances(args)
     variant = _variant(args)
     method = {"enum": "enumeration", "ie": "inclusion_exclusion", "auto": None}.get(
@@ -226,9 +230,9 @@ def _instance_checks(name: str, upper: UpperSet, variant: BoundVariant, tol: flo
     ok = witness.covers(upper) and len(witness) == report.dim_within_family
     rows.append((name, "dim_witness_within_family", ok, None))
 
-    sets = list(upper.minimals)
-    sigmas = [sigma_k(sets, k).value for k in range(1, len(sets) + 1)]
-    monotone = all(b.issubset(a) for a, b in zip(sigmas, sigmas[1:]))
+    masks = upper.minimal_bits
+    sigmas = [sigma_k(masks, k) for k in range(1, len(masks) + 1)]
+    monotone = all(b & a == b for a, b in zip(sigmas, sigmas[1:]))
     rows.append((name, "sigma_monotone", monotone, None))
     return rows
 

@@ -1,29 +1,45 @@
 """Ground sets, subset masks, upper sets, and covers.
 
-The ground set is always {0, ..., n-1}. A subset is stored as an integer
-bitmask of fixed width n; an upper set (nontrivial monotone property) is
-stored as the integer masks of its canonical minimal antichain, which its
-one constructor reduces from any generating list. All types are immutable
-values, so they hash, compare, and share across workers safely.
+The ground set is always {0, ..., n-1}. A subset is a plain int bitmask
+(bit i set = i present); ``bit_indices`` lists its elements. An upper set
+(nontrivial monotone property) is stored as the int masks of its canonical
+minimal antichain, which its one constructor reduces from any generating
+list. ``SubsetMask`` is only the witness view: the type in which a
+``Cover`` hands out its elements. All types are immutable values, so they
+hash, compare, and share across workers safely.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .errors import EmptyGenerators, SizeLimitExceeded, TrivialUpperSet, WidthMismatch
+from .errors import EmptyGenerators, SizeLimitExceeded, TrivialUpperSet
 
 # Exact enumeration over 2^n stays feasible only for small n; construction
 # refuses larger ground sets unless the caller opts into sampling-only use.
 GROUND_SIZE_CAP = 30
 
 
+def bit_indices(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class SubsetMask:
-    """A subset of {0, ..., width-1} as a bit vector (bit i set = i present)."""
+    """A subset of {0, ..., width-1} as a bit vector (bit i set = i present).
+
+    The witness view: ``Cover`` hands out its elements in this type, and
+    ``UpperSet.minimals`` lists the minimal elements in it, until the
+    benchmark's checks read int masks; everything else works on ints.
+    """
 
     width: int
     bits: int
@@ -34,37 +50,8 @@ class SubsetMask:
         if self.bits < 0 or self.bits.bit_length() > self.width:
             raise ValueError(f"bits 0x{self.bits:x} out of range for width {self.width}")
 
-    @classmethod
-    def from_indices(cls, width: int, indices: Iterable[int]) -> "SubsetMask":
-        bits = 0
-        for i in indices:
-            if not 0 <= i < width:
-                raise ValueError(f"element {i} outside ground set of size {width}")
-            bits |= 1 << i
-        return cls(width, bits)
-
-    @classmethod
-    def empty(cls, width: int) -> "SubsetMask":
-        return cls(width, 0)
-
     def indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.width) if self.bits >> i & 1)
-
-    @property
-    def popcount(self) -> int:
-        return self.bits.bit_count()
-
-    @property
-    def is_empty(self) -> bool:
-        return self.bits == 0
-
-    def issubset(self, other: "SubsetMask") -> bool:
-        self._check_width(other)
-        return self.bits & other.bits == self.bits
-
-    def _check_width(self, other: "SubsetMask") -> None:
-        if self.width != other.width:
-            raise WidthMismatch(f"mask widths differ: {self.width} vs {other.width}")
+        return tuple(bit_indices(self.bits))
 
     def __repr__(self) -> str:
         return f"SubsetMask({self.width}, {{{', '.join(map(str, self.indices()))}}})"
@@ -119,6 +106,7 @@ class UpperSet:
 
     ``minimals``, the same masks as ``SubsetMask`` values, is computed on
     first use and kept in the instance ``__dict__``; the fields stay frozen.
+    It stays until the benchmark reads ``minimal_bits`` instead.
     """
 
     ground_size: int
@@ -141,15 +129,6 @@ class UpperSet:
     def minimals(self) -> tuple[SubsetMask, ...]:
         return tuple(SubsetMask(self.ground_size, b) for b in self.minimal_bits)
 
-    def contains(self, s: SubsetMask) -> bool:
-        """True iff s is a superset of some minimal element."""
-        if s.width != self.ground_size:
-            raise WidthMismatch(
-                f"mask width {s.width} does not match ground size {self.ground_size}"
-            )
-        b = s.bits
-        return any(m & b == m for m in self.minimal_bits)
-
     @property
     def ell0(self) -> int:
         """Size of the largest minimal element, the last in canonical order."""
@@ -160,16 +139,10 @@ class UpperSet:
         """ell0 floored at 2, the argument of the logarithm in the bounds."""
         return max(self.ell0, 2)
 
-    def minimals_intersection(self) -> SubsetMask:
-        bits = (1 << self.ground_size) - 1
-        for m in self.minimal_bits:
-            bits &= m
-        return SubsetMask(self.ground_size, bits)
-
     def to_instance_dict(self) -> dict:
         return {
             "ground_size": self.ground_size,
-            "minimal_elements": [list(m.indices()) for m in self.minimals],
+            "minimal_elements": [list(bit_indices(m)) for m in self.minimal_bits],
         }
 
     def to_instance_json(self) -> str:
@@ -179,12 +152,13 @@ class UpperSet:
 @dataclass(frozen=True)
 class Cover:
     """A witness family of nonempty masks; covers F when every minimal
-    element of F contains some cover element."""
+    element of F contains some cover element. Its elements stay
+    ``SubsetMask`` values until the benchmark's checks read int masks."""
 
     elements: tuple[SubsetMask, ...]
 
     def __post_init__(self):
-        if any(e.is_empty for e in self.elements):
+        if any(not e.bits for e in self.elements):
             raise TrivialUpperSet("cover elements must be nonempty")
 
     @classmethod
@@ -197,9 +171,7 @@ class Cover:
 
     def cost(self, p: float) -> float:
         """Sum of p^{|S|} over the elements, in canonical order."""
-        import math
-
-        return math.fsum(p ** e.popcount for e in self.elements)
+        return math.fsum(p ** e.bits.bit_count() for e in self.elements)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -243,11 +215,18 @@ def parse_instance(data: str | dict) -> UpperSet:
         raise ValueError('"normalize" must be true or false')
     if not elements:
         raise EmptyGenerators("minimal_elements is empty")
-    # before any mask is built: SubsetMask would report a nonpositive size
-    # as a mask width, and an in-range index past the cap would need an
+    # before any mask is built: an in-range index past the cap would need an
     # integer of that many bits
     check_ground_cap(ground_size)
-    upper = UpperSet(ground_size, [SubsetMask.from_indices(ground_size, e).bits for e in elements])
+    masks = []
+    for e in elements:
+        bits = 0
+        for i in e:  # checked before its bit is set: the first bad index in document order
+            if not 0 <= i < ground_size:
+                raise ValueError(f"element {i} outside ground set of size {ground_size}")
+            bits |= 1 << i
+        masks.append(bits)
+    upper = UpperSet(ground_size, masks)
     if not normalize and len(upper.minimal_bits) != len(elements):
         raise ValueError(
             "minimal_elements is not an antichain; set \"normalize\": true to reduce it"

@@ -9,10 +9,6 @@ class UpsetError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class WidthMismatch(UpsetError):
-    """Masks with different ground-set widths were combined."""
-
-
 class EmptyGenerators(UpsetError):
     """An upper set was requested from an empty generator list."""
 

@@ -68,7 +68,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import Cover, SubsetMask, UpperSet, canonical_key
+from .core import Cover, SubsetMask, UpperSet, bit_indices, canonical_key
 from .errors import SizeLimitExceeded
 
 CANDIDATE_GENERATION_CAP = 1 << 20
@@ -105,7 +105,10 @@ def _submasks(mask: int):
 def candidate_cover_elements(
     upper: UpperSet, cap: int = CANDIDATE_GENERATION_CAP
 ) -> tuple[SubsetMask, ...]:
-    """All nonempty subsets of minimal elements, deduplicated, canonical order."""
+    """All nonempty subsets of minimal elements, deduplicated, canonical order.
+
+    No library path calls it since the cover search took the intersection
+    closure; it stays while the benchmark's tracing wraps it by name."""
     total = sum(1 << m.bit_count() for m in upper.minimal_bits)
     if total > cap:
         raise SizeLimitExceeded(
@@ -133,29 +136,21 @@ class _CoverProblem:
         # A candidate lies under exactly the minimals through all its elements.
         through = [0] * max(min_bits).bit_length()
         for i, mb in enumerate(min_bits):
-            for x in _elements(mb):
+            for x in bit_indices(mb):
                 through[x] |= 1 << i
         self.full = (1 << m) - 1
         cand_cov = []
         per_min: list[list[int]] = [[] for _ in range(m)]
         for j, s in enumerate(cand_bits):
             c = self.full
-            for x in _elements(s):
+            for x in bit_indices(s):
                 c &= through[x]
             cand_cov.append(c)
-            for i in _elements(c):
+            for i in bit_indices(c):
                 per_min[i].append(j)
         self.cand_cov = tuple(cand_cov)
         self.cand_count = tuple(c.bit_count() for c in self.cand_cov)
         self.per_min = tuple(map(tuple, per_min))
-
-
-def _elements(mask: int):
-    """Indices of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _intersection_closure(min_bits: tuple[int, ...]) -> set[int]:
@@ -411,7 +406,8 @@ def expectation_threshold(upper: UpperSet, tol: float = 1e-9) -> ExpectationThre
 
 @lru_cache(maxsize=1024)
 def cached_q(upper: UpperSet, tol: float = 1e-9) -> float:
-    """Memoized q(F)."""
+    """Memoized q(F). No library path calls it; it stays while the
+    benchmark's tracing wraps it by name."""
     return expectation_threshold(upper, tol).q
 
 

@@ -18,8 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import SubsetMask, UpperSet, check_ground_cap
-from .errors import OutOfRange, TrivialUpperSet, WidthMismatch
+from .core import UpperSet, check_ground_cap
+from .errors import OutOfRange, TrivialUpperSet
 
 
 def _edge_bits(n: int) -> list[list[int]]:
@@ -31,13 +31,14 @@ def _edge_bits(n: int) -> list[list[int]]:
     return bits
 
 
-def principal(ground_size: int, s: SubsetMask) -> UpperSet:
-    """The upper set generated by a single element S, with S != empty, X."""
-    if s.width != ground_size:
-        raise WidthMismatch(f"mask width {s.width} != ground_size {ground_size}")
-    if s.is_empty or s.popcount == ground_size:
+def principal(ground_size: int, bits: int) -> UpperSet:
+    """The upper set generated by the single int mask S, with S != empty, X.
+
+    ``UpperSet`` rejects the empty mask and masks outside the ground set."""
+    upper = UpperSet(ground_size, [bits])
+    if bits.bit_count() == ground_size:
         raise TrivialUpperSet("principal generator must be neither empty nor the full set")
-    return UpperSet(ground_size, [s.bits])
+    return upper
 
 
 def _prufer_decode(seq: Sequence[int], edge: list[list[int]]) -> int:
@@ -135,7 +136,7 @@ def _family_principal(n: int) -> UpperSet:
     if n < 1:
         raise OutOfRange("principal family needs n >= 1")
     check_ground_cap(n + 1)
-    return principal(n + 1, SubsetMask.from_indices(n + 1, range(n)))
+    return principal(n + 1, (1 << n) - 1)
 
 
 def _family_singletons(n: int) -> UpperSet:
@@ -182,7 +183,7 @@ def builtin_battery() -> list[tuple[str, UpperSet]]:
     out: list[tuple[str, UpperSet]] = []
     for k in range(1, 7):
         for n in (k + 1, k + 2, min(k + 4, 13)):
-            out.append((f"principal-k{k}-n{n}", principal(n, SubsetMask.from_indices(n, range(k)))))
+            out.append((f"principal-k{k}-n{n}", principal(n, (1 << k) - 1)))
     for m, n in ((2, 3), (2, 4), (3, 4), (3, 5), (4, 5)):
         out.append((f"singletons-m{m}-n{n}", UpperSet(n, [1 << i for i in range(m)])))
     for family, sizes in (("connectivity", (3, 4)), ("triangle", (3, 4, 5, 6)),

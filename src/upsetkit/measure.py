@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import UpperSet
+from .core import UpperSet, bit_indices
 from .errors import MissingMcParams, SizeLimitExceeded
 
 ENUMERATION_GROUND_CAP = 24
@@ -220,7 +220,7 @@ def _mu_monte_carlo(upper: UpperSet, p: float, samples: int, seed: int) -> MuEst
     # calling thread runs span 0. The hit count is a sum of integers, so it
     # is the same for any worker count and any timing.
     n = upper.ground_size
-    columns = [m.indices() for m in upper.minimals]
+    columns = [tuple(bit_indices(m)) for m in upper.minimal_bits]
     workers = min(_usable_cpus(), MC_MAX_WORKERS, -(-samples // MC_CHUNK_ROWS))
     edges = [i * samples // workers for i in range(workers + 1)]
     rows = MC_CHUNK_ROWS // workers

@@ -292,6 +292,13 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == f"error: ground_size must be positive, got {ground}\n"
 
+    def test_index_outside_ground_named(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"ground_size": 3, "minimal_elements": [[0], [1, 5, 7]]}))
+        code, out, err = run_main(capsys, ["verify", "--instance", str(path)])
+        assert (code, out) == (2, "")
+        assert err == "error: element 5 outside ground set of size 3\n"
+
     def test_format_is_verify_only(self, capsys, principal3_file):
         # compute prints only JSON and sweep only CSV: neither takes --format
         for argv in (["compute", "--instance", principal3_file, "--format", "json"],
@@ -379,6 +386,11 @@ class TestRejectedFlags:
          "t_max must be >= 0, got -1"),
         (["sweep", "--family", "path2", "--range", "3..6", "--K", "1", "--t-max", "-1"],
          "t_max must be >= 0, got -1"),
+        # checked before the report, which on connectivity-5 exits 3 on a cap
+        (["compute", "--method", "mc", "--samples", "0", "--seed", "1",
+          "--family", "connectivity", "--range", "5..5"], "--samples must be >= 1, got 0"),
+        (["compute", "--method", "mc", "--samples", "100", "--seed", "-1",
+          "--family", "connectivity", "--range", "5..5"], "--seed must be >= 0, got -1"),
     ])
     def test_negative_count_exit_2(self, capsys, argv, message):
         code, out, err = run_main(capsys, argv)

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from oracles import naive_antichain
 
 from upsetkit import SubsetMask, UpperSet, core, parse_instance
-from upsetkit.core import _reduce_to_antichain
-from upsetkit.errors import EmptyGenerators, SizeLimitExceeded, TrivialUpperSet, WidthMismatch
+from upsetkit.core import _reduce_to_antichain, bit_indices, canonical_key
+from upsetkit.errors import EmptyGenerators, SizeLimitExceeded, TrivialUpperSet
 from upsetkit.measure import _enumeration_profile
 
 
 def masks(width, *index_sets):
-    return [SubsetMask.from_indices(width, ixs).bits for ixs in index_sets]
+    assert all(0 <= i < width for ixs in index_sets for i in ixs)
+    return [sum(1 << i for i in set(ixs)) for ixs in index_sets]
 
 
 def upper_sets(max_ground=10, max_gens=8):
@@ -76,43 +77,13 @@ class TestNormalize:
     @given(upper_sets())
     @settings(max_examples=100)
     def test_antichain_and_canonical_order(self, up):
-        ms = up.minimals
+        ms = up.minimal_bits
         for i, a in enumerate(ms):
             for j, b in enumerate(ms):
                 if i != j:
-                    assert not a.issubset(b)
-        keys = [(m.popcount, m.bits) for m in ms]
+                    assert a & b != a
+        keys = [canonical_key(m) for m in ms]
         assert keys == sorted(keys)
-
-
-class TestContains:
-    def test_superset_of_generator(self):
-        up = UpperSet(3, [0b011])
-        assert up.contains(SubsetMask.from_indices(3, {0, 1, 2}))
-
-    def test_proper_subset(self):
-        up = UpperSet(3, [0b011])
-        assert not up.contains(SubsetMask.from_indices(3, {0}))
-
-    def test_equal_to_minimal(self):
-        up = UpperSet(3, [0b011, 0b110, 0b101])
-        assert up.contains(SubsetMask.from_indices(3, {1, 2}))
-
-    def test_width_mismatch(self):
-        up = UpperSet(3, [0b011])
-        with pytest.raises(WidthMismatch):
-            up.contains(SubsetMask.from_indices(4, {0, 1}))
-
-    @given(upper_sets(max_ground=8), st.data())
-    @settings(max_examples=100)
-    def test_monotone(self, up, data):
-        n = up.ground_size
-        s = data.draw(st.integers(0, (1 << n) - 1))
-        extra = data.draw(st.integers(0, (1 << n) - 1))
-        small = SubsetMask(n, s)
-        big = SubsetMask(n, s | extra)
-        if up.contains(small):
-            assert up.contains(big)
 
 
 class TestEll:
@@ -162,6 +133,16 @@ class TestSerialization:
         with pytest.raises(TrivialUpperSet):
             parse_instance({"ground_size": 3, "minimal_elements": [[]]})
 
+    @pytest.mark.parametrize("ground, elements, bad", [
+        (3, [[0, 3]], 3),
+        (3, [[-1]], -1),
+        (3, [[0], [1, 5, 7]], 5),  # the first bad index in document order
+    ], ids=["past_end", "negative", "first_in_document_order"])
+    def test_rejects_index_outside_ground(self, ground, elements, bad):
+        doc = {"ground_size": ground, "minimal_elements": elements}
+        with pytest.raises(ValueError, match=rf"^element {bad} outside ground set of size {ground}$"):
+            parse_instance(doc)
+
 
 def bit_lists(max_ground=6, max_gens=6):
     """Hypothesis strategy for (n, bits): raw nonempty masks in the order
@@ -188,7 +169,7 @@ def _front_doors(n, bits):
     the constructor, and the instance format that calls it."""
     doc = {
         "ground_size": n,
-        "minimal_elements": [list(SubsetMask(n, b).indices()) for b in bits],
+        "minimal_elements": [list(bit_indices(b)) for b in bits],
         "normalize": True,
     }
     return {
@@ -274,7 +255,7 @@ class TestDerivedFieldCache:
         assert (other == up) == (
             (other.ground_size, other.minimal_bits) == (up.ground_size, up.minimal_bits)
         )
-        assert again.ell0 == up.ell0 == max(m.popcount for m in up.minimals)
+        assert again.ell0 == up.ell0 == max(b.bit_count() for b in up.minimal_bits)
         _enumeration_profile(up)
         hits = _enumeration_profile.cache_info().hits
         _enumeration_profile(again)

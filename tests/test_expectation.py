@@ -122,7 +122,7 @@ class TestMinCoverCost:
         p = 6 ** -0.5
         sol = min_cover_cost(up, p)
         assert sol.cost == pytest.approx(0.5, abs=1e-12)
-        assert {c.popcount for c in sol.cover.elements} == {2}
+        assert {c.bits.bit_count() for c in sol.cover.elements} == {2}
         assert len(sol.cover) == 3
 
     def test_principal_uses_generator(self):

@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 from oracles import copy_masks, k_n_edges, spanning_tree_masks
 
 from upsetkit import (
-    SubsetMask,
     graph_connectivity,
     hamiltonian_cycle,
     principal,
     random_upper_set,
     subgraph_containment,
 )
+from upsetkit.core import bit_indices
 from upsetkit.errors import OutOfRange, TrivialUpperSet
 from upsetkit.families import (
     PATTERNS,
@@ -25,7 +25,7 @@ TRIANGLE = [(0, 1), (1, 2), (0, 2)]
 
 
 def edges_of(mask, n):
-    return [e for i, e in enumerate(k_n_edges(n)) if mask.bits >> i & 1]
+    return [e for i, e in enumerate(k_n_edges(n)) if mask >> i & 1]
 
 
 class TestEdgeTable:
@@ -45,24 +45,29 @@ class TestEdgeTable:
 
 class TestPrincipal:
     def test_basic(self):
-        up = principal(4, SubsetMask.from_indices(4, {0, 1}))
-        assert [m.indices() for m in up.minimals] == [(0, 1)]
+        up = principal(4, 0b0011)
+        assert up.minimal_bits == (0b0011,)
 
     def test_full_set_rejected(self):
         with pytest.raises(TrivialUpperSet):
-            principal(3, SubsetMask.from_indices(3, {0, 1, 2}))
+            principal(3, 0b111)
 
     def test_empty_rejected(self):
         with pytest.raises(TrivialUpperSet):
-            principal(3, SubsetMask.empty(3))
+            principal(3, 0)
+
+    @pytest.mark.parametrize("bits", [0b1000, 0b1011, -1])
+    def test_mask_outside_ground_rejected(self, bits):
+        with pytest.raises(ValueError, match="inside the ground set of size 3"):
+            principal(3, bits)
 
 
 class TestConnectivity:
     @pytest.mark.parametrize("n,count", [(3, 3), (4, 16), (5, 125)])
     def test_cayley_counts(self, n, count):
         up = graph_connectivity(n)
-        assert len(up.minimals) == count == n ** (n - 2)
-        assert all(m.popcount == n - 1 for m in up.minimals)
+        assert len(up.minimal_bits) == count == n ** (n - 2)
+        assert all(m.bit_count() == n - 1 for m in up.minimal_bits)
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
@@ -71,7 +76,7 @@ class TestConnectivity:
             graph_connectivity(8)
 
     def test_trees_are_spanning(self):
-        for tree in graph_connectivity(4).minimals:
+        for tree in graph_connectivity(4).minimal_bits:
             touched = {v for e in edges_of(tree, 4) for v in e}
             assert touched == set(range(4))
 
@@ -83,22 +88,22 @@ class TestConnectivity:
 class TestSubgraphContainment:
     def test_triangle_in_k3(self):
         up = subgraph_containment(3, TRIANGLE)
-        assert [m.indices() for m in up.minimals] == [(0, 1, 2)]
+        assert [tuple(bit_indices(m)) for m in up.minimal_bits] == [(0, 1, 2)]
 
     def test_triangle_in_k4(self):
         up = subgraph_containment(4, TRIANGLE)
-        assert len(up.minimals) == 4
-        assert all(m.popcount == 3 for m in up.minimals)
+        assert len(up.minimal_bits) == 4
+        assert all(m.bit_count() == 3 for m in up.minimal_bits)
 
     def test_star3_in_k4(self):
         up = subgraph_containment(4, [(0, 1), (0, 2), (0, 3)])
-        assert len(up.minimals) == 4
-        assert all(m.popcount == 3 for m in up.minimals)
+        assert len(up.minimal_bits) == 4
+        assert all(m.bit_count() == 3 for m in up.minimal_bits)
 
     def test_images_are_embeddings(self):
         up = subgraph_containment(5, TRIANGLE)
-        assert len(up.minimals) == 10  # C(5,3) triangles
-        for m in up.minimals:
+        assert len(up.minimal_bits) == 10  # C(5,3) triangles
+        for m in up.minimal_bits:
             edges = edges_of(m, 5)
             verts = {v for e in edges for v in e}
             assert len(verts) == 3  # three mutually adjacent vertices
@@ -119,8 +124,8 @@ class TestSubgraphContainment:
 
     def test_hamilton(self):
         up = hamiltonian_cycle(4)
-        assert len(up.minimals) == 3  # (4-1)!/2 cycles
-        assert all(m.popcount == 4 for m in up.minimals)
+        assert len(up.minimal_bits) == 3  # (4-1)!/2 cycles
+        assert all(m.bit_count() == 4 for m in up.minimal_bits)
 
     def test_too_many_vertices(self):
         with pytest.raises(OutOfRange):
@@ -139,11 +144,11 @@ class TestRandomUpperSet:
 
     def test_single_draw_is_principal(self):
         up = random_upper_set(6, 1, 2, seed=7)
-        assert len(up.minimals) == 1
+        assert len(up.minimal_bits) == 1
 
     def test_count_upper_bounds_minimals(self):
         up = random_upper_set(8, 20, 4, seed=42)
-        assert 1 <= len(up.minimals) <= 20
+        assert 1 <= len(up.minimal_bits) <= 20
 
     def test_validation(self):
         with pytest.raises(OutOfRange):
@@ -156,8 +161,8 @@ class TestRandomUpperSet:
     def test_always_valid_instance(self, seed):
         up = random_upper_set(9, 6, 4, seed=seed)
         # construction re-validates antichain and nontriviality invariants
-        assert 1 <= len(up.minimals) <= 6
-        assert all(1 <= m.popcount <= 4 for m in up.minimals)
+        assert 1 <= len(up.minimal_bits) <= 6
+        assert all(1 <= m.bit_count() <= 4 for m in up.minimal_bits)
 
 
 class TestBattery:
@@ -171,7 +176,7 @@ class TestBattery:
         assert len(randoms) == RANDOM_BATTERY_COUNT >= 150
         for _, f in randoms:
             assert f.ground_size <= 12
-            assert len(f.minimals) <= 10
+            assert len(f.minimal_bits) <= 10
 
     def test_family_registry(self):
         up = make_family_instance("principal", 3)
