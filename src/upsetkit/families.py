@@ -16,8 +16,6 @@ import heapq
 import itertools
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .core import UpperSet, check_ground_cap
 from .errors import OutOfRange, TrivialUpperSet
 
@@ -122,6 +120,8 @@ def random_upper_set(ground_size: int, count: int, max_size: int, seed: int) -> 
         raise OutOfRange(f"count must be >= 1, got {count}")
     if not 1 <= max_size < ground_size:
         raise OutOfRange(f"need 1 <= max_size < ground_size, got {max_size}, {ground_size}")
+    import numpy as np
+
     rng = np.random.Generator(np.random.PCG64(seed))
     masks = []
     for _ in range(count):

@@ -5,8 +5,12 @@ kept independently with probability p) lies in F. Exact evaluation goes
 through instance-level integer profiles computed once and cached:
 
 * enumeration: counts of members of F by cardinality over all 2^n subsets,
-  so mu(p) = sum_k N_k p^k (1-p)^(n-k). The same pass keeps a largest
-  non-member, from which ``structure`` reads the covering dimension;
+  so mu(p) = sum_k N_k p^k (1-p)^(n-k). F is a 2^n-bit set, bit s set iff
+  subset s is in F, held as ints of 2^16 bits: one bit per minimal, closed
+  upward element by element, then counted level by level against a fixed
+  table of slice masks. The first zero bit at the top level that is not
+  full is a largest non-member, from which ``structure`` reads the
+  covering dimension;
 * inclusion_exclusion: signed integer coefficients c_j over unions of
   minimal-element subsets, so mu(p) = sum_j c_j p^j. Grouping the 2^|F0|
   signed terms by union size keeps the cancellation in exact integers.
@@ -19,9 +23,14 @@ thread takes a contiguous span of the samples and advances its own copy of
 the seeded stream to the span's first draw, so identical (seed, samples)
 gives identical estimates, whatever the thread count and timing.
 
-Memory: inclusion-exclusion holds about 5 bytes per union term (a uint32
-union and a uint8 parity for each of the 2^|F0| subsets) and counts them in
-blocks of 2^16 terms, ~6 MB at |F0| = 20. The Monte Carlo workers share
+numpy is imported by the functions that use it, inclusion-exclusion and
+Monte Carlo, so an enumeration runs without loading it.
+
+Memory: enumeration holds the 2^n-bit set twice, as bytes and as slices,
+a ~4 MB peak at n = 24.
+Inclusion-exclusion holds about 5 bytes per union term (a uint32 union and
+a uint8 parity for each of the 2^|F0| subsets) and counts them in blocks of
+2^16 terms, ~6 MB at |F0| = 20. The Monte Carlo workers share
 ``n * (MC_CHUNK_ROWS + 9 * MC_DRAW_ROWS) + 2 * MC_CHUNK_ROWS`` bytes, each
 holding 1/workers of them: bool blocks of ``MC_CHUNK_ROWS`` samples in all,
 filled ``MC_DRAW_ROWS`` draws at a time through float buffers and their bool
@@ -36,8 +45,6 @@ import os
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .core import UpperSet, bit_indices
 from .errors import MissingMcParams, SizeLimitExceeded
@@ -56,6 +63,8 @@ INCLUSION_EXCLUSION_MINIMALS_CAP = 24
 MC_CHUNK_ROWS = 1 << 16
 MC_DRAW_ROWS = 1 << 13
 MC_MAX_WORKERS = 4
+# the enumeration profile holds its 2^n-bit set in slices of 2^_SLICE_LOG bits
+_SLICE_LOG = 16
 
 EXACT_METHODS = ("enumeration", "inclusion_exclusion")
 
@@ -85,27 +94,74 @@ class CriticalProbability:
     tolerance: float
 
 
+@lru_cache(maxsize=None)
+def _slice_masks(width_log: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(LOW, LEVEL) over the positions p < 2^width_log: LOW[i] marks those
+    with bit i clear, for i < width_log, and LEVEL[j] those with j bits set,
+    for j = 0..width_log. A fixed table; it holds no instance data."""
+    if width_log == 0:
+        return (), (1,)
+    lows, levels = _slice_masks(width_log - 1)
+    half = 1 << (width_log - 1)
+    # a position in the upper half has bit width_log - 1 set, and one bit
+    # more than its twin in the lower half
+    return (
+        tuple(low | low << half for low in lows) + ((1 << half) - 1,),
+        tuple(
+            (levels[j] if j < width_log else 0) | (levels[j - 1] << half if j else 0)
+            for j in range(width_log + 1)
+        ),
+    )
+
+
 @lru_cache(maxsize=1024)
 def _enumeration_profile(upper: UpperSet) -> EnumerationProfile:
-    """N_k for k = 0..n and a largest non-member, from one pass over all 2^n
-    subsets."""
+    """N_k for k = 0..n and a largest non-member, from the up-closure of the
+    minimals as a 2^n-bit set: bit s is set iff subset s is in F."""
     n = upper.ground_size
     if n > ENUMERATION_GROUND_CAP:
         raise SizeLimitExceeded(
             f"enumeration needs ground_size <= {ENUMERATION_GROUND_CAP}, got {n}"
         )
-    subs = np.arange(1 << n, dtype=np.uint32)
-    member = np.zeros(1 << n, dtype=bool)
+    # The set is held in slices of 2^width_log bits: bit p of slice h is
+    # subset h * 2^width_log + p, which has h.bit_count() + p.bit_count()
+    # elements.
+    width_log = min(n, _SLICE_LOG)
+    lows, levels = _slice_masks(width_log)
+    buf = bytearray(max(1, (1 << n) >> 3))
     for m in upper.minimal_bits:
-        mm = np.uint32(m)
-        member |= (subs & mm) == mm
-    sizes = np.bitwise_count(subs)
-    counts = np.bincount(sizes[member], minlength=n + 1)
-    # Members are nonempty, so zeroing their sizes ties them with the empty
-    # set at index 0, a non-member; argmax then takes the first, i.e. the
-    # numerically and so canonically smallest, among the largest non-members.
-    sizes[member] = 0
-    return EnumerationProfile(tuple(int(c) for c in counts), int(np.argmax(sizes)))
+        buf[m >> 3] |= 1 << (m & 7)
+    step = len(buf) >> (n - width_log)
+    # A member without element i puts itself plus i in F. For i below
+    # width_log that stays inside the slice; past it, slice h passes its
+    # members to slice h + 2^(i - width_log).
+    slices = []
+    for start in range(0, len(buf), step):
+        bits = int.from_bytes(buf[start : start + step], "little")
+        if bits:
+            for i, low in enumerate(lows):
+                bits |= (bits & low) << (1 << i)
+        slices.append(bits)
+    for i in range(n - width_log):
+        for h in range(len(slices)):
+            if h >> i & 1:
+                slices[h] |= slices[h ^ (1 << i)]
+    counts = [0] * (n + 1)
+    for h, bits in enumerate(slices):
+        base = h.bit_count()
+        for j, level in enumerate(levels):
+            counts[base + j] += (bits & level).bit_count()
+    # The empty set is outside F, so some level is not full. The first zero
+    # bit at the top such level is the numerically, and so canonically,
+    # smallest of the largest non-members.
+    top = max(k for k, c in enumerate(counts) if c < math.comb(n, k))
+    for h, bits in enumerate(slices):
+        j = top - h.bit_count()
+        missing = levels[j] & ~bits if 0 <= j <= width_log else 0
+        if missing:
+            break
+    lowest = (missing & -missing).bit_length() - 1
+    return EnumerationProfile(tuple(counts), (h << width_log) | lowest)
 
 
 @lru_cache(maxsize=1024)
@@ -116,6 +172,8 @@ def _inclusion_exclusion_coeffs(upper: UpperSet) -> tuple[int, ...]:
         raise SizeLimitExceeded(
             f"inclusion-exclusion needs |F0| <= {INCLUSION_EXCLUSION_MINIMALS_CAP}, got {m}"
         )
+    import numpy as np
+
     n = upper.ground_size
     # Doubling: subset j + 2^i of the minimals is subset j plus minimal i, so
     # its union is ORed with minimal i and its parity flips.
@@ -191,6 +249,8 @@ def mu(
             raise MissingMcParams("monte_carlo needs samples and seed")
         if samples < 1:
             raise MissingMcParams(f"samples must be >= 1, got {samples}")
+        if seed < 0:
+            raise MissingMcParams(f"seed must be >= 0, got {seed}")
         return _mu_monte_carlo(upper, p, samples, seed)
     value = _exact(upper, method)(p)
     return MuEstimate(min(max(value, 0.0), 1.0), 0.0, method, 0)
@@ -260,6 +320,8 @@ def _mc_span(n: int, seed: int, first: int, rows: int, draw: int) -> tuple:
     after ``first * n`` steps the stream yields exactly the draws that one
     (samples, n) array holds from row ``first`` on.
     """
+    import numpy as np
+
     width = -(-rows // 8) * 8
     return (
         np.random.Generator(np.random.PCG64(seed).advance(first * n)),
@@ -275,6 +337,8 @@ def _mc_span_hits(columns: list[tuple[int, ...]], p: float, samples: int, span: 
     """Hits among the next ``samples`` samples of a span's stream. Each block
     is transposed into one bool row per element, padded with False, so one
     word op tests 8 samples at once."""
+    import numpy as np
+
     rng, floats, less, block, hits, term = span
     words = block.view(np.uint64)
     width = block.shape[1]

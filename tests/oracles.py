@@ -59,6 +59,36 @@ def member_counts(min_bits: list[int], n: int) -> list[int]:
     return counts
 
 
+def per_minimal_profile(min_bits: list[int], n: int) -> tuple[tuple[int, ...], int]:
+    """(N_k for k = 0..n, the numerically smallest largest non-member), from
+    one numpy pass over all 2^n subsets per minimal, with no closure and no
+    slices."""
+    import numpy as np
+
+    subs = np.arange(1 << n, dtype=np.uint32)
+    member = np.zeros(1 << n, dtype=bool)
+    for m in min_bits:
+        mm = np.uint32(m)
+        member |= (subs & mm) == mm
+    sizes = np.bitwise_count(subs)
+    counts = np.bincount(sizes[member], minlength=n + 1)
+    # Members are nonempty, so zeroing their sizes ties them with the empty
+    # set at index 0, a non-member; argmax then takes the first, i.e. the
+    # numerically and so canonically smallest, among the largest non-members.
+    sizes[member] = 0
+    return tuple(int(c) for c in counts), int(np.argmax(sizes))
+
+
+def coeffs_from_profile(counts: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The coefficients c_j of mu(p) = sum_j c_j p^j from the profile N_k of
+    mu(p) = sum_k N_k p^k (1-p)^(n-k): expanding (1-p)^(n-k) gives
+    c_j = sum_{k <= j} N_k (-1)^(j-k) C(n-k, j-k), exactly in integers."""
+    return tuple(
+        sum(counts[k] * (-1) ** (j - k) * math.comb(n - k, j - k) for k in range(j + 1))
+        for j in range(n + 1)
+    )
+
+
 def profile_sign(counts: list[int], n: int):
     """p -> the sign of mu(p) - 1/2 for mu(p) = sum_k N_k p^k (1-p)^(n-k),
     exactly: for a float p = a / 2^e in (0, 1), the big-int sum

@@ -1,5 +1,6 @@
 import math
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -13,18 +14,22 @@ from hypothesis import strategies as st
 from oracles import (
     brute_mu,
     brute_pc,
+    coeffs_from_profile,
     coeffs_sign,
     connectivity_profile,
     exact_root_bracket,
+    k_n_edges,
     member_counts,
+    per_minimal_profile,
     profile_sign,
     signed_union_counts,
 )
 from test_core import upper_sets
+import upsetkit
 from upsetkit import bounds, critical_probability, graph_connectivity, measure, mu
 from upsetkit.core import UpperSet
-from upsetkit.errors import MissingMcParams, SizeLimitExceeded
-from upsetkit.families import builtin_battery, make_family_instance
+from upsetkit.errors import MissingMcParams, OutOfRange, SizeLimitExceeded, TrivialUpperSet
+from upsetkit.families import FAMILIES, builtin_battery, make_family_instance
 from upsetkit.measure import (
     EXACT_METHODS,
     MC_CHUNK_ROWS,
@@ -149,6 +154,134 @@ class TestMuExact:
             mu(up, 0.5, "guesswork")
 
 
+def oracle_profile(up):
+    return per_minimal_profile(list(up.minimal_bits), up.ground_size)
+
+
+def kernel_profile(up):
+    profile = _enumeration_profile(up)
+    return profile.counts, profile.largest_non_member
+
+
+def family_instances(max_ground):
+    """Every FAMILIES instance on at most ``max_ground`` elements."""
+    out = []
+    for name in FAMILIES:
+        for n in range(1, max_ground + 1):
+            try:
+                up = make_family_instance(name, n)
+            except (OutOfRange, TrivialUpperSet, SizeLimitExceeded):
+                continue
+            if up.ground_size <= max_ground:
+                out.append(up)
+    return out
+
+
+@st.composite
+def wide_antichains(draw, min_ground, max_ground, max_gens):
+    n = draw(st.integers(min_ground, max_ground))
+    gens = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=max_gens))
+    return UpperSet(n, gens)
+
+
+class TestEnumerationProfile:
+    """The slice kernel against the per-minimal oracle, brute force,
+    inclusion-exclusion and closed forms."""
+
+    def test_battery_matches_oracle(self):
+        for name, up in builtin_battery():
+            assert kernel_profile(up) == oracle_profile(up), name
+
+    def test_families_match_oracle(self):
+        instances = family_instances(20)
+        assert {up.ground_size for up in instances} >= {2, 3, 6, 10, 15, 20}
+        for up in instances:
+            assert kernel_profile(up) == oracle_profile(up), up.minimal_bits[:4]
+
+    @pytest.mark.parametrize("k", range(1, 21))
+    def test_principal_matches_oracle(self, k):
+        up = make_family_instance("principal", k)
+        assert kernel_profile(up) == oracle_profile(up)
+
+    # n < 3 fits in under one byte, n = 16 is one 2^16-bit slice and n = 17-18
+    # spans several; UpperSet(18, [1]) has its largest non-member in slice 3
+    @given(wide_antichains(1, 18, 10))
+    @example(UpperSet(1, [1]))
+    @example(UpperSet(2, [1, 2]))
+    @example(UpperSet(2, [3]))
+    @example(UpperSet(16, [0b11 << 14, 1 << 3]))
+    @example(UpperSet(17, [1 << 16, 0b101]))
+    @example(UpperSet(18, [1]))
+    @settings(max_examples=60, deadline=None)
+    def test_random_antichains_match_brute_force(self, up):
+        n, bits = up.ground_size, up.minimal_bits
+        counts, largest = kernel_profile(up)
+        assert (counts, largest) == oracle_profile(up)
+        if n <= 10:
+            outside = [s for s in range(1 << n) if not any(m & s == m for m in bits)]
+            top = max(s.bit_count() for s in outside)
+            assert largest == min(s for s in outside if s.bit_count() == top)
+
+    @given(wide_antichains(21, 24, 12))
+    @example(UpperSet(24, [0b111 << i for i in range(0, 22, 2)] + [1 << 23]))
+    @settings(max_examples=8, deadline=None)
+    def test_past_auto_cap_matches_inclusion_exclusion(self, up):
+        n = up.ground_size
+        profile = _enumeration_profile(up)
+        assert coeffs_from_profile(profile.counts, n) == _inclusion_exclusion_coeffs(up)
+
+    def test_connectivity_7_closed_forms(self):
+        up = graph_connectivity(7)
+        profile = _enumeration_profile(up)
+        counts = profile.counts
+        assert sum(counts) == 1_866_256  # connected labeled graphs on 7 vertices, OEIS A001187
+        assert counts[6] == 7**5  # spanning trees, Cayley
+        assert counts[:6] == (0,) * 6
+        # a disconnected graph on 15 edges is K_6 plus one of 7 isolated
+        # vertices, and every graph on more edges is connected
+        assert counts[15] == math.comb(21, 15) - 7
+        assert counts[16:] == tuple(math.comb(21, k) for k in range(16, 22))
+        # K_6 on vertices 0..5 plus an isolated vertex 6: the edges of
+        # vertex 6 come last in the numbering, so this is the smallest mask
+        k6 = sum(1 << i for i, (u, v) in enumerate(k_n_edges(7)) if v < 6)
+        assert profile.largest_non_member == k6
+        assert k6.bit_count() == 15
+
+    def test_traced_peak_bounded(self):
+        up = UpperSet(24, [0b1111 << i for i in range(0, 21, 3)])
+        _enumeration_profile.cache_clear()
+        tracemalloc.start()
+        try:
+            _enumeration_profile(up)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6_000_000
+
+
+class TestNumpyOffTheExactPath:
+    SCRIPT = """
+import contextlib, io, sys
+from upsetkit.cli import main
+for extra in ([], ["--method", "ie"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["compute", "--instance", sys.argv[1], *extra])
+    print(code, "numpy" in sys.modules)
+"""
+
+    def test_compute_runs_without_numpy(self, tmp_path):
+        path = tmp_path / "k4.json"
+        path.write_text(graph_connectivity(4).to_instance_json())
+        src = os.path.dirname(os.path.dirname(upsetkit.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT, str(path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        # enumeration leaves numpy unloaded; inclusion-exclusion loads it
+        assert done.stdout.splitlines() == ["0 False", "0 True"]
+
+
 class TestAutoExactMethod:
     def test_enumerates_up_to_the_cap(self):
         up = UpperSet(20, [1 << i for i in range(20)])
@@ -177,6 +310,11 @@ class TestMuMonteCarlo:
             mu(up, 0.5, "monte_carlo", samples=100)
         with pytest.raises(MissingMcParams):
             mu(up, 0.5, "monte_carlo", samples=0, seed=1)
+
+    def test_negative_seed(self):
+        # checked before numpy, which would name neither argument nor function
+        with pytest.raises(MissingMcParams, match=r"^seed must be >= 0, got -1$"):
+            mu(graph_connectivity(3), 0.5, "monte_carlo", samples=10, seed=-1)
 
     def test_seed_determinism(self):
         up = graph_connectivity(3)
