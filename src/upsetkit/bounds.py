@@ -4,8 +4,14 @@ The central quantity is the bound K * q(F) * log(argument), where the
 argument is either ell(F) or 2*ell0(F) depending on the variant, and the
 logarithm base is configuration (base 2 by default; the universal constant
 absorbs the base, and base 2 makes the ell = 2 floor contribute exactly 1).
-The bound "provides nontrivial information" when its value is below 1,
-since the critical probability is below 1 for free.
+``BoundVariant.log`` is the one log-base rule: the bound and the sweep's
+q * log(ell) both take it. The bound "provides nontrivial information" when
+its value is below 1, since the critical probability is below 1 for free.
+
+The lattice symmetric polynomials enter through one number, t* (the
+report's ``sigma_top``): the largest number of minimals through a single
+element. sigma_k is empty exactly when k > t*, so the printed
+``sigma_profile`` and the sweep's flags are both read from it.
 
 verify_instance is the one per-instance pipeline: compute, verify and
 sweep all read its report. It evaluates every inequality the quantities
@@ -52,18 +58,6 @@ class BoundVariant:
         if self.argument not in ARGUMENTS:
             raise ValueError(f"argument must be one of {ARGUMENTS}, got {self.argument!r}")
 
-    @classmethod
-    def bell(cls) -> "BoundVariant":
-        return cls(K=8.0, log_base="2", argument="two_ell0")
-
-    @classmethod
-    def park_vondrak(cls) -> "BoundVariant":
-        return cls(K=4.5, log_base="2", argument="two_ell0")
-
-    @classmethod
-    def kk(cls, K: float, log_base: str = "2") -> "BoundVariant":
-        return cls(K=K, log_base=log_base, argument="ell")
-
     @property
     def name(self) -> str:
         if self.argument == "ell":
@@ -74,9 +68,11 @@ class BoundVariant:
             return "park_vondrak_4p5"
         return "custom"
 
+    def log(self, x: float) -> float:
+        return math.log2(x) if self.log_base == "2" else math.log(x)
+
     def log_argument(self, upper: UpperSet) -> float:
-        arg = upper.ell if self.argument == "ell" else 2 * upper.ell0
-        return math.log2(arg) if self.log_base == "2" else math.log(arg)
+        return self.log(upper.ell if self.argument == "ell" else 2 * upper.ell0)
 
     def to_dict(self) -> dict:
         return {
@@ -111,7 +107,7 @@ class BoundReport:
     bound_value: float | None
     width: float | None
     nontrivial_info: bool | None
-    sigma_profile: tuple[tuple[int, bool], ...]
+    sigma_top: int
     inequality_checks: tuple[InequalityCheck, ...]
     # Not printed: what the numbers above came from, and why any is absent.
     threshold: ExpectationThreshold | None
@@ -133,7 +129,7 @@ class BoundReport:
             "bound_value": self.bound_value,
             "width": self.width,
             "nontrivial_info": self.nontrivial_info,
-            "sigma_profile": [[k, empty] for k, empty in self.sigma_profile],
+            "sigma_profile": [[k, k > self.sigma_top] for k in range(1, self.min_count + 1)],
             "inequality_checks": [c.to_dict() for c in self.inequality_checks],
         }
 
@@ -176,7 +172,6 @@ def verify_instance(
 
     m = len(upper.minimal_bits)
     t = max_nonempty_sigma_index(upper)
-    sigma_profile = tuple((k, k > t) for k in range(1, m + 1))
     log_arg = variant.log_argument(upper)
     bound_value = width = nontrivial = None
     if q is not None:
@@ -227,7 +222,7 @@ def verify_instance(
         bound_value=bound_value,
         width=width,
         nontrivial_info=nontrivial,
-        sigma_profile=sigma_profile,
+        sigma_top=t,
         inequality_checks=tuple(checks),
         threshold=threshold,
         critical=critical,

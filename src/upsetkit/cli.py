@@ -158,7 +158,7 @@ def cmd_compute(args) -> int:
             doc["mu_monte_carlo_at_p_c"] = {
                 "value": est.value,
                 "std_error": est.std_error,
-                "samples": est.samples,
+                "samples": args.samples,
                 "seed": args.seed,
             }
         print(fmt.dumps(doc))
@@ -206,8 +206,8 @@ def _instance_checks(name: str, upper: UpperSet, variant: BoundVariant, tol: flo
     rows.append((name, "q_witness_covers", witness.covers(upper), None))
     rows.append((name, "q_witness_cost_le_half", witness_cost <= 0.5, 0.5 - witness_cost))
 
-    pc = report.critical
-    rows.append((name, "pc_residual_le_tol", pc.residual <= pc.tolerance, pc.tolerance - pc.residual))
+    residual = report.critical.residual
+    rows.append((name, "pc_residual_le_tol", residual <= tol, tol - residual))
 
     method = auto_exact_method(upper)
     lo = mu(upper, 0.0, method).value

@@ -84,14 +84,12 @@ _PRUNE_SLACK = 1e-12
 class CoverSolution:
     cover: Cover
     cost: float
-    p: float
 
 
 @dataclass(frozen=True)
 class ExpectationThreshold:
     q: float
     witness_cover: Cover
-    tolerance: float
 
 
 def _submasks(mask: int):
@@ -303,7 +301,7 @@ def min_cover_cost(upper: UpperSet, p: float) -> CoverSolution:
     prob = _problem(upper)
     _, chosen = _Search(prob, p).optimize()
     cover = _to_cover(upper, prob, chosen)
-    return CoverSolution(cover, cover.cost(p), p)
+    return CoverSolution(cover, cover.cost(p))
 
 
 def is_p_small(upper: UpperSet, p: float) -> bool:
@@ -386,9 +384,9 @@ def expectation_threshold(upper: UpperSet, tol: float = 1e-9) -> ExpectationThre
     a cover and ``is_p_small`` holds. ``decide`` returned None at the p that ended the climb, a few
     1e-12 above q, so q is exact to about that.
 
-    ``tol`` does not set the accuracy of q. It is kept, and must be
-    positive and finite, because callers pass it and
-    ``ExpectationThreshold.tolerance`` reports it.
+    ``tol`` does not set the accuracy of q, and the result does not report
+    it. It is kept, and must be positive and finite, because callers pass
+    it.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -401,7 +399,7 @@ def expectation_threshold(upper: UpperSet, tol: float = 1e-9) -> ExpectationThre
     # Newton can stop a float short of the largest such p
     while _weight(terms, up := math.nextafter(q, 1.0)) <= 0.5:
         q = up
-    return ExpectationThreshold(q, _to_cover(upper, prob, chosen), tol)
+    return ExpectationThreshold(q, _to_cover(upper, prob, chosen))
 
 
 @lru_cache(maxsize=1024)

@@ -73,8 +73,6 @@ EXACT_METHODS = ("enumeration", "inclusion_exclusion")
 class MuEstimate:
     value: float
     std_error: float
-    method: str
-    samples: int
 
 
 @dataclass(frozen=True)
@@ -91,7 +89,6 @@ class EnumerationProfile:
 class CriticalProbability:
     p_c: float
     residual: float
-    tolerance: float
 
 
 @lru_cache(maxsize=None)
@@ -206,14 +203,18 @@ def _eval_inclusion_exclusion(coeffs: tuple[int, ...], p: float) -> float:
 
 def auto_exact_method(upper: UpperSet) -> str:
     """Pick the exact measure engine: enumerate small grounds, otherwise
-    inclusion-exclusion over few minimals."""
+    inclusion-exclusion over few minimals. Past both it picks none, though
+    an engine named explicitly may still take the instance."""
     if upper.ground_size <= AUTO_ENUMERATION_CAP:
         return "enumeration"
     if len(upper.minimal_bits) <= AUTO_INCLUSION_EXCLUSION_CAP:
         return "inclusion_exclusion"
     raise SizeLimitExceeded(
-        f"no exact method: ground_size {upper.ground_size} > {AUTO_ENUMERATION_CAP} "
-        f"and |F0| {len(upper.minimal_bits)} > {AUTO_INCLUSION_EXCLUSION_CAP}"
+        f"auto picks no exact method for ground_size {upper.ground_size} > "
+        f"{AUTO_ENUMERATION_CAP} and |F0| {len(upper.minimal_bits)} > "
+        f"{AUTO_INCLUSION_EXCLUSION_CAP}; named explicitly, enumeration takes "
+        f"ground_size <= {ENUMERATION_GROUND_CAP} and inclusion-exclusion takes "
+        f"|F0| <= {INCLUSION_EXCLUSION_MINIMALS_CAP}"
     )
 
 
@@ -253,7 +254,7 @@ def mu(
             raise MissingMcParams(f"seed must be >= 0, got {seed}")
         return _mu_monte_carlo(upper, p, samples, seed)
     value = _exact(upper, method)(p)
-    return MuEstimate(min(max(value, 0.0), 1.0), 0.0, method, 0)
+    return MuEstimate(min(max(value, 0.0), 1.0), 0.0)
 
 
 def _usable_cpus() -> int:
@@ -306,7 +307,7 @@ def _mu_monte_carlo(upper: UpperSet, p: float, samples: int, seed: int) -> MuEst
         total = hits(0) + sum(f.result() for f in others)
     value = total / samples
     std_error = math.sqrt(value * (1.0 - value) / samples)
-    return MuEstimate(value, std_error, "monte_carlo", samples)
+    return MuEstimate(value, std_error)
 
 
 def _mc_span(n: int, seed: int, first: int, rows: int, draw: int) -> tuple:
@@ -431,7 +432,7 @@ def critical_probability(
             f"tol {tol:g} is finer than floats resolve: mu - 1/2 changes sign between the "
             f"adjacent floats {lo!r} and {hi!r}, with residual {residual:.3e}"
         )
-    return CriticalProbability(p_c, residual, tol)
+    return CriticalProbability(p_c, residual)
 
 
 def clear_caches() -> None:

@@ -3,9 +3,13 @@
 Asymptotic statements cannot be verified at finite n. Everything here is
 framed as "holds from N on over the observed range" or "consistent with
 the trend": an explicit finite-sample diagnostic, never a limit claim.
-Each row projects the instance's ``bounds.verify_instance`` report, so a
-field is absent (None) when its exact computation is past a cap, and the
-row's error is the report's reason; nothing is extrapolated or fabricated.
+Each row projects the instance's ``bounds.verify_instance`` report: the
+fields named in ``REPORT_FIELDS`` are copied from it, so a field is absent
+(None) when its exact computation is past a cap, and the row's error is
+the report's reason; nothing is extrapolated or fabricated. The row adds
+q * log(ell), in the variant's log base (``BoundVariant.log``), and one
+sigma flag per t, read from the report's ``sigma_top``. A row whose
+instance cannot be built holds only n and the error.
 """
 
 from __future__ import annotations
@@ -25,23 +29,26 @@ CSV_BASE_HEADER = (
 )
 # the trailing share of usable rows a perfect-information trend must fall over
 TREND_WINDOW_FRACTION = 0.5
+# the fields a row copies from its instance's report, in CSV order
+REPORT_FIELDS = ("min_count", "ell0", "ell", "dim_unrestricted", "dim_within_family",
+                 "q", "p_c", "bound_value", "width", "nontrivial_info")
 
 
 @dataclass(frozen=True)
 class SweepRecord:
     n: int
-    min_count: int | None
-    ell0: int | None
-    ell: int | None
-    dim_unrestricted: int | None
-    dim_within_family: int | None
-    q: float | None
-    p_c: float | None
-    bound_value: float | None
-    width: float | None
-    nontrivial_info: bool | None
-    ratio_perfect: float | None
-    sigma_empty_at: tuple[bool | None, ...]
+    min_count: int | None = None
+    ell0: int | None = None
+    ell: int | None = None
+    dim_unrestricted: int | None = None
+    dim_within_family: int | None = None
+    q: float | None = None
+    p_c: float | None = None
+    bound_value: float | None = None
+    width: float | None = None
+    nontrivial_info: bool | None = None
+    ratio_perfect: float | None = None
+    sigma_empty_at: tuple[bool | None, ...] = ()
     error: str | None = None
 
 
@@ -50,27 +57,13 @@ def _instance_record(
 ) -> SweepRecord:
     report = verify_instance(upper, variant, tol)
     m = report.min_count
-    # The flag for t is the profile's entry for sigma_{|F0|-t}; for
-    # t >= |F0| the index leaves the valid range and the flag is absent.
-    empty = dict(report.sigma_profile)
-    sigma_flags = tuple(empty.get(m - t) for t in range(t_max + 1))
-    ratio = None
-    if report.q is not None:
-        log_ell = math.log2(upper.ell) if variant.log_base == "2" else math.log(upper.ell)
-        ratio = report.q * log_ell
+    # The flag for t says whether sigma_{|F0|-t} is empty; for t >= |F0|
+    # the index leaves the valid range and the flag is absent.
+    sigma_flags = tuple(m - t > report.sigma_top if t < m else None for t in range(t_max + 1))
     return SweepRecord(
-        n=n,
-        min_count=m,
-        ell0=report.ell0,
-        ell=report.ell,
-        dim_unrestricted=report.dim_unrestricted,
-        dim_within_family=report.dim_within_family,
-        q=report.q,
-        p_c=report.p_c,
-        bound_value=report.bound_value,
-        width=report.width,
-        nontrivial_info=report.nontrivial_info,
-        ratio_perfect=ratio,
+        n,
+        **{f: getattr(report, f) for f in REPORT_FIELDS},
+        ratio_perfect=None if report.q is None else report.q * variant.log(upper.ell),
         sigma_empty_at=sigma_flags,
         error=report.absent,
     )
@@ -92,10 +85,7 @@ def sweep(
         try:
             upper = make_family_instance(family, n)
         except UpsetError as exc:
-            records.append(
-                SweepRecord(n, None, None, None, None, None, None, None, None,
-                            None, None, None, tuple([None] * (t_max + 1)), str(exc))
-            )
+            records.append(SweepRecord(n, error=str(exc)))
             continue
         records.append(_instance_record(n, upper, variant, t_max, tol))
     return records
@@ -105,14 +95,8 @@ def records_to_csv(records: Sequence[SweepRecord], t_max: int) -> str:
     header = CSV_BASE_HEADER + "".join(f",sigma_empty_t{t}" for t in range(t_max + 1))
     lines = [header]
     for r in records:
-        cells = [
-            fmt.csv_cell(v)
-            for v in (
-                r.n, r.min_count, r.ell0, r.ell, r.dim_unrestricted,
-                r.dim_within_family, r.q, r.p_c, r.bound_value, r.width,
-                r.nontrivial_info, r.ratio_perfect,
-            )
-        ]
+        values = (r.n, *(getattr(r, f) for f in REPORT_FIELDS), r.ratio_perfect)
+        cells = [fmt.csv_cell(v) for v in values]
         flags = list(r.sigma_empty_at) + [None] * (t_max + 1 - len(r.sigma_empty_at))
         cells.extend(fmt.csv_cell(v) for v in flags[: t_max + 1])
         lines.append(",".join(cells))

@@ -11,9 +11,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import upsetkit as uk
 from upsetkit.bounds import auto_exact_method
-from upsetkit.expectation import cached_q
+from upsetkit.expectation import expectation_threshold
 from upsetkit.measure import critical_probability
-from upsetkit.structure import cached_dim, max_nonempty_sigma_index
+from upsetkit.structure import covering_dimension, max_nonempty_sigma_index
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ def battery_results(battery):
     """All battery quantities, with the q + p_c wall time recorded."""
     t0 = time.perf_counter()
     q_pc = [
-        (cached_q(f), critical_probability(f, 1e-9, auto_exact_method(f)).p_c)
+        (expectation_threshold(f).q, critical_probability(f, 1e-9, auto_exact_method(f)).p_c)
         for _, f in battery
     ]
     q_pc_seconds = time.perf_counter() - t0
@@ -48,7 +48,7 @@ def battery_results(battery):
                 upper=f,
                 q=q,
                 p_c=p_c,
-                dim_unrestricted=cached_dim(f),
+                dim_unrestricted=covering_dimension(f).dim,
                 sigma_top=max_nonempty_sigma_index(f),
             )
         )

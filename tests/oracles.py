@@ -522,3 +522,34 @@ def bisection_threshold(upper, tol: float = 1e-9) -> tuple[float, float]:
         else:
             hi = mid
     return lo, hi
+
+
+def tribes(w: int, m: int) -> tuple[int, list[int], dict[str, float]]:
+    """m disjoint blocks of w elements, and F is "some block is full".
+
+    Returns the ground size, the minimals (the blocks) and the closed forms
+    of q, p_c and dim. mu = 1 - (1 - p^w)^m gives p_c; every cover element
+    lies inside one block and costs at least p^w, so the blocks are a
+    cheapest cover and q = (2m)^(-1/w); a hitting set needs one element per
+    block, so dim = m.
+    """
+    blocks = [((1 << w) - 1) << (w * j) for j in range(m)]
+    forms = {"q": (2 * m) ** (-1 / w), "p_c": (1 - 2 ** (-1 / m)) ** (1 / w), "dim": m}
+    return w * m, blocks, forms
+
+
+def cnf(w: int, m: int) -> tuple[int, list[int], dict[str, float]]:
+    """m disjoint clauses of w elements, and F is "the set meets every
+    clause": the dual of ``tribes``.
+
+    Returns the ground size, the minimals (the w^m transversals) and the
+    closed forms of q, p_c and dim. mu = (1 - (1 - p)^w)^m gives p_c. An
+    element S covers a w^(-|S|) share of the transversals, so a cover has
+    sum w^(-|S|) >= 1, and with pw < 1 it weighs at least (pw)^m, which the
+    transversals attain: q = 2^(-1/m) / w. A set hits every transversal iff
+    it holds a whole clause, so dim = w.
+    """
+    clauses = [[1 << (w * j + i) for i in range(w)] for j in range(m)]
+    transversals = [functools.reduce(operator.or_, pick) for pick in itertools.product(*clauses)]
+    forms = {"q": 2 ** (-1 / m) / w, "p_c": 1 - (1 - 2 ** (-1 / m)) ** (1 / w), "dim": w}
+    return w * m, transversals, forms

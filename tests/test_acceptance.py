@@ -29,7 +29,7 @@ from upsetkit import (
 )
 from upsetkit.core import UpperSet
 
-BELL = BoundVariant.bell()
+BELL = BoundVariant(8.0)
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -152,7 +152,8 @@ def test_criterion_6_dimension_inequalities(battery_results):
 
 def test_criterion_7_intersecting_minimals(battery_results):
     results, _ = battery_results
-    variants = [BELL, BoundVariant.park_vondrak(), BoundVariant.kk(2.0), BoundVariant.kk(3.998)]
+    variants = [BELL, BoundVariant(4.5), BoundVariant(2.0, argument="ell"),
+                BoundVariant(3.998, argument="ell")]
     counterexamples = []
     tested = 0
     for r in results:

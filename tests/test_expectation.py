@@ -244,7 +244,7 @@ class TestExpectationThreshold:
         up = graph_connectivity(4)
         res = expectation_threshold(up)
         assert res.witness_cover.covers(up)
-        assert res.witness_cover.cost(res.q - res.tolerance) <= 0.5
+        assert res.witness_cover.cost(res.q - 1e-9) <= 0.5
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_principal_exactness(self, k):
@@ -257,8 +257,8 @@ class TestExpectationThreshold:
     def test_matches_naive_q_and_brackets(self, up):
         res = expectation_threshold(up, tol=1e-6)
         assert res.q == pytest.approx(naive_q(list(up.minimal_bits), iters=40), abs=1e-5)
-        assert is_p_small(up, res.q - res.tolerance)
-        assert not is_p_small(up, res.q + res.tolerance)
+        assert is_p_small(up, res.q - 1e-6)
+        assert not is_p_small(up, res.q + 1e-6)
 
     @given(upper_sets(max_ground=8, max_gens=5))
     @settings(max_examples=30, deadline=None)

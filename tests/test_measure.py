@@ -295,7 +295,11 @@ class TestAutoExactMethod:
         up = UpperSet(21, [1 << i for i in range(21)])
         with pytest.raises(SizeLimitExceeded) as exc:
             measure.auto_exact_method(up)
-        assert str(exc.value) == "no exact method: ground_size 21 > 20 and |F0| 21 > 20"
+        assert str(exc.value) == (
+            "auto picks no exact method for ground_size 21 > 20 and |F0| 21 > 20; named "
+            "explicitly, enumeration takes ground_size <= 24 and inclusion-exclusion takes "
+            "|F0| <= 24"
+        )
 
     def test_bounds_reexports_it(self):
         assert bounds.auto_exact_method is measure.auto_exact_method
@@ -329,7 +333,6 @@ class TestMuMonteCarlo:
         exact = mu(up, 0.5).value
         est = mu(up, 0.5, "monte_carlo", samples=100_000, seed=7)
         assert abs(est.value - exact) <= 4 * est.std_error
-        assert est.samples == 100_000
 
     def test_chunked_draws_match_one_array(self):
         # several full chunks plus a ragged last one
@@ -339,7 +342,6 @@ class TestMuMonteCarlo:
         value = one_array_hits(up, 0.45, samples, 2024) / samples
         assert est.value == value
         assert est.std_error == math.sqrt(value * (1.0 - value) / samples)
-        assert est.samples == samples
 
     @given(
         mc_instances(),
@@ -516,7 +518,7 @@ class TestCriticalProbability:
         up = UpperSet(5, [0b00111])
         res = critical_probability(up)
         assert res.p_c == pytest.approx(2 ** (-1 / 3), abs=1e-9)
-        assert res.residual <= res.tolerance
+        assert res.residual <= 1e-9
 
     def test_k3_connectivity(self):
         res = critical_probability(graph_connectivity(3))

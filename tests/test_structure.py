@@ -118,12 +118,12 @@ class TestCoveringDimension:
         # with witnesses restricted to members of F, the minimals are the
         # only ones: dim is |F0|, here the spanning-tree count
         up = graph_connectivity(3)
-        assert verify_instance(up, BoundVariant.bell()).dim_within_family == 3 == 3 ** (3 - 2)
+        assert verify_instance(up, BoundVariant(8.0)).dim_within_family == 3 == 3 ** (3 - 2)
         assert block_cover_dimension(list(up.minimal_bits), 3, "within_family") == 3
 
     def test_principal_both_conventions(self):
         up = UpperSet(5, [0b00111])
-        report = verify_instance(up, BoundVariant.bell())
+        report = verify_instance(up, BoundVariant(8.0))
         assert covering_dimension(up).dim == report.dim_unrestricted == 1
         assert report.dim_within_family == 1
 

@@ -15,7 +15,7 @@ from upsetkit import (
 from upsetkit.errors import EmptyInput, TooFewRecords
 from upsetkit.families import make_family_instance
 
-BELL = BoundVariant.bell()
+BELL = BoundVariant(8.0)
 
 
 def synthetic_record(n, q, ell, bound):
@@ -72,7 +72,7 @@ class TestPipeline:
             for name in self.SHARED:
                 assert getattr(row, name) == getattr(report, name), (row.n, name)
             assert row.error == report.absent
-            empty = dict(report.sigma_profile)
+            empty = dict(report.to_json_dict()["sigma_profile"])
             assert row.sigma_empty_at == tuple(
                 empty.get(row.min_count - t) for t in range(t_max + 1))
 
