@@ -34,13 +34,17 @@ acc / scale <= threshold; int/int division is correctly rounded, so that
 is the exact sum rounded once, the number ``Cover.cost`` gives with
 ``math.fsum``. The bounds stay float and prune only past the threshold by
 a slack far above their rounding error. The p-independent tables
-(coverages and their counts, the candidates under each minimal) are built
-once per problem; a search builds only its costs, from one table of powers
-of p. The counting bound's ratio is the smallest cost/|cov & uncovered|
-over the candidates that meet the uncovered minimals; at the root every
-coverage is whole, so it is the smallest cost/|cov|. A node branches on
-the lowest uncovered minimal (by its index in F0) and tries its
-candidates by cost/|cov|, then in canonical order.
+(coverages, their counts, the coverages grouped by candidate size) are
+built once per problem, and the candidates under a minimal the first time
+any search branches on it, so a decide that the root bound settles builds
+none of them. A search builds only its costs, from one table of powers of
+p. The counting bound's ratio is the smallest cost/|cov & uncovered| over
+the candidates that meet the uncovered minimals. Candidates of one size
+cost the same, so it is the smallest p^k / (largest |cov & uncovered| among
+the candidates of size k); at the root every coverage is whole, so those
+counts are the p-independent largest |cov|. A node branches on the
+lowest uncovered minimal (by its index in F0) and tries its candidates by
+cost/|cov|, then in canonical order.
 
 The minimum cost (``optimize``) is a descent over decide: from the greedy
 cover, each decide asks for a cover cheaper by twice the prune slack, and
@@ -63,12 +67,12 @@ the climb.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
-from .core import Cover, SubsetMask, UpperSet, bit_indices, canonical_key
+from .core import Cover, SubsetMask, UpperSet, canonical_key
 from .errors import SizeLimitExceeded
 
 CANDIDATE_GENERATION_CAP = 1 << 20
@@ -119,59 +123,78 @@ def candidate_cover_elements(
 
 class _CoverProblem:
     """Preprocessed search data for minimal elements and cover candidates
-    (p-independent)."""
+    (p-independent). The candidates under each minimal are built the first
+    time a search branches on it (``under``)."""
 
     __slots__ = ("min_bits", "min_sizes", "max_size", "cand_bits", "cand_sizes", "cand_cov",
-                 "cand_count", "per_min", "full")
+                 "cand_count", "size_groups", "per_min", "full")
 
     def __init__(self, min_bits: tuple[int, ...], cand_bits: tuple[int, ...]):
         self.min_bits = min_bits
         m = len(min_bits)
-        self.min_sizes = tuple(b.bit_count() for b in min_bits)
+        self.min_sizes = tuple(map(int.bit_count, min_bits))
         self.max_size = max(self.min_sizes)
         self.cand_bits = cand_bits
-        self.cand_sizes = tuple(b.bit_count() for b in cand_bits)
+        self.cand_sizes = tuple(map(int.bit_count, cand_bits))
         # A candidate lies under exactly the minimals through all its elements.
         through = [0] * max(min_bits).bit_length()
         for i, mb in enumerate(min_bits):
-            for x in bit_indices(mb):
-                through[x] |= 1 << i
+            bit = 1 << i
+            while mb:
+                low = mb & -mb
+                through[low.bit_length() - 1] |= bit
+                mb ^= low
         self.full = (1 << m) - 1
         cand_cov = []
-        per_min: list[list[int]] = [[] for _ in range(m)]
-        for j, s in enumerate(cand_bits):
+        for s in cand_bits:
             c = self.full
-            for x in bit_indices(s):
-                c &= through[x]
+            while s:
+                low = s & -s
+                c &= through[low.bit_length() - 1]
+                s ^= low
             cand_cov.append(c)
-            for i in bit_indices(c):
-                per_min[i].append(j)
         self.cand_cov = tuple(cand_cov)
-        self.cand_count = tuple(c.bit_count() for c in self.cand_cov)
-        self.per_min = tuple(map(tuple, per_min))
+        self.cand_count = tuple(map(int.bit_count, cand_cov))
+        # per candidate size: its coverages and the largest of their counts
+        by_size: dict[int, list[int]] = {}
+        for k, c in zip(self.cand_sizes, cand_cov):
+            by_size.setdefault(k, []).append(c)
+        self.size_groups = tuple(
+            (k, tuple(covs), max(map(int.bit_count, covs))) for k, covs in sorted(by_size.items())
+        )
+        self.per_min: list[tuple[int, ...] | None] = [None] * m
+
+    def under(self, i: int) -> tuple[int, ...]:
+        """The candidates under minimal i, ascending."""
+        got = self.per_min[i]
+        if got is None:
+            got = self.per_min[i] = tuple(
+                compress(range(len(self.cand_cov)), map((1 << i).__and__, self.cand_cov))
+            )
+        return got
 
 
 def _intersection_closure(min_bits: tuple[int, ...]) -> set[int]:
     """Nonempty intersections of subfamilies of the minimal elements.
 
-    Grows the set from the minimals by intersecting each new member with
-    every minimal; raises as soon as it passes SOLVER_CANDIDATES_CAP, so a
-    refused instance costs at most ~cap * |F0| mask operations.
+    Grows the set one minimal at a time: the closure of M_1..M_k is that of
+    M_1..M_{k-1}, plus M_k, plus M_k intersected with each of its members.
+    The closure only grows with k, so it raises as soon as it passes
+    SOLVER_CANDIDATES_CAP, after the minimal that takes it there. Each step
+    intersects at most cap members, so a refused instance costs at most
+    cap * |F0| mask operations, and the set never holds more than
+    2 * cap + 1 masks.
     """
-    closure = set(min_bits)
-    pending = list(closure)
-    while pending:
-        s = pending.pop()
-        for mb in min_bits:
-            t = s & mb
-            if t and t not in closure:
-                if len(closure) >= SOLVER_CANDIDATES_CAP:
-                    raise SizeLimitExceeded(
-                        f"exact cover search needs <= {SOLVER_CANDIDATES_CAP} candidates "
-                        "(intersections of minimal elements), got more"
-                    )
-                closure.add(t)
-                pending.append(t)
+    closure: set[int] = set()
+    for mb in min_bits:
+        closure |= {s & mb for s in closure}
+        closure.add(mb)
+        closure.discard(0)
+        if len(closure) > SOLVER_CANDIDATES_CAP:
+            raise SizeLimitExceeded(
+                f"exact cover search needs <= {SOLVER_CANDIDATES_CAP} candidates "
+                "(intersections of minimal elements), got more"
+            )
     return closure
 
 
@@ -183,7 +206,8 @@ def _problem(upper: UpperSet) -> _CoverProblem:
         raise SizeLimitExceeded(
             f"exact cover search needs |F0| <= {SOLVER_MINIMALS_CAP}, got {len(min_bits)}"
         )
-    closure = tuple(sorted(_intersection_closure(min_bits), key=canonical_key))
+    # canonical order: by popcount, then by value (a stable sort)
+    closure = tuple(sorted(sorted(_intersection_closure(min_bits)), key=int.bit_count))
     return _CoverProblem(min_bits, closure)
 
 
@@ -198,7 +222,7 @@ class _Search:
     def __init__(self, prob: _CoverProblem, p: float):
         self.prob = prob
         self.p = p
-        powers = [p**k for k in range(prob.max_size + 1)]
+        self.powers = powers = [p**k for k in range(prob.max_size + 1)]
         self.cost = tuple(map(powers.__getitem__, prob.cand_sizes))
         self.min_cost = tuple(map(powers.__getitem__, prob.min_sizes))
         ratios = [c.as_integer_ratio() for c in powers]
@@ -214,15 +238,17 @@ class _Search:
     def lower_bound(self, uncovered: int) -> float:
         if uncovered == 0:
             return 0.0
-        prob, cost = self.prob, self.cost
+        prob, powers = self.prob, self.powers
+        # candidates of one size cost the same: a size's smallest ratio is
+        # at its largest count
         if uncovered == prob.full:
             # every coverage is whole here, so |cov & uncovered| = |cov|
-            ratio = min(map(operator.truediv, cost, prob.cand_count))
+            ratio = min(powers[k] / most for k, _, most in prob.size_groups)
         else:
             ratio = min(
-                cost[j] / (c & uncovered).bit_count()
-                for j, c in enumerate(prob.cand_cov)
-                if c & uncovered
+                powers[k] / most
+                for k, covs, _ in prob.size_groups
+                if (most := max([(c & uncovered).bit_count() for c in covs]))
             )
         counting = uncovered.bit_count() * ratio
         blocked = 0
@@ -270,7 +296,7 @@ class _Search:
             bi = (uncovered & -uncovered).bit_length() - 1
             # by cost per covered minimal (full coverage, a coarse stand-in
             # for new coverage), then canonical
-            for j in sorted(prob.per_min[bi], key=lambda j: (cost[j] / count[j], j)):
+            for j in sorted(prob.under(bi), key=lambda j: (cost[j] / count[j], j)):
                 rest = dfs(uncovered & ~prob.cand_cov[j], acc + units[sizes[j]])
                 if rest is not None:
                     return [j] + rest

@@ -431,9 +431,9 @@ class EagerSearch:
     bound scans every candidate at every node, the root included, and
     costs are summed exactly, as fractions over the common denominator
     of the powers of p. It reads the preprocessed problem (minimal and
-    candidate masks, coverages, per-minimal candidate lists) and nothing
-    else, so the search can be checked against it for the same answers and
-    the same node counts.
+    candidate masks and coverages) and nothing else, and builds its own
+    per-minimal candidate lists from the coverages, so the search can be
+    checked against it for the same answers and the same node counts.
     """
 
     def __init__(self, prob, p: float):
@@ -452,7 +452,10 @@ class EagerSearch:
                     key=lambda j: (self.cost[j] / prob.cand_cov[j].bit_count(), j),
                 )
             )
-            for cands in prob.per_min
+            for cands in (
+                [j for j, c in enumerate(prob.cand_cov) if c >> i & 1]
+                for i in range(len(prob.min_bits))
+            )
         )
 
     def lower_bound(self, uncovered: int) -> float:

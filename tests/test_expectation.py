@@ -59,6 +59,25 @@ def co_singletons(n: int):
     return UpperSet(n, [full ^ (1 << i) for i in range(n)])
 
 
+# the graph-ladder sweeps' instances within the solver's minimals cap,
+# up to hamilton-6 (60 minimals, 645 candidates) and star3-6 (60, 135)
+GRAPH_INSTANCES = (
+    [("connectivity", n) for n in (3, 4)]
+    + [("triangle", n) for n in range(3, 8)]
+    + [("hamilton", n) for n in range(4, 7)]
+    + [("star3", n) for n in range(4, 7)]
+    + [("path2", n) for n in range(3, 7)]
+    + [("matching2", n) for n in range(4, 7)]
+)
+
+
+def with_graph_examples(test):
+    """Run a hypothesis test on every graph instance as well as its draws."""
+    for family, n in GRAPH_INSTANCES:
+        test = example(make_family_instance(family, n))(test)
+    return test
+
+
 class TestCoverProblem:
     @given(upper_sets(max_ground=8, max_gens=7), st.booleans())
     @settings(max_examples=150, deadline=None)
@@ -73,6 +92,26 @@ class TestCoverProblem:
         assert list(prob.cand_bits) == subset_pipeline_candidates(list(up.minimal_bits))
         for s, cov in zip(prob.cand_bits, prob.cand_cov):
             assert cov == sum(1 << i for i, m in enumerate(up.minimal_bits) if s & m == s)
+
+    @pytest.mark.parametrize("family,n", GRAPH_INSTANCES)
+    def test_graph_candidates_match_subset_pipeline(self, family, n):
+        # the closure at graph scale, past the draws' 8 elements and 7 minimals
+        up = make_family_instance(family, n)
+        prob = _problem(up)
+        assert list(prob.cand_bits) == subset_pipeline_candidates(list(up.minimal_bits))
+        for s, cov in zip(prob.cand_bits, prob.cand_cov):
+            assert cov == sum(1 << i for i, m in enumerate(up.minimal_bits) if s & m == s)
+
+    @given(upper_sets(max_ground=8, max_gens=7))
+    @settings(max_examples=100, deadline=None)
+    @with_graph_examples
+    def test_per_minimal_lists_match_definition(self, up):
+        prob = _problem(up)
+        for i, m in enumerate(prob.min_bits):
+            want = [j for j, s in enumerate(prob.cand_bits) if s & m == s]
+            assert list(prob.under(i)) == want
+            # built once, then reused
+            assert prob.under(i) is prob.under(i)
 
     def test_principal_k20_is_exact(self):
         # 2^20 subsets of the generator, but a one-element closure
