@@ -29,7 +29,7 @@ needs an absent value is left out of the report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import measure, structure
 from .core import UpperSet
@@ -40,6 +40,8 @@ from .structure import DimensionResult, max_nonempty_sigma_index
 
 ARGUMENTS = ("ell", "two_ell0")
 LOG_BASES = ("2", "e")
+# the checks' float allowance, and the largest |mu(p_c) - 1/2| accepted
+CHECK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -74,23 +76,12 @@ class BoundVariant:
     def log_argument(self, upper: UpperSet) -> float:
         return self.log(upper.ell if self.argument == "ell" else 2 * upper.ell0)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "K": self.K,
-            "log_base": self.log_base,
-            "argument": self.argument,
-        }
-
 
 @dataclass(frozen=True)
 class InequalityCheck:
     name: str
     holds: bool
     slack: float | None
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "holds": self.holds, "slack": self.slack}
 
 
 @dataclass(frozen=True)
@@ -117,7 +108,7 @@ class BoundReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "variant": self.variant.to_dict(),
+            "variant": {"name": self.variant.name, **asdict(self.variant)},
             "ground_size": self.ground_size,
             "min_count": self.min_count,
             "q": self.q,
@@ -130,14 +121,13 @@ class BoundReport:
             "width": self.width,
             "nontrivial_info": self.nontrivial_info,
             "sigma_profile": [[k, k > self.sigma_top] for k in range(1, self.min_count + 1)],
-            "inequality_checks": [c.to_dict() for c in self.inequality_checks],
+            "inequality_checks": [asdict(c) for c in self.inequality_checks],
         }
 
 
 def verify_instance(
     upper: UpperSet,
     variant: BoundVariant,
-    tol: float = 1e-9,
     method: str | None = None,
 ) -> BoundReport:
     """Compute every report quantity and check every applicable inequality.
@@ -148,18 +138,19 @@ def verify_instance(
     ``measure.AUTO_ENUMERATION_CAP`` with more minimals than the cover
     search takes) the unrestricted dimension is None and its checks are left
     out; the within_family dimension, |F0|, has no cap. Nothing is
-    fabricated.
+    fabricated. Every check allows ``CHECK_TOL`` (scaled as below) for
+    float rounding.
     """
     absent = None
     threshold = q = None
     try:
-        threshold = expectation_threshold(upper, tol)
+        threshold = expectation_threshold(upper)
         q = threshold.q
     except SizeLimitExceeded as exc:
         absent = str(exc)
     critical = p_c = None
     try:
-        critical = measure.critical_probability(upper, tol, method or auto_exact_method(upper))
+        critical = measure.critical_probability(upper, CHECK_TOL, method or auto_exact_method(upper))
         p_c = critical.p_c
     except SizeLimitExceeded as exc:
         absent = absent or str(exc)
@@ -189,21 +180,21 @@ def verify_instance(
         checks.append(InequalityCheck(name, not premise or slack >= -atol, slack))
 
     # Sandwich: q <= p_c <= bound. p_c is the root of mu = 1/2 to float
-    # resolution and q is certified, so 2 * tol only absorbs rounding.
-    add("sandwich_left_q_le_pc", q, p_c, 2 * tol)
-    add("sandwich_right_pc_le_bound", p_c, bound_value, 2 * tol * max(1.0, variant.K * log_arg))
+    # resolution and q is certified, so 2 * CHECK_TOL only absorbs rounding.
+    add("sandwich_left_q_le_pc", q, p_c, 2 * CHECK_TOL)
+    add("sandwich_right_pc_le_bound", p_c, bound_value, 2 * CHECK_TOL * max(1.0, variant.K * log_arg))
 
     if dim_u is not None:
         lo, hi = (2.0 * dim_u) ** -1.0, (2.0 * dim_u) ** (-1.0 / upper.ell)
-        add("q_ge_inverse_2dim", lo, q, tol)
-        add("q_le_inverse_2dim_root_ell", q, hi, tol)
+        add("q_ge_inverse_2dim", lo, q, CHECK_TOL)
+        add("q_le_inverse_2dim_root_ell", q, hi, CHECK_TOL)
         add("dim_le_min_count_plus_1_minus_t", float(dim_u), float(m + 1 - t), 0.0)
         # For every k with sigma_k nonempty, dim <= |F0| - k + 1; the
         # tightest case is k = t, so one slack covers all of them.
         add("dim_vs_sigma_all_k", float(dim_u), float(m + 1 - t), 0.0)
 
     intersection_nonempty = t == m  # some element lies in every minimal
-    add("nonempty_intersection_forces_bound_ge_1", 1.0, bound_value, 2 * tol * variant.K,
+    add("nonempty_intersection_forces_bound_ge_1", 1.0, bound_value, 2 * CHECK_TOL * variant.K,
         premise=intersection_nonempty and variant.K >= 2.0)
     if dim_u is not None:
         premise = dim_u > 0.5 * (variant.K * log_arg) ** upper.ell

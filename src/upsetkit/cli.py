@@ -24,9 +24,10 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import asdict
 from typing import Sequence
 
-from . import fmt
+from . import bounds, fmt
 from .bounds import BoundVariant, verify_instance
 from .core import Cover, UpperSet, parse_instance
 from .errors import MissingMcParams, SizeLimitExceeded, TooFewRecords, UpsetError
@@ -66,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--log-base", choices=("2", "e"), default="2")
         p.add_argument("--arg", choices=("ell", "2ell0"), default="2ell0",
                        help="logarithm argument: ell or 2*ell0")
-        p.add_argument("--tol", type=float, default=1e-9)
 
     def add_source_flags(p, battery=False):
         source = p.add_mutually_exclusive_group(required=True)
@@ -149,7 +149,7 @@ def cmd_compute(args) -> int:
     if mc_check and (args.samples is None or args.seed is None):
         raise MissingMcParams("--method mc needs --samples and --seed")
     for _, upper in instances:
-        report = verify_instance(upper, variant, args.tol, method)
+        report = verify_instance(upper, variant, method)
         if report.absent:
             raise SizeLimitExceeded(report.absent)
         doc = report.to_json_dict()
@@ -168,18 +168,16 @@ def cmd_compute(args) -> int:
 def cmd_sweep(args) -> int:
     a, b = args.range
     variant = _variant(args)
-    records = sweep(args.family, range(a, b + 1), variant, args.t_max, args.tol)
+    records = sweep(args.family, range(a, b + 1), variant, args.t_max)
     sys.stdout.write(records_to_csv(records, args.t_max))
     summary: dict = {"family": args.family, "range": [a, b]}
     try:
-        summary["classification"] = information_classification(records).to_json_dict()
+        summary["classification"] = asdict(information_classification(records))
     except TooFewRecords as exc:
         summary["classification"] = None
         summary["classification_error"] = str(exc)
     try:
-        summary["necessary_conditions"] = necessary_conditions_report(
-            records, variant
-        ).to_json_dict()
+        summary["necessary_conditions"] = asdict(necessary_conditions_report(records, variant))
     except UpsetError as exc:
         summary["necessary_conditions"] = None
         summary["necessary_conditions_error"] = str(exc)
@@ -192,10 +190,10 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _instance_checks(name: str, upper: UpperSet, variant: BoundVariant, tol: float):
+def _instance_checks(name: str, upper: UpperSet, variant: BoundVariant):
     """Report rows plus cheap module-invariant re-checks for one instance."""
     rows = []
-    report = verify_instance(upper, variant, tol)
+    report = verify_instance(upper, variant)
     if report.absent:
         raise SizeLimitExceeded(report.absent)
     for check in report.inequality_checks:
@@ -206,7 +204,7 @@ def _instance_checks(name: str, upper: UpperSet, variant: BoundVariant, tol: flo
     rows.append((name, "q_witness_covers", witness.covers(upper), None))
     rows.append((name, "q_witness_cost_le_half", witness_cost <= 0.5, 0.5 - witness_cost))
 
-    residual = report.critical.residual
+    residual, tol = report.critical.residual, bounds.CHECK_TOL
     rows.append((name, "pc_residual_le_tol", residual <= tol, tol - residual))
 
     method = auto_exact_method(upper)
@@ -242,7 +240,7 @@ def cmd_verify(args) -> int:
     variant = _variant(args)
     rows = []
     for name, upper in instances:
-        rows.extend(_instance_checks(name, upper, variant, args.tol))
+        rows.extend(_instance_checks(name, upper, variant))
     if args.format == "json":
         print(fmt.dumps([
             {"instance": i, "check": c, "holds": h, "slack": s} for i, c, h, s in rows

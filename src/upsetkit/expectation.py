@@ -411,8 +411,8 @@ def expectation_threshold(upper: UpperSet, tol: float = 1e-9) -> ExpectationThre
     1e-12 above q, so q is exact to about that.
 
     ``tol`` does not set the accuracy of q, and the result does not report
-    it. It is kept, and must be positive and finite, because callers pass
-    it.
+    it; ``bounds.verify_instance`` does not pass it. It is kept, and must
+    be positive and finite, because perfbench/checks.py passes it.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -430,9 +430,9 @@ def expectation_threshold(upper: UpperSet, tol: float = 1e-9) -> ExpectationThre
 
 @lru_cache(maxsize=1024)
 def cached_q(upper: UpperSet, tol: float = 1e-9) -> float:
-    """Memoized q(F). No library path calls it; it stays while the
-    benchmark's tracing wraps it by name."""
-    return expectation_threshold(upper, tol).q
+    """Memoized q(F). No library path calls it; it stays, with its ignored
+    ``tol``, while the benchmark's tracing wraps it by name."""
+    return expectation_threshold(upper).q
 
 
 def clear_caches() -> None:

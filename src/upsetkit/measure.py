@@ -30,7 +30,7 @@ Memory: enumeration holds the 2^n-bit set twice, as bytes and as slices,
 a ~4 MB peak at n = 24.
 Inclusion-exclusion holds about 5 bytes per union term (a uint32 union and
 a uint8 parity for each of the 2^|F0| subsets) and counts them in blocks of
-2^16 terms, ~6 MB at |F0| = 20. The Monte Carlo workers share
+2^16 terms, ~6 MB at |F0| = 20 and ~84 MB at 24. The Monte Carlo workers share
 ``n * (MC_CHUNK_ROWS + 9 * MC_DRAW_ROWS) + 2 * MC_CHUNK_ROWS`` bytes, each
 holding 1/workers of them: bool blocks of ``MC_CHUNK_ROWS`` samples in all,
 filled ``MC_DRAW_ROWS`` draws at a time through float buffers and their bool
@@ -53,9 +53,6 @@ ENUMERATION_GROUND_CAP = 24
 # auto_exact_method enumerates ground sets up to this size, and the covering
 # dimension is read from the same profile
 AUTO_ENUMERATION_CAP = 20
-# past AUTO_ENUMERATION_CAP, auto_exact_method takes inclusion-exclusion up
-# to this many minimals
-AUTO_INCLUSION_EXCLUSION_CAP = 20
 INCLUSION_EXCLUSION_MINIMALS_CAP = 24
 # Monte Carlo samples in flight, and drawn at a time, across all workers
 # together; each of w workers holds 1/w of both. The cap bounds the thread
@@ -203,18 +200,17 @@ def _eval_inclusion_exclusion(coeffs: tuple[int, ...], p: float) -> float:
 
 def auto_exact_method(upper: UpperSet) -> str:
     """Pick the exact measure engine: enumerate small grounds, otherwise
-    inclusion-exclusion over few minimals. Past both it picks none, though
-    an engine named explicitly may still take the instance."""
+    inclusion-exclusion up to its own cap on minimals. Past both it picks
+    none, though enumeration named explicitly may still take the instance."""
     if upper.ground_size <= AUTO_ENUMERATION_CAP:
         return "enumeration"
-    if len(upper.minimal_bits) <= AUTO_INCLUSION_EXCLUSION_CAP:
+    if len(upper.minimal_bits) <= INCLUSION_EXCLUSION_MINIMALS_CAP:
         return "inclusion_exclusion"
     raise SizeLimitExceeded(
         f"auto picks no exact method for ground_size {upper.ground_size} > "
         f"{AUTO_ENUMERATION_CAP} and |F0| {len(upper.minimal_bits)} > "
-        f"{AUTO_INCLUSION_EXCLUSION_CAP}; named explicitly, enumeration takes "
-        f"ground_size <= {ENUMERATION_GROUND_CAP} and inclusion-exclusion takes "
-        f"|F0| <= {INCLUSION_EXCLUSION_MINIMALS_CAP}"
+        f"{INCLUSION_EXCLUSION_MINIMALS_CAP}; named explicitly, enumeration takes "
+        f"ground_size <= {ENUMERATION_GROUND_CAP}"
     )
 
 
@@ -388,7 +384,9 @@ def critical_probability(
     mu = 1/2 exactly). p_c is the evaluated point with the smallest
     residual |mu - 1/2|, so it is the root to float resolution whatever
     tol is. If that residual is above tol, no float meets tol, and
-    ValueError says so.
+    ValueError says so. ``bounds.verify_instance`` passes its fixed
+    ``CHECK_TOL``; the parameter is kept because perfbench/checks.py passes
+    it.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")

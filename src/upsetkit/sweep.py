@@ -53,9 +53,9 @@ class SweepRecord:
 
 
 def _instance_record(
-    n: int, upper: UpperSet, variant: BoundVariant, t_max: int, tol: float
+    n: int, upper: UpperSet, variant: BoundVariant, t_max: int
 ) -> SweepRecord:
-    report = verify_instance(upper, variant, tol)
+    report = verify_instance(upper, variant)
     m = report.min_count
     # The flag for t says whether sigma_{|F0|-t} is empty; for t >= |F0|
     # the index leaves the valid range and the flag is absent.
@@ -74,7 +74,6 @@ def sweep(
     ns: Sequence[int],
     variant: BoundVariant,
     t_max: int = 2,
-    tol: float = 1e-9,
 ) -> list[SweepRecord]:
     """One record per n, computed independently; per-instance failures are
     recorded in the row and the sweep continues."""
@@ -87,7 +86,7 @@ def sweep(
         except UpsetError as exc:
             records.append(SweepRecord(n, error=str(exc)))
             continue
-        records.append(_instance_record(n, upper, variant, t_max, tol))
+        records.append(_instance_record(n, upper, variant, t_max))
     return records
 
 
@@ -109,14 +108,6 @@ class NecessaryConditionsReport:
     min_count_strictly_increasing: bool | None
     dim_strictly_increasing: bool | None
     contradiction_rows: tuple[int, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sigma_empty_from": list(self.sigma_empty_from),
-            "min_count_strictly_increasing": self.min_count_strictly_increasing,
-            "dim_strictly_increasing": self.dim_strictly_increasing,
-            "contradiction_rows": list(self.contradiction_rows),
-        }
 
 
 def necessary_conditions_report(
@@ -185,14 +176,6 @@ class Classification:
     N: int | None
     never_nontrivial: bool
     note: str = DIAGNOSTIC_NOTE
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "N": self.N,
-            "never_nontrivial": self.never_nontrivial,
-            "note": self.note,
-        }
 
 
 def information_classification(records: Sequence[SweepRecord]) -> Classification:

@@ -176,9 +176,8 @@ class TestVerifyInstance:
         assert report.q is not None and report.threshold.q == report.q
         assert report.p_c is None and report.critical is None
         assert report.absent == (
-            "auto picks no exact method for ground_size 21 > 20 and |F0| 35 > 20; named "
-            "explicitly, enumeration takes ground_size <= 24 and inclusion-exclusion takes "
-            "|F0| <= 24"
+            "auto picks no exact method for ground_size 21 > 20 and |F0| 35 > 24; named "
+            "explicitly, enumeration takes ground_size <= 24"
         )
         assert [c.name for c in report.inequality_checks] == [
             "nonempty_intersection_forces_bound_ge_1"

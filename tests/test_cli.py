@@ -2,9 +2,11 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -268,13 +270,25 @@ class TestVerify:
         assert sorted(calls) == ["covering_dimension", "critical_probability"]
 
     def test_witness_cost_checked_at_reported_q(self, capsys, k3_file):
-        # the recheck costs the witness at q itself, whatever --tol is
-        code, out, _ = run_main(capsys, ["verify", "--instance", k3_file, "--tol", "1e-3"])
+        # the recheck costs the witness at q itself, with no allowance
+        code, out, _ = run_main(capsys, ["verify", "--instance", k3_file])
         assert code == 0
         row = next(l for l in out.split("\n") if ",q_witness_cost_le_half," in l)
         threshold = expectation_threshold(graph_connectivity(3))
         slack = 0.5 - threshold.witness_cover.cost(threshold.q)
         assert row.split(",")[3] == fmt.csv_cell(slack)
+
+    def test_battery_holds_at_check_tol_1e_15(self, capsys, monkeypatch):
+        # q and p_c are found to float resolution, so every check, p_c's
+        # residual row included, holds at an allowance far below the default
+        import upsetkit.bounds
+
+        monkeypatch.setattr(upsetkit.bounds, "CHECK_TOL", 1e-15)
+        code, out, err = run_main(capsys, ["verify", "--battery", "builtin"])
+        assert code == 0
+        assert err.endswith("  failed: 0\n")
+        slacks = [float(l.rsplit(",", 1)[1]) for l in out.splitlines() if ",pc_residual_le_tol," in l]
+        assert len(slacks) == 203 and max(slacks) <= 1e-15
 
     def test_json_format(self, capsys, principal3_file):
         code, out, _ = run_main(
@@ -310,37 +324,6 @@ class TestVerify:
         code, out, _ = run_main(capsys, ["verify", "--instance", principal3_file, "--format", "csv"])
         assert code == 0
         assert out.startswith("instance,check,holds,slack\n")
-
-
-class TestTolerance:
-    @pytest.mark.parametrize("tol", ["inf", "-inf", "nan"])
-    @pytest.mark.parametrize("argv", [
-        ["compute", "--family", "principal", "--range", "2..2"],
-        ["sweep", "--family", "principal", "--range", "2..3"],
-        ["verify", "--family", "principal", "--range", "2..2"],
-    ])
-    def test_non_finite_tol_rejected(self, capsys, argv, tol):
-        code, out, err = run_main(capsys, [*argv, f"--tol={tol}"])
-        assert code == 2
-        assert out == ""
-        assert "tol must be positive and finite" in err
-
-    @pytest.mark.parametrize("argv", [
-        ["compute", "--family", "principal", "--range", "2..2"],
-        # principal-1 has p_c = 1/2 exactly and meets any tol; principal-2 cannot
-        ["sweep", "--family", "principal", "--range", "1..3"],
-    ])
-    def test_tol_below_float_resolution_exit_2(self, capsys, argv):
-        code, out, err = run_main(capsys, [*argv, "--tol", "1e-17"])
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: tol 1e-17 is finer than floats resolve: ")
-        assert "adjacent floats" in err and "residual 1.110e-16" in err
-
-    def test_battery_holds_at_tol_1e_15(self, capsys):
-        code, _, err = run_main(capsys, ["verify", "--battery", "builtin", "--tol", "1e-15"])
-        assert code == 0
-        assert err.endswith("  failed: 0\n")
 
 
 REVERSED_RANGE = "argument --range: range A..B needs A <= B, got '5..3'"
@@ -416,6 +399,18 @@ class TestRejectedFlags:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    def test_tol_flag_gone(self, capsys):
+        # the checks' allowance is the fixed bounds.CHECK_TOL
+        for argv in (["compute", "--family", "principal", "--range", "2..2"],
+                     ["sweep", "--family", "principal", "--range", "2..3"],
+                     ["verify", "--family", "principal", "--range", "2..2"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([*argv, "--tol", "1e-9"])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "unrecognized arguments: --tol" in captured.err
 
     @pytest.mark.parametrize("K", ["nan", "inf", "-inf", "0"])
     @pytest.mark.parametrize("argv", [
@@ -567,7 +562,7 @@ class TestParserReuse:
     # each in-process call must print what a fresh process prints for the
     # same argv, whatever ran before it on the shared parser
     SEQUENCE = [
-        ["verify", "--family", "connectivity", "--range", "3..4", "--tol", "1e-6"],
+        ["verify", "--family", "connectivity", "--range", "3..4", "--K", "4"],
         ["verify", "--family", "connectivity", "--range", "3..4"],
         ["sweep", "--family", "connectivity", "--range", "3..4"],
         ["compute", "--family", "connectivity", "--range", "3..3",
@@ -616,3 +611,15 @@ class TestParserReuse:
         fresh = TestDeterminism._run(list(argv))
         assert fresh.returncode == 0
         assert hashlib.sha256(fresh.stdout).hexdigest() == TestDeterminism.PINNED[argv]
+
+
+class TestReadme:
+    def test_cli_section_names_every_parser_flag(self):
+        # a flag the parser drops or gains must leave or enter the README too
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        documented = set(re.findall(r"--[A-Za-z][A-Za-z0-9-]*", section))
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {o for p in sub.choices.values() for a in p._actions for o in a.option_strings}
+        assert documented == flags - {"-h", "--help"}

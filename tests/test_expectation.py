@@ -310,6 +310,11 @@ class TestExpectationThreshold:
         with pytest.raises(SizeLimitExceeded):
             expectation_threshold(graph_connectivity(5))  # 125 minimal elements
 
+    @pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan])
+    def test_non_finite_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            expectation_threshold(graph_connectivity(3), tol)
+
 
 # tol does not reach q; 1e-15 and below run the oracle's
 # bisection down to adjacent floats

@@ -292,13 +292,12 @@ class TestAutoExactMethod:
         assert measure.auto_exact_method(up) == "inclusion_exclusion"
 
     def test_no_exact_method_past_both_caps(self):
-        up = UpperSet(21, [1 << i for i in range(21)])
+        up = UpperSet(25, [1 << i for i in range(25)])
         with pytest.raises(SizeLimitExceeded) as exc:
             measure.auto_exact_method(up)
         assert str(exc.value) == (
-            "auto picks no exact method for ground_size 21 > 20 and |F0| 21 > 20; named "
-            "explicitly, enumeration takes ground_size <= 24 and inclusion-exclusion takes "
-            "|F0| <= 24"
+            "auto picks no exact method for ground_size 25 > 20 and |F0| 25 > 24; named "
+            "explicitly, enumeration takes ground_size <= 24"
         )
 
     def test_bounds_reexports_it(self):
@@ -546,6 +545,11 @@ class TestCriticalProbability:
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             critical_probability(UpperSet(3, [1]), tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan])
+    def test_non_finite_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            critical_probability(UpperSet(3, [1]), tol=tol)
 
     def test_tol_below_float_resolution(self):
         # mu = p^2 crosses 1/2 between two floats, each 2^-53 off in mu
