@@ -39,7 +39,7 @@ from .sweep import (
     records_to_csv,
     sweep,
 )
-from .structure import sigma_k
+from .structure import sigma_sequence
 
 PARSE_ERROR, CAP_ERROR = 2, 3
 
@@ -228,8 +228,7 @@ def _instance_checks(name: str, upper: UpperSet, variant: BoundVariant):
     ok = witness.covers(upper) and len(witness) == report.dim_within_family
     rows.append((name, "dim_witness_within_family", ok, None))
 
-    masks = upper.minimal_bits
-    sigmas = [sigma_k(masks, k) for k in range(1, len(masks) + 1)]
+    sigmas = sigma_sequence(upper.minimal_bits)
     monotone = all(b & a == b for a, b in zip(sigmas, sigmas[1:]))
     rows.append((name, "sigma_monotone", monotone, None))
     return rows

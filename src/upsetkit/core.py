@@ -32,6 +32,31 @@ def bit_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def extents(masks: Sequence[int]) -> list[int]:
+    """The element-to-mask incidence: entry x has bit i set iff ``masks[i]``
+    contains ground element x (x's extent), up to the highest element any
+    of them holds."""
+    out = [0] * max(masks, default=0).bit_length()
+    for i, mb in enumerate(masks):
+        bit = 1 << i
+        while mb:
+            low = mb & -mb
+            out[low.bit_length() - 1] |= bit
+            mb ^= low
+    return out
+
+
+def intent(masks: Sequence[int], extent: int) -> int:
+    """The intersection of the ``masks`` whose indices ``extent`` holds
+    (all ones when it holds none)."""
+    acc = -1
+    while extent:
+        low = extent & -extent
+        acc &= masks[low.bit_length() - 1]
+        extent ^= low
+    return acc
+
+
 @dataclass(frozen=True)
 class SubsetMask:
     """A subset of {0, ..., width-1} as a bit vector (bit i set = i present).
@@ -128,6 +153,12 @@ class UpperSet:
     @functools.cached_property
     def minimals(self) -> tuple[SubsetMask, ...]:
         return tuple(SubsetMask(self.ground_size, b) for b in self.minimal_bits)
+
+    @functools.cached_property
+    def element_extents(self) -> tuple[int, ...]:
+        """``extents`` of the minimal elements, built once per instance: the
+        cover problem, the dimension and sigma all read it."""
+        return tuple(extents(self.minimal_bits))
 
     @property
     def ell0(self) -> int:

@@ -16,6 +16,18 @@ closure needs no dominance filter. The test suite checks it against an
 oracle that takes every nonempty subset of every minimal, keeps the
 largest per coverage, and drops strictly dominated ones.
 
+The closure is built from the element side, as in the Galois connection
+of formal concept analysis (Ganter-Wille, 1999). A ground element's
+extent is the mask of the minimals through it. The coverage of an
+intersection I is the AND of the extents of I's elements, and I is the
+AND of the minimals in its coverage (its intent). So the coverages are
+exactly the nonzero ANDs of the n element extents, one per candidate.
+Closing those n masks under AND, one element at a time, takes
+O(n * |closure|) mask operations and yields every coverage with no
+further pass; closing the minimals would take O(|F0| * |closure|), and
+on graph families |F0| is several times n. Each candidate is then the
+intent of its coverage, one AND per minimal in it.
+
 The exact minimum is found by depth-first branch and bound over the
 uncovered minimal elements. Pruning uses two admissible lower bounds:
 
@@ -34,8 +46,8 @@ acc / scale <= threshold; int/int division is correctly rounded, so that
 is the exact sum rounded once, the number ``Cover.cost`` gives with
 ``math.fsum``. The bounds stay float and prune only past the threshold by
 a slack far above their rounding error. The p-independent tables
-(coverages, their counts, the coverages grouped by candidate size) are
-built once per problem, and the candidates under a minimal the first time
+(coverage counts, the coverages grouped by candidate size) are built
+once per problem, and the candidates under a minimal the first time
 any search branches on it, so a decide that the root bound settles builds
 none of them. A search builds only its costs, from one table of powers of
 p. The counting bound's ratio is the smallest cost/|cov & uncovered| over
@@ -72,7 +84,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 
-from .core import Cover, SubsetMask, UpperSet, canonical_key
+from .core import Cover, SubsetMask, UpperSet, canonical_key, intent
 from .errors import SizeLimitExceeded
 
 CANDIDATE_GENERATION_CAP = 1 << 20
@@ -129,31 +141,19 @@ class _CoverProblem:
     __slots__ = ("min_bits", "min_sizes", "max_size", "cand_bits", "cand_sizes", "cand_cov",
                  "cand_count", "size_groups", "per_min", "full")
 
-    def __init__(self, min_bits: tuple[int, ...], cand_bits: tuple[int, ...]):
+    def __init__(self, min_bits: tuple[int, ...], coverages: Iterable[int]):
+        """``coverages`` are nonzero closed masks of minimals: each is the set
+        of minimals that contain its intent, the candidate."""
         self.min_bits = min_bits
         m = len(min_bits)
         self.min_sizes = tuple(map(int.bit_count, min_bits))
         self.max_size = max(self.min_sizes)
-        self.cand_bits = cand_bits
-        self.cand_sizes = tuple(map(int.bit_count, cand_bits))
-        # A candidate lies under exactly the minimals through all its elements.
-        through = [0] * max(min_bits).bit_length()
-        for i, mb in enumerate(min_bits):
-            bit = 1 << i
-            while mb:
-                low = mb & -mb
-                through[low.bit_length() - 1] |= bit
-                mb ^= low
+        cov_of = {intent(min_bits, c): c for c in coverages}
+        # canonical order: by popcount, then by value (a stable sort)
+        self.cand_bits = tuple(sorted(sorted(cov_of), key=int.bit_count))
+        self.cand_sizes = tuple(map(int.bit_count, self.cand_bits))
         self.full = (1 << m) - 1
-        cand_cov = []
-        for s in cand_bits:
-            c = self.full
-            while s:
-                low = s & -s
-                c &= through[low.bit_length() - 1]
-                s ^= low
-            cand_cov.append(c)
-        self.cand_cov = tuple(cand_cov)
+        self.cand_cov = cand_cov = tuple(map(cov_of.__getitem__, self.cand_bits))
         self.cand_count = tuple(map(int.bit_count, cand_cov))
         # per candidate size: its coverages and the largest of their counts
         by_size: dict[int, list[int]] = {}
@@ -174,21 +174,24 @@ class _CoverProblem:
         return got
 
 
-def _intersection_closure(min_bits: tuple[int, ...]) -> set[int]:
-    """Nonempty intersections of subfamilies of the minimal elements.
+def _intersection_closure(element_extents: Iterable[int]) -> set[int]:
+    """The coverages of the nonempty intersections of minimal elements: the
+    nonzero ANDs of the element extents (the masks of minimals through each
+    ground element), each the extent of one intersection.
 
-    Grows the set one minimal at a time: the closure of M_1..M_k is that of
-    M_1..M_{k-1}, plus M_k, plus M_k intersected with each of its members.
-    The closure only grows with k, so it raises as soon as it passes
-    SOLVER_CANDIDATES_CAP, after the minimal that takes it there. Each step
-    intersects at most cap members, so a refused instance costs at most
-    cap * |F0| mask operations, and the set never holds more than
-    2 * cap + 1 masks.
+    Grows the set one distinct nonzero extent at a time (repeats and
+    elements in no minimal add nothing): the closure of the first k extents
+    is that of the first k - 1, plus the k-th, plus the k-th ANDed with each
+    of its members. The closure only grows with k, so it raises as soon as
+    it passes SOLVER_CANDIDATES_CAP, after the element that takes it there,
+    exactly when the whole closure would. Each step ANDs at most cap
+    members, so a refused instance costs at most cap * n mask operations,
+    and the set never holds more than 2 * cap + 1 masks.
     """
     closure: set[int] = set()
-    for mb in min_bits:
-        closure |= {s & mb for s in closure}
-        closure.add(mb)
+    for e in set(element_extents) - {0}:
+        closure |= {c & e for c in closure}
+        closure.add(e)
         closure.discard(0)
         if len(closure) > SOLVER_CANDIDATES_CAP:
             raise SizeLimitExceeded(
@@ -206,9 +209,7 @@ def _problem(upper: UpperSet) -> _CoverProblem:
         raise SizeLimitExceeded(
             f"exact cover search needs |F0| <= {SOLVER_MINIMALS_CAP}, got {len(min_bits)}"
         )
-    # canonical order: by popcount, then by value (a stable sort)
-    closure = tuple(sorted(sorted(_intersection_closure(min_bits)), key=int.bit_count))
-    return _CoverProblem(min_bits, closure)
+    return _CoverProblem(min_bits, _intersection_closure(upper.element_extents))
 
 
 class _Search:

@@ -1,9 +1,12 @@
 """Covering dimension and lattice elementary symmetric polynomials.
 
 sigma_k of int masks S_1..S_m is the union of all k-wise intersections,
-which equals the set of ground elements lying in at least k of the S_i;
-the counting form is O(m*n), shared with ``max_nonempty_sigma_index``, and
-the combinatorial definition stays available as a test oracle.
+which equals the set of ground elements lying in at least k of the S_i.
+The counting form reads each element's count off its extent, the mask of
+the S_i through it (``core.extents``), in one pass over the S_i's bits;
+``sigma_sequence`` reads every sigma_k from that one pass, and
+``max_nonempty_sigma_index`` the largest count. ``sigma_k`` stays as the
+definition, and the combinatorial one stays available as a test oracle.
 
 The covering dimension of F is the minimum size of a nontrivial cover.
 Any nonempty set may be a cover element; an element S serves exactly the
@@ -17,23 +20,26 @@ dim(F) = n - (size of a largest non-member of F). The enumeration profile
 subsets, and the elements outside S give the witness; for ground sets up
 to ``measure.AUTO_ENUMERATION_CAP`` this is how dim is read, at no cost
 beyond a profile p_c already uses. Past that, dim comes from the cover
-search that gives q (``expectation``), run at p = 1 over the same
-intersections: there every candidate costs 1, so the cheapest cover is a
-smallest one, and the search's descent ends on one such cover, chosen
-deterministically, as the witness. Restricting the witnesses to members
-of F would force them to be the minimals themselves, so that dimension
-is |F0|, which the reports print beside dim(F) with no search.
+search that gives q (``expectation``), run at p = 1 over the blocks: the
+intents of the single-element extents, one per distinct nonzero extent,
+each covering exactly the minimals of its extent. There every candidate
+costs 1, so the cheapest cover is a smallest one, and the search's descent
+ends on one such cover, chosen deterministically, as the witness.
+Restricting the witnesses to members of F would force them to be the
+minimals themselves, so that dimension is |F0|, which the reports print
+beside dim(F) with no search.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
+from itertools import accumulate
 from typing import Sequence
 
 from . import measure
-from .core import Cover, SubsetMask, UpperSet, bit_indices, canonical_key
+from .core import Cover, SubsetMask, UpperSet, bit_indices, extents, intent
 from .errors import KOutOfRange, SizeLimitExceeded
 from .expectation import _CoverProblem, _Search, _to_cover
 
@@ -47,25 +53,24 @@ class DimensionResult:
     witness: Cover
 
 
-def _through_counts(masks: Sequence[int]) -> list[int]:
-    """Entry x is the number of ``masks`` that contain ground element x,
-    up to the highest element any of them holds."""
-    counts = [0] * max(masks, default=0).bit_length()
-    for b in masks:
-        for x in bit_indices(b):
-            counts[x] += 1
-    return counts
-
-
 def sigma_k(masks: Sequence[int], k: int) -> int:
     """Union of all k-wise intersections of ``masks`` (elements in >= k of them)."""
     if not masks or not 1 <= k <= len(masks):
         raise KOutOfRange(f"k must satisfy 1 <= k <= {len(masks)}, got {k}")
     bits = 0
-    for x, c in enumerate(_through_counts(masks)):
-        if c >= k:
+    for x, e in enumerate(extents(masks)):
+        if e.bit_count() >= k:
             bits |= 1 << x
     return bits
+
+
+def sigma_sequence(masks: Sequence[int]) -> list[int]:
+    """[sigma_1, ..., sigma_m] of the m ``masks``, from one incidence pass:
+    sigma_k is the union of the elements in exactly j of them over j >= k."""
+    by_count = [0] * (len(masks) + 1)
+    for x, e in enumerate(extents(masks)):
+        by_count[e.bit_count()] |= 1 << x
+    return list(accumulate(reversed(by_count[1:]), operator.or_))[::-1]
 
 
 def max_nonempty_sigma_index(upper: UpperSet) -> int:
@@ -74,7 +79,7 @@ def max_nonempty_sigma_index(upper: UpperSet) -> int:
     sigma_k is the set of elements in at least k minimals, so this is the
     largest number of minimals through a single element.
     """
-    return max(_through_counts(upper.minimal_bits))
+    return max(map(int.bit_count, upper.element_extents))
 
 
 def dim_upper_bound_via_sigma(upper: UpperSet) -> int:
@@ -84,19 +89,11 @@ def dim_upper_bound_via_sigma(upper: UpperSet) -> int:
     return len(upper.minimal_bits) + 1 - max_nonempty_sigma_index(upper)
 
 
-def _block(min_bits: tuple[int, ...], x: int) -> int:
-    """The intersection of the minimals through ground element x (0 if none):
-    the cover element that serves x best, covering exactly those minimals."""
-    through = [mb for mb in min_bits if mb >> x & 1]
-    return reduce(operator.and_, through) if through else 0
-
-
 def _block_problem(upper: UpperSet) -> _CoverProblem:
     """The p = 1 cover problem of the dimension: one candidate per distinct
-    nonempty block."""
-    min_bits = upper.minimal_bits
-    blocks = {_block(min_bits, x) for x in range(upper.ground_size)} - {0}
-    return _CoverProblem(min_bits, tuple(sorted(blocks, key=canonical_key)))
+    nonempty block, the intersection of the minimals through a ground
+    element, which covers exactly those minimals (the element's extent)."""
+    return _CoverProblem(upper.minimal_bits, set(upper.element_extents) - {0})
 
 
 def covering_dimension(upper: UpperSet) -> DimensionResult:
@@ -108,7 +105,8 @@ def covering_dimension(upper: UpperSet) -> DimensionResult:
         # elements' blocks are distinct (two equal ones would make one of
         # the elements redundant), so they form a cover of that size.
         hitting = ((1 << n) - 1) & ~measure._enumeration_profile(upper).largest_non_member
-        blocks = [_block(min_bits, x) for x in bit_indices(hitting)]
+        through = upper.element_extents
+        blocks = [intent(min_bits, through[x]) for x in bit_indices(hitting)]
         return DimensionResult(len(blocks), Cover.from_masks(SubsetMask(n, b) for b in blocks))
     if len(min_bits) > DIMENSION_MINIMALS_CAP:
         raise SizeLimitExceeded(

@@ -195,6 +195,31 @@ def subset_pipeline_candidates(min_bits: list[int]) -> list[int]:
     return sorted(kept, key=lambda b: (bin(b).count("1"), b))
 
 
+def minimal_closure(min_bits: list[int]) -> set[int]:
+    """Nonempty intersections of subfamilies of the minimals, grown one
+    minimal at a time: the closure of M_1..M_k is that of M_1..M_{k-1},
+    plus M_k, plus M_k intersected with each of its members. The cover
+    search's candidate builder as it stood before it closed the element
+    extents, less its cap."""
+    closure: set[int] = set()
+    for mb in min_bits:
+        closure |= {s & mb for s in closure}
+        closure.add(mb)
+        closure.discard(0)
+    return closure
+
+
+def element_blocks(min_bits: list[int], n: int) -> set[int]:
+    """The intersection of the minimals through x, for each ground element
+    x that lies in some minimal."""
+    out = set()
+    for x in range(n):
+        through = [mb for mb in min_bits if mb >> x & 1]
+        if through:
+            out.add(functools.reduce(operator.and_, through))
+    return out
+
+
 def naive_min_cover_cost(min_bits: list[int], p: float) -> float:
     """Exact minimum cover weight by exhausting per-minimal assignments.
 
@@ -419,6 +444,19 @@ def copy_masks(n: int, h_edges: list[tuple[int, int]]) -> set[int]:
             if {frozenset(to_h[v] for v in edges[i]) for i in ids} == h:
                 out.add(_mask(ids))
                 break
+    return out
+
+
+def injective_images(n: int, h_edges: list[tuple[int, int]]) -> set[int]:
+    """Masks of H's images in K_n under every injective map of its vertices
+    into {0..n-1}, in one pass over all k-permutations of n: the generator
+    as it stood before it carried H's images on K_k onto each k-subset."""
+    index = {e: i for i, e in enumerate(k_n_edges(n))}
+    verts = sorted({v for e in h_edges for v in e})
+    out = set()
+    for target in itertools.permutations(range(n), len(verts)):
+        to = dict(zip(verts, target))
+        out.add(_mask({index[tuple(sorted((to[u], to[v])))] for u, v in h_edges}))
     return out
 
 

@@ -274,3 +274,25 @@ class TestDerivedFieldCache:
         up.minimals  # the cached value sits in __dict__ from here on
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(up, name, 1)
+
+
+class TestIncidence:
+    @given(st.lists(st.integers(0, 255), max_size=10), st.data())
+    @settings(max_examples=150)
+    def test_extents_and_intents_match_definition(self, masks, data):
+        ext = core.extents(masks)
+        assert len(ext) == max(masks, default=0).bit_length()
+        for x, e in enumerate(ext):
+            assert e == sum(1 << i for i, m in enumerate(masks) if m >> x & 1)
+        extent = data.draw(st.integers(0, (1 << len(masks)) - 1))
+        want = -1
+        for i, m in enumerate(masks):
+            if extent >> i & 1:
+                want &= m
+        assert core.intent(masks, extent) == want
+
+    def test_element_extents_computed_once(self):
+        up = UpperSet(4, [0b1100, 0b0110])
+        assert up.element_extents is up.element_extents
+        # minimal 0 is 0b0110 and minimal 1 is 0b1100, in canonical order
+        assert up.element_extents == (0, 0b01, 0b11, 0b10)

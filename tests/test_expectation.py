@@ -8,6 +8,7 @@ from oracles import (
     EagerSearch,
     bisection_threshold,
     exhaustive_p_small,
+    minimal_closure,
     naive_min_cover_cost,
     naive_q,
     subset_enumeration_min_cover_cost,
@@ -24,7 +25,8 @@ from upsetkit import (
     is_p_small,
     min_cover_cost,
 )
-from upsetkit.core import UpperSet
+from upsetkit import expectation
+from upsetkit.core import UpperSet, canonical_key
 from upsetkit.errors import SizeLimitExceeded
 from upsetkit.expectation import SOLVER_CANDIDATES_CAP, _bracket, _problem, _Search
 from upsetkit.families import make_family_instance
@@ -78,7 +80,56 @@ def with_graph_examples(test):
     return test
 
 
+def coverage(min_bits, s: int) -> int:
+    """The mask of the minimals that contain s, by definition."""
+    return sum(1 << i for i, m in enumerate(min_bits) if s & m == s)
+
+
+@st.composite
+def closure_shapes(draw):
+    """Upper sets with more minimals than elements (a slice of one size
+    layer), or more elements than minimals with the top two in none of
+    them; either can have a closure past a small cap."""
+    if draw(st.booleans()):
+        n = draw(st.integers(4, 8))
+        k = draw(st.integers(2, n - 2))
+        layer = [b for b in range(1 << n) if b.bit_count() == k]
+        count = draw(st.integers(n + 1, min(len(layer), 30)))
+        return UpperSet(n, draw(st.permutations(layer))[:count])
+    n = draw(st.integers(5, 12))
+    low = (1 << (n - 2)) - 1
+    if draw(st.booleans()):
+        gens = draw(st.lists(st.integers(1, low), min_size=1, max_size=min(8, n - 1)))
+    else:
+        # the low elements less d of them each: long intersection chains
+        d = draw(st.integers(1, 2))
+        drops = st.sets(st.integers(0, n - 3), min_size=d, max_size=d)
+        gens = [low & ~sum(1 << x for x in drop)
+                for drop in draw(st.lists(drops, min_size=1, max_size=min(8, n - 1)))]
+    return UpperSet(n, gens)
+
+
 class TestCoverProblem:
+    @given(closure_shapes())
+    @settings(max_examples=200, deadline=None)
+    @example(co_singletons(6))
+    @example(UpperSet(10, [0xFF ^ (1 << i) for i in range(8)]))  # 254 members, 2 idle elements
+    @with_graph_examples
+    def test_refusals_and_tables_match_minimal_closure(self, up):
+        # with the cap lowered, the element-side closure refuses exactly
+        # when the minimal-by-minimal one has more members than the cap
+        cap = 40
+        want = minimal_closure(list(up.minimal_bits))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(expectation, "SOLVER_CANDIDATES_CAP", cap)
+            if len(want) > cap:
+                with pytest.raises(SizeLimitExceeded):
+                    _problem.__wrapped__(up)
+                return
+            prob = _problem.__wrapped__(up)
+        assert list(prob.cand_bits) == sorted(want, key=canonical_key)
+        assert list(prob.cand_cov) == [coverage(up.minimal_bits, s) for s in prob.cand_bits]
+
     @given(upper_sets(max_ground=8, max_gens=7), st.booleans())
     @settings(max_examples=150, deadline=None)
     @example(co_singletons(5), False)

@@ -1,9 +1,9 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import copy_masks, k_n_edges, spanning_tree_masks
+from oracles import copy_masks, injective_images, k_n_edges, spanning_tree_masks
 
 from upsetkit import (
     graph_connectivity,
@@ -12,7 +12,7 @@ from upsetkit import (
     random_upper_set,
     subgraph_containment,
 )
-from upsetkit.core import bit_indices
+from upsetkit.core import UpperSet, bit_indices
 from upsetkit.errors import OutOfRange, TrivialUpperSet
 from upsetkit.families import (
     PATTERNS,
@@ -116,6 +116,31 @@ class TestSubgraphContainment:
     def test_minimals_are_the_copies_of_h(self, family, n):
         h = PATTERNS.get(family) or [(i, (i + 1) % n) for i in range(n)]
         assert set(make_family_instance(family, n).minimal_bits) == copy_masks(n, h)
+
+    @pytest.mark.parametrize("family, n", [
+        *((name, n) for name, h in PATTERNS.items()
+          for n in range(len({v for e in h for v in e}), 9)),
+        *(("hamilton", n) for n in range(3, 9)),
+    ])
+    def test_images_match_injective_maps(self, family, n):
+        # the images taken on K_k once and carried onto each k-subset equal
+        # those of every injective map into K_n
+        h = PATTERNS.get(family) or [(i, (i + 1) % n) for i in range(n)]
+        up = make_family_instance(family, n)
+        assert up.minimal_bits == UpperSet(n * (n - 1) // 2, injective_images(n, h)).minimal_bits
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(lambda e: e[0] != e[1]),
+                 min_size=1, max_size=7),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_drawn_h_images_match_injective_maps(self, h, data):
+        k = len({v for e in h for v in e})
+        assume(k <= 5)
+        n = data.draw(st.integers(k, 7))
+        up = subgraph_containment(n, h)
+        assert up.minimal_bits == UpperSet(n * (n - 1) // 2, injective_images(n, h)).minimal_bits
 
     @pytest.mark.parametrize("h", [[(0, 0)], [(0, 1), (2, 2)]])
     def test_rejects_loops(self, h):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import block_cover_dimension, naive_dim, naive_sigma
+from oracles import block_cover_dimension, element_blocks, naive_dim, naive_sigma
 from test_core import upper_sets
+from test_expectation import GRAPH_INSTANCES, coverage
 from upsetkit import (
     BoundVariant,
     builtin_battery,
@@ -23,7 +24,7 @@ from upsetkit.errors import KOutOfRange, SizeLimitExceeded
 from upsetkit.expectation import _Search, _to_cover
 from upsetkit.families import make_family_instance
 from upsetkit.measure import AUTO_ENUMERATION_CAP
-from upsetkit.structure import DIMENSION_MINIMALS_CAP, _block_problem
+from upsetkit.structure import DIMENSION_MINIMALS_CAP, _block_problem, sigma_sequence
 
 TRIANGLE_SETS = [0b011, 0b110, 0b101]
 
@@ -63,6 +64,21 @@ class TestSigma:
         n, sets = case
         for k in range(1, len(sets) + 1):
             assert sigma_k(sets, k) == naive_sigma(sets, k, n)
+
+    @given(mask_lists())
+    @settings(max_examples=150)
+    def test_sequence_equals_sigma_k(self, case):
+        # zero and repeated masks included: a repeat counts once per index
+        _, sets = case
+        assert sigma_sequence(sets) == [sigma_k(sets, k) for k in range(1, len(sets) + 1)]
+
+    def test_sequence_on_battery(self):
+        for _, up in builtin_battery():
+            sets = up.minimal_bits
+            assert sigma_sequence(sets) == [sigma_k(sets, k) for k in range(1, len(sets) + 1)]
+
+    def test_sequence_of_nothing(self):
+        assert sigma_sequence([]) == []
 
     @given(mask_lists())
     @settings(max_examples=100)
@@ -207,6 +223,28 @@ def many_minimals(draw):
     layer = [b for b in range(1 << n) if b.bit_count() == k]
     count = draw(st.integers(DIMENSION_MINIMALS_CAP + 1, min(40, len(layer))))
     return UpperSet(n, draw(st.permutations(layer))[:count])
+
+
+class TestBlockProblem:
+    """The dimension's candidates are the blocks, the intersections of the
+    minimals through each element, and each covers what it should."""
+
+    @staticmethod
+    def assert_blocks(up):
+        prob = _block_problem(up)
+        min_bits = list(up.minimal_bits)
+        want = element_blocks(min_bits, up.ground_size)
+        assert list(prob.cand_bits) == sorted(want, key=lambda b: (b.bit_count(), b))
+        assert list(prob.cand_cov) == [coverage(min_bits, s) for s in prob.cand_bits]
+
+    @pytest.mark.parametrize("family, n", GRAPH_INSTANCES)
+    def test_graph_instances(self, family, n):
+        self.assert_blocks(make_family_instance(family, n))
+
+    @given(upper_sets(max_ground=10, max_gens=10))
+    @settings(max_examples=150, deadline=None)
+    def test_random(self, up):
+        self.assert_blocks(up)
 
 
 class TestDimensionMatchesBlockDP:
