@@ -154,12 +154,6 @@ class UpperSet:
     def minimals(self) -> tuple[SubsetMask, ...]:
         return tuple(SubsetMask(self.ground_size, b) for b in self.minimal_bits)
 
-    @functools.cached_property
-    def element_extents(self) -> tuple[int, ...]:
-        """``extents`` of the minimal elements, built once per instance: the
-        cover problem, the dimension and sigma all read it."""
-        return tuple(extents(self.minimal_bits))
-
     @property
     def ell0(self) -> int:
         """Size of the largest minimal element, the last in canonical order."""

@@ -84,7 +84,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 
-from .core import Cover, SubsetMask, UpperSet, canonical_key, intent
+from .core import Cover, SubsetMask, UpperSet, canonical_key, extents, intent
 from .errors import SizeLimitExceeded
 
 CANDIDATE_GENERATION_CAP = 1 << 20
@@ -209,7 +209,7 @@ def _problem(upper: UpperSet) -> _CoverProblem:
         raise SizeLimitExceeded(
             f"exact cover search needs |F0| <= {SOLVER_MINIMALS_CAP}, got {len(min_bits)}"
         )
-    return _CoverProblem(min_bits, _intersection_closure(upper.element_extents))
+    return _CoverProblem(min_bits, _intersection_closure(extents(min_bits)))
 
 
 class _Search:

@@ -16,7 +16,7 @@ import heapq
 import itertools
 from typing import Callable, Sequence
 
-from .core import UpperSet, bit_indices, check_ground_cap
+from .core import UpperSet, check_ground_cap
 from .errors import OutOfRange, TrivialUpperSet
 
 
@@ -77,9 +77,9 @@ def subgraph_containment(n: int, h_edges: Sequence[tuple[int, int]]) -> UpperSet
 
     Minimal elements are the inclusion-minimal images of H under all
     injective maps of its vertices into {0..n-1}. Each such image spans
-    exactly k = |V(H)| vertices, so the images are those of H on K_k,
-    taken once over the bijections, each carried onto every k-subset of
-    {0..n-1} by that subset's increasing relabelling.
+    exactly k = |V(H)| vertices, so the images are those of H on vertices
+    0..k-1, taken once over the bijections, each carried onto every other
+    k-subset of {0..n-1} by that subset's increasing relabelling.
     """
     if not h_edges:
         raise OutOfRange("H must have at least one edge")
@@ -91,29 +91,25 @@ def subgraph_containment(n: int, h_edges: Sequence[tuple[int, int]]) -> UpperSet
     if k > n:
         raise OutOfRange(f"H has {k} vertices, more than n = {n}")
     check_ground_cap(n * (n - 1) // 2)
-    edge_k = _edge_bits(k)
+    edge = _edge_bits(n)
     pos = {v: i for i, v in enumerate(verts)}
     pairs = [(pos[u], pos[v]) for u, v in h_edges]
-    shapes = set()
+    # each distinct image on 0..k-1, with a bijection that gives it
+    shapes: dict[int, tuple[int, ...]] = {}
     for target in itertools.permutations(range(k)):
         bits = 0
         for a, b in pairs:
-            bits |= edge_k[target[a]][target[b]]
-        shapes.add(bits)
-    if k == n:
-        return UpperSet(n * (n - 1) // 2, shapes)
-    # K_k's edge i, (a, b) = k_pairs[i] in the edge table's numbering, carries
-    # to K_n's edge between the subset's a-th and b-th vertices
-    edge = _edge_bits(n)
-    k_pairs = list(itertools.combinations(range(k), 2))
-    shape_edges = [tuple(bit_indices(s)) for s in shapes]
-    images = []
-    for sub in itertools.combinations(range(n), k):
-        lift = [edge[sub[a]][sub[b]] for a, b in k_pairs]
-        for ids in shape_edges:
+            bits |= edge[target[a]][target[b]]
+        shapes.setdefault(bits, target)
+    images = list(shapes)
+    subsets = itertools.combinations(range(n), k)
+    next(subsets)  # 0..k-1, where the shapes already lie
+    for sub in subsets:
+        for target in shapes.values():
+            to = [sub[t] for t in target]
             bits = 0
-            for i in ids:
-                bits |= lift[i]
+            for a, b in pairs:
+                bits |= edge[to[a]][to[b]]
             images.append(bits)
     return UpperSet(n * (n - 1) // 2, images)
 

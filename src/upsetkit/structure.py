@@ -79,7 +79,7 @@ def max_nonempty_sigma_index(upper: UpperSet) -> int:
     sigma_k is the set of elements in at least k minimals, so this is the
     largest number of minimals through a single element.
     """
-    return max(map(int.bit_count, upper.element_extents))
+    return max(map(int.bit_count, extents(upper.minimal_bits)))
 
 
 def dim_upper_bound_via_sigma(upper: UpperSet) -> int:
@@ -93,7 +93,7 @@ def _block_problem(upper: UpperSet) -> _CoverProblem:
     """The p = 1 cover problem of the dimension: one candidate per distinct
     nonempty block, the intersection of the minimals through a ground
     element, which covers exactly those minimals (the element's extent)."""
-    return _CoverProblem(upper.minimal_bits, set(upper.element_extents) - {0})
+    return _CoverProblem(upper.minimal_bits, set(extents(upper.minimal_bits)) - {0})
 
 
 def covering_dimension(upper: UpperSet) -> DimensionResult:
@@ -105,7 +105,7 @@ def covering_dimension(upper: UpperSet) -> DimensionResult:
         # elements' blocks are distinct (two equal ones would make one of
         # the elements redundant), so they form a cover of that size.
         hitting = ((1 << n) - 1) & ~measure._enumeration_profile(upper).largest_non_member
-        through = upper.element_extents
+        through = extents(min_bits)
         blocks = [intent(min_bits, through[x]) for x in bit_indices(hitting)]
         return DimensionResult(len(blocks), Cover.from_masks(SubsetMask(n, b) for b in blocks))
     if len(min_bits) > DIMENSION_MINIMALS_CAP:

@@ -450,7 +450,8 @@ def copy_masks(n: int, h_edges: list[tuple[int, int]]) -> set[int]:
 def injective_images(n: int, h_edges: list[tuple[int, int]]) -> set[int]:
     """Masks of H's images in K_n under every injective map of its vertices
     into {0..n-1}, in one pass over all k-permutations of n: the generator
-    as it stood before it carried H's images on K_k onto each k-subset."""
+    as it stood before it carried H's images on 0..k-1 onto the other
+    k-subsets."""
     index = {e: i for i, e in enumerate(k_n_edges(n))}
     verts = sorted({v for e in h_edges for v in e})
     out = set()

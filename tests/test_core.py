@@ -290,9 +290,3 @@ class TestIncidence:
             if extent >> i & 1:
                 want &= m
         assert core.intent(masks, extent) == want
-
-    def test_element_extents_computed_once(self):
-        up = UpperSet(4, [0b1100, 0b0110])
-        assert up.element_extents is up.element_extents
-        # minimal 0 is 0b0110 and minimal 1 is 0b1100, in canonical order
-        assert up.element_extents == (0, 0b01, 0b11, 0b10)

@@ -123,8 +123,8 @@ class TestSubgraphContainment:
         *(("hamilton", n) for n in range(3, 9)),
     ])
     def test_images_match_injective_maps(self, family, n):
-        # the images taken on K_k once and carried onto each k-subset equal
-        # those of every injective map into K_n
+        # the images taken on 0..k-1 once and carried onto the other k-subsets
+        # equal those of every injective map into K_n
         h = PATTERNS.get(family) or [(i, (i + 1) % n) for i in range(n)]
         up = make_family_instance(family, n)
         assert up.minimal_bits == UpperSet(n * (n - 1) // 2, injective_images(n, h)).minimal_bits
