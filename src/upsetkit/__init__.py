@@ -68,9 +68,10 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Reset all instance-level memo caches (profiles, q, dimensions)."""
-    from . import expectation, measure, structure
+    """Reset all instance-level memo caches (incidences, profiles, q, dimensions)."""
+    from . import core, expectation, measure, structure
 
+    core.clear_caches()
     measure.clear_caches()
     expectation.clear_caches()
     structure.clear_caches()

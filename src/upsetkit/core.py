@@ -187,12 +187,22 @@ class Cover:
             raise TrivialUpperSet("cover elements must be nonempty")
 
     @classmethod
-    def from_masks(cls, masks: Iterable[SubsetMask]) -> "Cover":
-        return cls(tuple(sorted(set(masks), key=lambda m: canonical_key(m.bits))))
+    def from_masks(cls, width: int, masks: Iterable[int]) -> "Cover":
+        """The cover by the distinct int ``masks``, in canonical order."""
+        return cls(tuple(SubsetMask(width, b) for b in sorted(set(masks), key=canonical_key)))
 
     def covers(self, upper: UpperSet) -> bool:
-        elems = [e.bits for e in self.elements]
-        return all(any(e & m == e for e in elems) for m in upper.minimal_bits)
+        """Whether every minimal element contains some cover element: the
+        OR of the elements' coverages (each the AND of its members'
+        extents) is every minimal. An element with a member in no minimal
+        covers nothing."""
+        ext = element_extents(upper)
+        width = len(ext)
+        covered = 0
+        for e in self.elements:
+            if not e.bits >> width:
+                covered |= intent(ext, e.bits)
+        return covered == (1 << len(upper.minimal_bits)) - 1
 
     def cost(self, p: float) -> float:
         """Sum of p^{|S|} over the elements, in canonical order."""
@@ -200,6 +210,17 @@ class Cover:
 
     def __len__(self) -> int:
         return len(self.elements)
+
+
+@functools.lru_cache(maxsize=256)
+def element_extents(upper: UpperSet) -> tuple[int, ...]:
+    """``extents`` of the minimal elements, computed once per instance: entry
+    x is the mask of the minimals through ground element x."""
+    return tuple(extents(upper.minimal_bits))
+
+
+def clear_caches() -> None:
+    element_extents.cache_clear()
 
 
 def _is_int(value) -> bool:

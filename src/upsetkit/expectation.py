@@ -18,15 +18,18 @@ largest per coverage, and drops strictly dominated ones.
 
 The closure is built from the element side, as in the Galois connection
 of formal concept analysis (Ganter-Wille, 1999). A ground element's
-extent is the mask of the minimals through it. The coverage of an
-intersection I is the AND of the extents of I's elements, and I is the
-AND of the minimals in its coverage (its intent). So the coverages are
-exactly the nonzero ANDs of the n element extents, one per candidate.
-Closing those n masks under AND, one element at a time, takes
-O(n * |closure|) mask operations and yields every coverage with no
-further pass; closing the minimals would take O(|F0| * |closure|), and
-on graph families |F0| is several times n. Each candidate is then the
-intent of its coverage, one AND per minimal in it.
+extent is the mask of the minimals through it (``core.element_extents``,
+computed once per instance). The coverage of an intersection I is the
+AND of the extents of I's elements, and I is the AND of the minimals in
+its coverage (its intent). So the coverages are exactly the nonzero ANDs
+of the n element extents, one per candidate. Closing those n masks under
+AND, one element at a time, takes O(n * |closure|) mask operations and
+yields every coverage with no further pass; closing the minimals would
+take O(|F0| * |closure|), and on graph families |F0| is several times n.
+The same pass builds each candidate: a new member's intent is the OR of
+its generators' intents plus the element that made it (the incremental
+lattice construction of Godin, Missaoui and Alaoui, 1995), so no intent
+is recomputed from the minimals.
 
 The exact minimum is found by depth-first branch and bound over the
 uncovered minimal elements. Pruning uses two admissible lower bounds:
@@ -54,9 +57,17 @@ p. The counting bound's ratio is the smallest cost/|cov & uncovered| over
 the candidates that meet the uncovered minimals. Candidates of one size
 cost the same, so it is the smallest p^k / (largest |cov & uncovered| among
 the candidates of size k); at the root every coverage is whole, so those
-counts are the p-independent largest |cov|. A node branches on the
-lowest uncovered minimal (by its index in F0) and tries its candidates by
-cost/|cov|, then in canonical order.
+counts are the p-independent largest |cov|. Below the root the scan stops
+early, with the same result: each size's coverages are kept by descending
+|cov|, a size is skipped when p^k / min(largest |cov|, uncovered count)
+is already no smaller than the best ratio found (a smaller divisor never
+gives a smaller float quotient), and within a size the scan ends at the
+first |cov| that is no larger than the best overlap so far, or once that
+overlap is every uncovered minimal. Sizes are
+tried by their ratio at the root, the smallest first. A node branches on
+the lowest uncovered minimal (by its index in F0) and tries its
+candidates by cost/|cov|, then in canonical order, an order each search
+sorts once per minimal.
 
 The minimum cost (``optimize``) is a descent over decide: from the greedy
 cover, each decide asks for a cover cheaper by twice the prune slack, and
@@ -71,9 +82,11 @@ all the minimals, each decide runs just above the root of the current
 cover's weight polynomial sum c_k p^k = 1/2, a cover it returns has a
 larger root, and the first None ends the climb. q is the largest float at
 which the last cover weighs <= 1/2, found from its root, and the cover is
-the witness. decide weighs covers as ``Cover.cost`` does, so F is p-small
-at q, and a decide returns None a few 1e-12 above it, at the p that ended
-the climb.
+the witness. That root's Newton descent starts at the p that ended the
+climb, where the last cover weighs 1/2 plus twice the slack, so it is
+already within a few 1e-12 of it. decide weighs covers as ``Cover.cost``
+does, so F is p-small at q, and a decide returns None a few 1e-12 above
+it, at the p that ended the climb.
 """
 
 from __future__ import annotations
@@ -84,7 +97,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 
-from .core import Cover, SubsetMask, UpperSet, canonical_key, extents, intent
+from .core import Cover, SubsetMask, UpperSet, canonical_key, element_extents
 from .errors import SizeLimitExceeded
 
 CANDIDATE_GENERATION_CAP = 1 << 20
@@ -141,27 +154,28 @@ class _CoverProblem:
     __slots__ = ("min_bits", "min_sizes", "max_size", "cand_bits", "cand_sizes", "cand_cov",
                  "cand_count", "size_groups", "per_min", "full")
 
-    def __init__(self, min_bits: tuple[int, ...], coverages: Iterable[int]):
-        """``coverages`` are nonzero closed masks of minimals: each is the set
-        of minimals that contain its intent, the candidate."""
+    def __init__(self, min_bits: tuple[int, ...], candidates: dict[int, int]):
+        """``candidates`` maps each coverage, a nonzero closed mask of
+        minimals, to its candidate: its intent, which exactly those
+        minimals contain."""
         self.min_bits = min_bits
         m = len(min_bits)
         self.min_sizes = tuple(map(int.bit_count, min_bits))
         self.max_size = max(self.min_sizes)
-        cov_of = {intent(min_bits, c): c for c in coverages}
+        cov_of = {s: c for c, s in candidates.items()}
         # canonical order: by popcount, then by value (a stable sort)
         self.cand_bits = tuple(sorted(sorted(cov_of), key=int.bit_count))
         self.cand_sizes = tuple(map(int.bit_count, self.cand_bits))
         self.full = (1 << m) - 1
         self.cand_cov = cand_cov = tuple(map(cov_of.__getitem__, self.cand_bits))
         self.cand_count = tuple(map(int.bit_count, cand_cov))
-        # per candidate size: its coverages and the largest of their counts
+        # per candidate size: its coverages, largest count first
         by_size: dict[int, list[int]] = {}
         for k, c in zip(self.cand_sizes, cand_cov):
             by_size.setdefault(k, []).append(c)
-        self.size_groups = tuple(
-            (k, tuple(covs), max(map(int.bit_count, covs))) for k, covs in sorted(by_size.items())
-        )
+        for covs in by_size.values():
+            covs.sort(key=int.bit_count, reverse=True)
+        self.size_groups = tuple((k, tuple(covs)) for k, covs in by_size.items())
         self.per_min: list[tuple[int, ...] | None] = [None] * m
 
     def under(self, i: int) -> tuple[int, ...]:
@@ -174,25 +188,38 @@ class _CoverProblem:
         return got
 
 
-def _intersection_closure(element_extents: Iterable[int]) -> set[int]:
-    """The coverages of the nonempty intersections of minimal elements: the
-    nonzero ANDs of the element extents (the masks of minimals through each
-    ground element), each the extent of one intersection.
+def _intersection_closure(incidence: Iterable[int]) -> dict[int, int]:
+    """The nonempty intersections of minimal elements, as ``{coverage:
+    candidate}``: the coverages are the nonzero ANDs of the element extents
+    (the masks of minimals through each ground element), and each
+    candidate is its coverage's intent, the elements whose extent holds it.
 
-    Grows the set one distinct nonzero extent at a time (repeats and
-    elements in no minimal add nothing): the closure of the first k extents
-    is that of the first k - 1, plus the k-th, plus the k-th ANDed with each
-    of its members. The closure only grows with k, so it raises as soon as
-    it passes SOLVER_CANDIDATES_CAP, after the element that takes it there,
-    exactly when the whole closure would. Each step ANDs at most cap
-    members, so a refused instance costs at most cap * n mask operations,
-    and the set never holds more than 2 * cap + 1 masks.
+    Grows the closure one distinct nonzero extent e at a time, with the
+    elements E that have it (repeats add no member; elements in no minimal
+    add nothing): the closure of the first k extents is that of the first
+    k - 1, plus e, plus e ANDed with each of its members. Over the elements
+    seen so far, a member d's intent is E plus the intents of the members
+    c with c & e == d. An earlier element through every minimal of d is in
+    the intent of the AND of the earlier extents that hold d, and that AND
+    is such a c.
+
+    The closure only grows with k, so it raises as soon as it passes
+    SOLVER_CANDIDATES_CAP, after the extent that takes it there, exactly
+    when the whole closure would. Each step ANDs at most cap members, so a
+    refused instance costs at most cap * n mask operations, and the
+    closure never holds more than 2 * cap + 1 masks.
     """
-    closure: set[int] = set()
-    for e in set(element_extents) - {0}:
-        closure |= {c & e for c in closure}
-        closure.add(e)
-        closure.discard(0)
+    having: dict[int, int] = {}
+    for x, e in enumerate(incidence):
+        if e:
+            having[e] = having.get(e, 0) | 1 << x
+    closure: dict[int, int] = {}
+    for e, elems in having.items():
+        grown = {e: elems}
+        for c, s in closure.items():
+            if d := c & e:
+                grown[d] = grown.get(d, elems) | s
+        closure.update(grown)
         if len(closure) > SOLVER_CANDIDATES_CAP:
             raise SizeLimitExceeded(
                 f"exact cover search needs <= {SOLVER_CANDIDATES_CAP} candidates "
@@ -209,7 +236,7 @@ def _problem(upper: UpperSet) -> _CoverProblem:
         raise SizeLimitExceeded(
             f"exact cover search needs |F0| <= {SOLVER_MINIMALS_CAP}, got {len(min_bits)}"
         )
-    return _CoverProblem(min_bits, _intersection_closure(extents(min_bits)))
+    return _CoverProblem(min_bits, _intersection_closure(element_extents(upper)))
 
 
 class _Search:
@@ -229,6 +256,11 @@ class _Search:
         ratios = [c.as_integer_ratio() for c in powers]
         self.scale = max(d for _, d in ratios)
         self.units = [n * (self.scale // d) for n, d in ratios]
+        # size groups by their ratio at the root, the smallest first
+        self.groups = sorted(prob.size_groups, key=lambda g: powers[g[0]] / g[1][0].bit_count())
+        k, group = self.groups[0]
+        self.root_ratio = powers[k] / group[0].bit_count()
+        self.order: list[list[int] | None] = [None] * len(prob.min_bits)
         self.nodes = 0
 
     def _tick(self):
@@ -240,18 +272,30 @@ class _Search:
         if uncovered == 0:
             return 0.0
         prob, powers = self.prob, self.powers
+        u = uncovered.bit_count()
         # candidates of one size cost the same: a size's smallest ratio is
-        # at its largest count
+        # at its largest |cov & uncovered|
         if uncovered == prob.full:
             # every coverage is whole here, so |cov & uncovered| = |cov|
-            ratio = min(powers[k] / most for k, _, most in prob.size_groups)
+            ratio = self.root_ratio
         else:
-            ratio = min(
-                powers[k] / most
-                for k, covs, _ in prob.size_groups
-                if (most := max([(c & uncovered).bit_count() for c in covs]))
-            )
-        counting = uncovered.bit_count() * ratio
+            ratio = math.inf
+            for k, group in self.groups:
+                # |cov & uncovered| <= min(|cov|, u), and a smaller divisor
+                # never gives a smaller float quotient
+                if powers[k] / min(group[0].bit_count(), u) >= ratio:
+                    continue
+                most = 0
+                for c in group:
+                    if c.bit_count() <= most:
+                        break
+                    if (got := (c & uncovered).bit_count()) > most:
+                        most = got
+                        if most == u:
+                            break
+                if most and powers[k] / most < ratio:
+                    ratio = powers[k] / most
+        counting = u * ratio
         blocked = 0
         packing = 0.0
         for i, mb in enumerate(prob.min_bits):
@@ -281,7 +325,7 @@ class _Search:
         """A cover with cost <= threshold, or None if none exists. Exact: a
         cover's cost is its exact sum rounded once, as in ``Cover.cost``."""
         prob, units, scale, cost = self.prob, self.units, self.scale, self.cost
-        sizes, count = prob.cand_sizes, prob.cand_count
+        sizes, count, orders = prob.cand_sizes, prob.cand_count, self.order
         seen: dict[int, int] = {}
 
         def dfs(uncovered: int, acc: int) -> list[int] | None:
@@ -295,9 +339,12 @@ class _Search:
             if acc / scale + self.lower_bound(uncovered) > threshold + _PRUNE_SLACK:
                 return None
             bi = (uncovered & -uncovered).bit_length() - 1
-            # by cost per covered minimal (full coverage, a coarse stand-in
-            # for new coverage), then canonical
-            for j in sorted(prob.under(bi), key=lambda j: (cost[j] / count[j], j)):
+            order = orders[bi]
+            if order is None:
+                # by cost per covered minimal (full coverage, a coarse
+                # stand-in for new coverage), then canonical; once per search
+                order = orders[bi] = sorted(prob.under(bi), key=lambda j: (cost[j] / count[j], j))
+            for j in order:
                 rest = dfs(uncovered & ~prob.cand_cov[j], acc + units[sizes[j]])
                 if rest is not None:
                     return [j] + rest
@@ -317,7 +364,8 @@ class _Search:
 
 def _to_cover(upper: UpperSet, prob: _CoverProblem, chosen: list[int]) -> Cover:
     n = upper.ground_size
-    return Cover.from_masks(SubsetMask(n, prob.cand_bits[j]) for j in set(chosen))
+    # ascending candidate indices are canonical order
+    return Cover(tuple(SubsetMask(n, prob.cand_bits[j]) for j in sorted(set(chosen))))
 
 
 def min_cover_cost(upper: UpperSet, p: float) -> CoverSolution:
@@ -357,17 +405,19 @@ def _weight(terms: tuple[tuple[int, int], ...], p: float) -> float:
     return math.fsum(x for k, c in terms for x in [p**k] * c)
 
 
-def _weight_root(terms: tuple[tuple[int, int], ...], level: float = 0.5) -> float:
+def _weight_root(
+    terms: tuple[tuple[int, int], ...], level: float = 0.5, start: float | None = None
+) -> float:
     """The p in (0, 1) where sum c_k p^k = level (< 1), by Newton's method
-    from above.
+    from ``start``, a point above the root.
 
     The weight is increasing and convex on (0, 1), so Newton steps from a
-    point above the root decrease monotonically towards it. The start
-    (level / c_k)^(1/k), the smallest over k, is such a point because each
-    term alone is at most the whole weight. Stops at the first step that
-    does not decrease, i.e. within float error of the root.
+    point above the root decrease monotonically towards it. The default
+    start (level / c_k)^(1/k), the smallest over k, is such a point because
+    each term alone is at most the whole weight. Stops at the first step
+    that does not decrease, i.e. within float error of the root.
     """
-    p = min((level / c) ** (1.0 / k) for k, c in terms)
+    p = min((level / c) ** (1.0 / k) for k, c in terms) if start is None else start
     while True:
         slope = math.fsum(k * c * p ** (k - 1) for k, c in terms)
         step = p - (_weight(terms, p) - level) / slope
@@ -418,9 +468,11 @@ def expectation_threshold(upper: UpperSet, tol: float = 1e-9) -> ExpectationThre
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     prob = _problem(upper)
-    chosen, _ = _bracket(prob)
+    chosen, above = _bracket(prob)
     terms = _weight_terms(prob, chosen)
-    q = _weight_root(terms)
+    # the climb stopped where the witness weighs 1/2 plus twice the slack,
+    # just above its root
+    q = _weight_root(terms, start=above)
     while _weight(terms, q) > 0.5:
         q = math.nextafter(q, 0.0)
     # Newton can stop a float short of the largest such p

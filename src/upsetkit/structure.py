@@ -8,6 +8,11 @@ the S_i through it (``core.extents``), in one pass over the S_i's bits;
 ``max_nonempty_sigma_index`` the largest count. ``sigma_k`` stays as the
 definition, and the combinatorial one stays available as a test oracle.
 
+The incidence of an instance's minimal elements is shared: the cover
+problem of q, the covering dimension (its blocks and its enumeration
+witness), ``max_nonempty_sigma_index`` and ``Cover.covers`` all read
+``core.element_extents``, which computes it once per instance.
+
 The covering dimension of F is the minimum size of a nontrivial cover.
 Any nonempty set may be a cover element; an element S serves exactly the
 minimals containing S, so an optimal cover groups the minimal elements
@@ -39,7 +44,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from . import measure
-from .core import Cover, SubsetMask, UpperSet, bit_indices, extents, intent
+from .core import Cover, UpperSet, bit_indices, element_extents, extents, intent
 from .errors import KOutOfRange, SizeLimitExceeded
 from .expectation import _CoverProblem, _Search, _to_cover
 
@@ -79,7 +84,7 @@ def max_nonempty_sigma_index(upper: UpperSet) -> int:
     sigma_k is the set of elements in at least k minimals, so this is the
     largest number of minimals through a single element.
     """
-    return max(map(int.bit_count, extents(upper.minimal_bits)))
+    return max(map(int.bit_count, element_extents(upper)))
 
 
 def dim_upper_bound_via_sigma(upper: UpperSet) -> int:
@@ -93,7 +98,8 @@ def _block_problem(upper: UpperSet) -> _CoverProblem:
     """The p = 1 cover problem of the dimension: one candidate per distinct
     nonempty block, the intersection of the minimals through a ground
     element, which covers exactly those minimals (the element's extent)."""
-    return _CoverProblem(upper.minimal_bits, set(extents(upper.minimal_bits)) - {0})
+    min_bits = upper.minimal_bits
+    return _CoverProblem(min_bits, {e: intent(min_bits, e) for e in element_extents(upper) if e})
 
 
 def covering_dimension(upper: UpperSet) -> DimensionResult:
@@ -105,9 +111,9 @@ def covering_dimension(upper: UpperSet) -> DimensionResult:
         # elements' blocks are distinct (two equal ones would make one of
         # the elements redundant), so they form a cover of that size.
         hitting = ((1 << n) - 1) & ~measure._enumeration_profile(upper).largest_non_member
-        through = extents(min_bits)
+        through = element_extents(upper)
         blocks = [intent(min_bits, through[x]) for x in bit_indices(hitting)]
-        return DimensionResult(len(blocks), Cover.from_masks(SubsetMask(n, b) for b in blocks))
+        return DimensionResult(len(blocks), Cover.from_masks(n, blocks))
     if len(min_bits) > DIMENSION_MINIMALS_CAP:
         raise SizeLimitExceeded(
             f"exact dimension needs ground_size <= {measure.AUTO_ENUMERATION_CAP} "

@@ -1,7 +1,10 @@
 import argparse
 import dataclasses
 import hashlib
+import importlib
+import inspect
 import json
+import pkgutil
 import re
 import subprocess
 import sys
@@ -611,6 +614,46 @@ class TestParserReuse:
         fresh = TestDeterminism._run(list(argv))
         assert fresh.returncode == 0
         assert hashlib.sha256(fresh.stdout).hexdigest() == TestDeterminism.PINNED[argv]
+
+
+def lru_caches() -> dict:
+    """Every lru cache in upsetkit's modules, at module level or on a class
+    defined there, by qualified name."""
+    out = {}
+    for info in pkgutil.iter_modules(upsetkit.__path__):
+        module = importlib.import_module(f"upsetkit.{info.name}")
+        owners = [module] + [c for c in vars(module).values()
+                             if inspect.isclass(c) and c.__module__ == module.__name__]
+        for owner in owners:
+            for name, obj in vars(owner).items():
+                if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                    out[f"{obj.__module__}.{obj.__qualname__}"] = obj
+    return out
+
+
+class TestColdCaches:
+    # tables that hold no instance data or result, kept across commands on
+    # purpose (see the README): the argument parser and the enumeration's
+    # slice masks
+    FIXED_TABLES = {"upsetkit.cli.build_parser", "upsetkit.measure._slice_masks"}
+
+    def test_clear_caches_empties_every_memo(self, capsys, tmp_path):
+        # a memo that clear_caches() missed would warm the next "cold" command
+        path = tmp_path / "k4.json"
+        path.write_text(graph_connectivity(4).to_instance_json())
+        for argv in (["compute", "--instance", str(path)],
+                     ["compute", "--method", "ie", "--instance", str(path)],
+                     ["verify", "--instance", str(path)],
+                     ["sweep", "--family", "triangle", "--range", "3..4"]):
+            assert run_main(capsys, argv)[0] == 0
+        caches = lru_caches()
+        assert self.FIXED_TABLES <= set(caches)
+        filled = {name for name, fn in caches.items() if fn.cache_info().currsize}
+        assert {"upsetkit.core.element_extents", "upsetkit.expectation._problem",
+                "upsetkit.measure._enumeration_profile"} <= filled
+        upsetkit.clear_caches()
+        left = {name for name, fn in caches.items() if fn.cache_info().currsize}
+        assert left <= self.FIXED_TABLES
 
 
 class TestReadme:

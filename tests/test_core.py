@@ -3,11 +3,11 @@ import json
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import naive_antichain
 
-from upsetkit import SubsetMask, UpperSet, core, parse_instance
+from upsetkit import Cover, SubsetMask, UpperSet, clear_caches, core, parse_instance
 from upsetkit.core import _reduce_to_antichain, bit_indices, canonical_key
 from upsetkit.errors import EmptyGenerators, SizeLimitExceeded, TrivialUpperSet
 from upsetkit.measure import _enumeration_profile
@@ -290,3 +290,63 @@ class TestIncidence:
             if extent >> i & 1:
                 want &= m
         assert core.intent(masks, extent) == want
+
+    @given(upper_sets(max_ground=10, max_gens=8))
+    @settings(max_examples=60)
+    def test_element_extents_are_the_minimals_incidence(self, up):
+        clear_caches()
+        got = core.element_extents(up)
+        assert got == tuple(core.extents(up.minimal_bits))
+        # computed once per instance, and an equal instance shares it
+        assert core.element_extents(UpperSet(up.ground_size, up.minimal_bits)) is got
+        assert core.element_extents.cache_info().misses == 1
+        clear_caches()
+        assert core.element_extents.cache_info().currsize == 0
+
+
+def cover_draws():
+    """An upper set and a cover of nonempty masks on its ground set, some
+    with elements in no minimal (the ground set reaches past them)."""
+
+    @st.composite
+    def build(draw):
+        up = draw(upper_sets(max_ground=10, max_gens=6))
+        full = (1 << up.ground_size) - 1
+        if draw(st.booleans()):
+            # a sub-mask of each of some minimals: often a cover, not always
+            picks = draw(st.lists(st.sampled_from(up.minimal_bits), min_size=1))
+            elems = [m & draw(st.integers(1, full)) or m for m in picks]
+        else:
+            elems = draw(st.lists(st.integers(1, full), min_size=1, max_size=6))
+        return up, Cover.from_masks(up.ground_size, elems)
+
+    return build()
+
+
+class TestCover:
+    @given(cover_draws())
+    @settings(max_examples=300)
+    # the minimals themselves; one short; an element past every minimal
+    @example((UpperSet(4, [0b0011, 0b0110]), Cover.from_masks(4, [0b0011, 0b0110])))
+    @example((UpperSet(4, [0b0011, 0b0110]), Cover.from_masks(4, [0b0001])))
+    @example((UpperSet(4, [0b0011, 0b0110]), Cover.from_masks(4, [0b1000, 0b0010])))
+    @example((UpperSet(4, [0b0011, 0b0110]), Cover.from_masks(4, [0b1010, 0b0001])))
+    def test_covers_matches_definition(self, case):
+        up, cover = case
+        want = all(any(e.bits & m == e.bits for e in cover.elements) for m in up.minimal_bits)
+        assert cover.covers(up) == want
+
+    def test_covers_both_ways(self):
+        up = UpperSet(5, [0b00011, 0b00110, 0b11000])
+        assert Cover.from_masks(5, [0b00010, 0b01000]).covers(up)
+        assert not Cover.from_masks(5, [0b00010, 0b00100]).covers(up)
+        # {2, 3} lies in no minimal, so {1, 2} is left uncovered
+        assert not Cover.from_masks(5, [0b00011, 0b01100]).covers(up)
+
+    @given(st.integers(1, 12).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(1, (1 << n) - 1), min_size=1))))
+    def test_from_masks_is_canonical(self, case):
+        n, masks = case
+        cover = Cover.from_masks(n, masks)
+        assert [e.bits for e in cover.elements] == sorted(set(masks), key=canonical_key)
+        assert all(e.width == n for e in cover.elements)

@@ -25,10 +25,16 @@ from upsetkit import (
     is_p_small,
     min_cover_cost,
 )
-from upsetkit import expectation
+from upsetkit import core, expectation
 from upsetkit.core import UpperSet, canonical_key
 from upsetkit.errors import SizeLimitExceeded
-from upsetkit.expectation import SOLVER_CANDIDATES_CAP, _bracket, _problem, _Search
+from upsetkit.expectation import (
+    SOLVER_CANDIDATES_CAP,
+    _bracket,
+    _intersection_closure,
+    _problem,
+    _Search,
+)
 from upsetkit.families import make_family_instance
 
 
@@ -130,6 +136,24 @@ class TestCoverProblem:
         assert list(prob.cand_bits) == sorted(want, key=canonical_key)
         assert list(prob.cand_cov) == [coverage(up.minimal_bits, s) for s in prob.cand_bits]
 
+    @given(closure_shapes())
+    @settings(max_examples=150, deadline=None)
+    @example(co_singletons(12))  # 4094 members, at the cap
+    # elements 0 and 1 share an extent, 5..7 are in no minimal
+    @example(UpperSet(8, [0b00000111, 0b00011011]))
+    @with_graph_examples
+    def test_closure_candidates_are_intents(self, up):
+        min_bits = up.minimal_bits
+        closure = _intersection_closure(core.extents(min_bits))
+        assert set(closure) == {coverage(min_bits, s) for s in minimal_closure(list(min_bits))}
+        for cov, cand in closure.items():
+            assert cand == core.intent(min_bits, cov)
+
+    def test_closure_of_repeated_and_idle_extents(self):
+        # elements 0, 2, 3 and 4 have extents 01, 11, 01, 10; element 1 none
+        closure = _intersection_closure([0b01, 0, 0b11, 0b01, 0b10])
+        assert closure == {0b01: 0b01101, 0b11: 0b00100, 0b10: 0b10100}
+
     @given(upper_sets(max_ground=8, max_gens=7), st.booleans())
     @settings(max_examples=150, deadline=None)
     @example(co_singletons(5), False)
@@ -204,6 +228,27 @@ class TestSearch:
         search = _Search(prob, p)
         for mask in (uncovered, prob.full):
             assert search.lower_bound(mask) == EagerSearch(prob, p).lower_bound(mask)
+
+
+    @pytest.mark.parametrize("family,n", [("connectivity", 4), ("hamilton", 5), ("star3", 5)])
+    def test_counting_bound_matches_full_scan_deep(self, family, n):
+        # every mask the search bounds at q and where the climb ended,
+        # down to single uncovered minimals
+        up = make_family_instance(family, n)
+        prob = _problem(up)
+        reached = []
+
+        class Recording(_Search):
+            def lower_bound(self, uncovered):
+                reached.append((self, uncovered))
+                return super().lower_bound(uncovered)
+
+        for p in (expectation_threshold(up).q, _bracket(prob)[1]):
+            Recording(prob, p).decide(0.5)
+        assert min(mask.bit_count() for _, mask in reached) == 1
+        for search, mask in reached:
+            want = EagerSearch(prob, search.p).lower_bound(mask)
+            assert _Search.lower_bound(search, mask) == want
 
 
 class TestMinCoverCost:
@@ -349,6 +394,15 @@ class TestExpectationThreshold:
         assert res.q == pytest.approx(naive_q(list(up.minimal_bits), iters=40), abs=1e-5)
         assert is_p_small(up, res.q - 1e-6)
         assert not is_p_small(up, res.q + 1e-6)
+
+    @given(upper_sets(max_ground=10, max_gens=8))
+    @settings(max_examples=100, deadline=None)
+    @with_graph_examples
+    def test_q_is_the_witness_last_float(self, up):
+        # q is the largest float at which the witness weighs at most 1/2
+        res = expectation_threshold(up)
+        assert res.witness_cover.cost(res.q) <= 0.5
+        assert res.witness_cover.cost(math.nextafter(res.q, 1.0)) > 0.5
 
     @given(upper_sets(max_ground=8, max_gens=5))
     @settings(max_examples=30, deadline=None)
