@@ -39,7 +39,7 @@ from .sweep import (
     records_to_csv,
     sweep,
 )
-from .structure import sigma_sequence
+from .structure import minimal_sigma_sequence
 
 PARSE_ERROR, CAP_ERROR = 2, 3
 
@@ -228,7 +228,7 @@ def _instance_checks(name: str, upper: UpperSet, variant: BoundVariant):
     ok = witness.covers(upper) and len(witness) == report.dim_within_family
     rows.append((name, "dim_witness_within_family", ok, None))
 
-    sigmas = sigma_sequence(upper.minimal_bits)
+    sigmas = minimal_sigma_sequence(upper)
     monotone = all(b & a == b for a, b in zip(sigmas, sigmas[1:]))
     rows.append((name, "sigma_monotone", monotone, None))
     return rows

@@ -195,7 +195,13 @@ class Cover:
         """Whether every minimal element contains some cover element: the
         OR of the elements' coverages (each the AND of its members'
         extents) is every minimal. An element with a member in no minimal
-        covers nothing."""
+        covers nothing.
+
+        It reads the same memoized incidence (``element_extents``) that
+        the cover search builds its candidates from, so ``verify``'s
+        witness rows are not independent of that incidence; the
+        benchmark's own ``_covers`` check and the tests against the
+        definition are."""
         ext = element_extents(upper)
         width = len(ext)
         covered = 0

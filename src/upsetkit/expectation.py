@@ -56,18 +56,18 @@ none of them. A search builds only its costs, from one table of powers of
 p. The counting bound's ratio is the smallest cost/|cov & uncovered| over
 the candidates that meet the uncovered minimals. Candidates of one size
 cost the same, so it is the smallest p^k / (largest |cov & uncovered| among
-the candidates of size k); at the root every coverage is whole, so those
-counts are the p-independent largest |cov|. Below the root the scan stops
-early, with the same result: each size's coverages are kept by descending
-|cov|, a size is skipped when p^k / min(largest |cov|, uncovered count)
-is already no smaller than the best ratio found (a smaller divisor never
-gives a smaller float quotient), and within a size the scan ends at the
-first |cov| that is no larger than the best overlap so far, or once that
-overlap is every uncovered minimal. Sizes are
-tried by their ratio at the root, the smallest first. A node branches on
-the lowest uncovered minimal (by its index in F0) and tries its
-candidates by cost/|cov|, then in canonical order, an order each search
-sorts once per minimal.
+the candidates of size k). The scan stops early, with the same result:
+each size's coverages are kept by descending |cov|, a size is skipped
+when p^k / min(largest |cov|, uncovered count) is already no smaller than
+the best ratio found (a smaller divisor never gives a smaller float
+quotient), and within a size the scan ends at the first |cov| that is no
+larger than the best overlap so far, or once that overlap is every
+uncovered minimal. Sizes are tried by their ratio at the root, the
+smallest first; at the root every coverage is whole, so the first size's
+largest coverage settles the ratio and every later size is skipped. A
+node branches on the lowest uncovered minimal (by its index in F0) and
+tries its candidates by cost/|cov|, then in canonical order, an order each
+search sorts once per minimal.
 
 The minimum cost (``optimize``) is a descent over decide: from the greedy
 cover, each decide asks for a cover cheaper by twice the prune slack, and
@@ -82,11 +82,9 @@ all the minimals, each decide runs just above the root of the current
 cover's weight polynomial sum c_k p^k = 1/2, a cover it returns has a
 larger root, and the first None ends the climb. q is the largest float at
 which the last cover weighs <= 1/2, found from its root, and the cover is
-the witness. That root's Newton descent starts at the p that ended the
-climb, where the last cover weighs 1/2 plus twice the slack, so it is
-already within a few 1e-12 of it. decide weighs covers as ``Cover.cost``
-does, so F is p-small at q, and a decide returns None a few 1e-12 above
-it, at the p that ended the climb.
+the witness. decide weighs covers as ``Cover.cost`` does, so F is p-small
+at q, and a decide returns None a few 1e-12 above it, at the p that ended
+the climb.
 """
 
 from __future__ import annotations
@@ -258,8 +256,6 @@ class _Search:
         self.units = [n * (self.scale // d) for n, d in ratios]
         # size groups by their ratio at the root, the smallest first
         self.groups = sorted(prob.size_groups, key=lambda g: powers[g[0]] / g[1][0].bit_count())
-        k, group = self.groups[0]
-        self.root_ratio = powers[k] / group[0].bit_count()
         self.order: list[list[int] | None] = [None] * len(prob.min_bits)
         self.nodes = 0
 
@@ -275,26 +271,22 @@ class _Search:
         u = uncovered.bit_count()
         # candidates of one size cost the same: a size's smallest ratio is
         # at its largest |cov & uncovered|
-        if uncovered == prob.full:
-            # every coverage is whole here, so |cov & uncovered| = |cov|
-            ratio = self.root_ratio
-        else:
-            ratio = math.inf
-            for k, group in self.groups:
-                # |cov & uncovered| <= min(|cov|, u), and a smaller divisor
-                # never gives a smaller float quotient
-                if powers[k] / min(group[0].bit_count(), u) >= ratio:
-                    continue
-                most = 0
-                for c in group:
-                    if c.bit_count() <= most:
+        ratio = math.inf
+        for k, group in self.groups:
+            # |cov & uncovered| <= min(|cov|, u), and a smaller divisor
+            # never gives a smaller float quotient
+            if powers[k] / min(group[0].bit_count(), u) >= ratio:
+                continue
+            most = 0
+            for c in group:
+                if c.bit_count() <= most:
+                    break
+                if (got := (c & uncovered).bit_count()) > most:
+                    most = got
+                    if most == u:
                         break
-                    if (got := (c & uncovered).bit_count()) > most:
-                        most = got
-                        if most == u:
-                            break
-                if most and powers[k] / most < ratio:
-                    ratio = powers[k] / most
+            if most and powers[k] / most < ratio:
+                ratio = powers[k] / most
         counting = u * ratio
         blocked = 0
         packing = 0.0
@@ -405,19 +397,17 @@ def _weight(terms: tuple[tuple[int, int], ...], p: float) -> float:
     return math.fsum(x for k, c in terms for x in [p**k] * c)
 
 
-def _weight_root(
-    terms: tuple[tuple[int, int], ...], level: float = 0.5, start: float | None = None
-) -> float:
+def _weight_root(terms: tuple[tuple[int, int], ...], level: float = 0.5) -> float:
     """The p in (0, 1) where sum c_k p^k = level (< 1), by Newton's method
-    from ``start``, a point above the root.
+    from above.
 
     The weight is increasing and convex on (0, 1), so Newton steps from a
-    point above the root decrease monotonically towards it. The default
-    start (level / c_k)^(1/k), the smallest over k, is such a point because
-    each term alone is at most the whole weight. Stops at the first step
-    that does not decrease, i.e. within float error of the root.
+    point above the root decrease monotonically towards it. The start
+    (level / c_k)^(1/k), the smallest over k, is such a point because each
+    term alone is at most the whole weight. Stops at the first step that
+    does not decrease, i.e. within float error of the root.
     """
-    p = min((level / c) ** (1.0 / k) for k, c in terms) if start is None else start
+    p = min((level / c) ** (1.0 / k) for k, c in terms)
     while True:
         slope = math.fsum(k * c * p ** (k - 1) for k, c in terms)
         step = p - (_weight(terms, p) - level) / slope
@@ -468,11 +458,9 @@ def expectation_threshold(upper: UpperSet, tol: float = 1e-9) -> ExpectationThre
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     prob = _problem(upper)
-    chosen, above = _bracket(prob)
+    chosen, _ = _bracket(prob)
     terms = _weight_terms(prob, chosen)
-    # the climb stopped where the witness weighs 1/2 plus twice the slack,
-    # just above its root
-    q = _weight_root(terms, start=above)
+    q = _weight_root(terms)
     while _weight(terms, q) > 0.5:
         q = math.nextafter(q, 0.0)
     # Newton can stop a float short of the largest such p

@@ -10,8 +10,9 @@ definition, and the combinatorial one stays available as a test oracle.
 
 The incidence of an instance's minimal elements is shared: the cover
 problem of q, the covering dimension (its blocks and its enumeration
-witness), ``max_nonempty_sigma_index`` and ``Cover.covers`` all read
-``core.element_extents``, which computes it once per instance.
+witness), ``max_nonempty_sigma_index``, ``minimal_sigma_sequence`` and
+``Cover.covers`` all read ``core.element_extents``, which computes it
+once per instance.
 
 The covering dimension of F is the minimum size of a nontrivial cover.
 Any nonempty set may be a cover element; an element S serves exactly the
@@ -70,10 +71,21 @@ def sigma_k(masks: Sequence[int], k: int) -> int:
 
 
 def sigma_sequence(masks: Sequence[int]) -> list[int]:
-    """[sigma_1, ..., sigma_m] of the m ``masks``, from one incidence pass:
+    """[sigma_1, ..., sigma_m] of the m ``masks``, from one incidence pass."""
+    return _sigmas(extents(masks), len(masks))
+
+
+def minimal_sigma_sequence(upper: UpperSet) -> list[int]:
+    """``sigma_sequence`` of the minimal elements, read off the instance's
+    memoized incidence."""
+    return _sigmas(element_extents(upper), len(upper.minimal_bits))
+
+
+def _sigmas(through: Sequence[int], m: int) -> list[int]:
+    """[sigma_1, ..., sigma_m] from the incidence ``through`` of m masks:
     sigma_k is the union of the elements in exactly j of them over j >= k."""
-    by_count = [0] * (len(masks) + 1)
-    for x, e in enumerate(extents(masks)):
+    by_count = [0] * (m + 1)
+    for x, e in enumerate(through):
         by_count[e.bit_count()] |= 1 << x
     return list(accumulate(reversed(by_count[1:]), operator.or_))[::-1]
 

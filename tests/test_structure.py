@@ -24,7 +24,12 @@ from upsetkit.errors import KOutOfRange, SizeLimitExceeded
 from upsetkit.expectation import _Search, _to_cover
 from upsetkit.families import make_family_instance
 from upsetkit.measure import AUTO_ENUMERATION_CAP
-from upsetkit.structure import DIMENSION_MINIMALS_CAP, _block_problem, sigma_sequence
+from upsetkit.structure import (
+    DIMENSION_MINIMALS_CAP,
+    _block_problem,
+    minimal_sigma_sequence,
+    sigma_sequence,
+)
 
 TRIANGLE_SETS = [0b011, 0b110, 0b101]
 
@@ -76,6 +81,7 @@ class TestSigma:
         for _, up in builtin_battery():
             sets = up.minimal_bits
             assert sigma_sequence(sets) == [sigma_k(sets, k) for k in range(1, len(sets) + 1)]
+            assert minimal_sigma_sequence(up) == sigma_sequence(sets)
 
     def test_sequence_of_nothing(self):
         assert sigma_sequence([]) == []
