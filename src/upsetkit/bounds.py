@@ -32,7 +32,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from . import measure, structure
-from .core import UpperSet
+from .core import GROUND_SIZE_CAP, UpperSet
 from .errors import SizeLimitExceeded
 from .expectation import ExpectationThreshold, expectation_threshold
 from .measure import auto_exact_method
@@ -59,6 +59,10 @@ class BoundVariant:
             raise ValueError(f"log_base must be one of {LOG_BASES}, got {self.log_base!r}")
         if self.argument not in ARGUMENTS:
             raise ValueError(f"argument must be one of {ARGUMENTS}, got {self.argument!r}")
+        # no log argument passes 2 * GROUND_SIZE_CAP, so the bound and every
+        # slack built on it are finite
+        if not self.K * self.log(2 * GROUND_SIZE_CAP) < math.inf:
+            raise ValueError(f"K * log(2 * {GROUND_SIZE_CAP}) must be finite, got K = {self.K}")
 
     @property
     def name(self) -> str:
@@ -197,7 +201,10 @@ def verify_instance(
     add("nonempty_intersection_forces_bound_ge_1", 1.0, bound_value, 2 * CHECK_TOL * variant.K,
         premise=intersection_nonempty and variant.K >= 2.0)
     if dim_u is not None:
-        premise = dim_u > 0.5 * (variant.K * log_arg) ** upper.ell
+        try:
+            premise = dim_u > 0.5 * (variant.K * log_arg) ** upper.ell
+        except OverflowError:  # a power past every float exceeds any dim
+            premise = False
         add("large_dim_forces_nontrivial_info", bound_value, 1.0, 0.0, premise)
 
     return BoundReport(

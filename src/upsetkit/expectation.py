@@ -354,12 +354,6 @@ class _Search:
         return cost, chosen
 
 
-def _to_cover(upper: UpperSet, prob: _CoverProblem, chosen: list[int]) -> Cover:
-    n = upper.ground_size
-    # ascending candidate indices are canonical order
-    return Cover(tuple(SubsetMask(n, prob.cand_bits[j]) for j in sorted(set(chosen))))
-
-
 def min_cover_cost(upper: UpperSet, p: float) -> CoverSolution:
     """Minimum of sum p^{|S|} over covers of F, accurate to 2 * _PRUNE_SLACK,
     with a cover of that cost as the witness."""
@@ -367,7 +361,7 @@ def min_cover_cost(upper: UpperSet, p: float) -> CoverSolution:
         raise ValueError(f"p must lie in (0, 1), got {p}")
     prob = _problem(upper)
     _, chosen = _Search(prob, p).optimize()
-    cover = _to_cover(upper, prob, chosen)
+    cover = Cover.from_masks(upper.ground_size, (prob.cand_bits[j] for j in chosen))
     return CoverSolution(cover, cover.cost(p))
 
 
@@ -466,7 +460,8 @@ def expectation_threshold(upper: UpperSet, tol: float = 1e-9) -> ExpectationThre
     # Newton can stop a float short of the largest such p
     while _weight(terms, up := math.nextafter(q, 1.0)) <= 0.5:
         q = up
-    return ExpectationThreshold(q, _to_cover(upper, prob, chosen))
+    witness = Cover.from_masks(upper.ground_size, (prob.cand_bits[j] for j in chosen))
+    return ExpectationThreshold(q, witness)
 
 
 @lru_cache(maxsize=1024)

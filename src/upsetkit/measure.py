@@ -27,7 +27,7 @@ numpy is imported by the functions that use it, inclusion-exclusion and
 Monte Carlo, so an enumeration runs without loading it.
 
 Memory: enumeration holds the 2^n-bit set twice, as bytes and as slices,
-a ~4 MB peak at n = 24.
+a ~4 MB peak at n = 24 and ~256 MB at the ground cap, n = 30.
 Inclusion-exclusion holds about 5 bytes per union term (a uint32 union and
 a uint8 parity for each of the 2^|F0| subsets) and counts them in blocks of
 2^16 terms, ~6 MB at |F0| = 20 and ~84 MB at 24. The Monte Carlo workers share
@@ -49,7 +49,6 @@ from functools import lru_cache
 from .core import UpperSet, bit_indices
 from .errors import MissingMcParams, SizeLimitExceeded
 
-ENUMERATION_GROUND_CAP = 24
 # auto_exact_method enumerates ground sets up to this size, and the covering
 # dimension is read from the same profile
 AUTO_ENUMERATION_CAP = 20
@@ -113,10 +112,6 @@ def _enumeration_profile(upper: UpperSet) -> EnumerationProfile:
     """N_k for k = 0..n and a largest non-member, from the up-closure of the
     minimals as a 2^n-bit set: bit s is set iff subset s is in F."""
     n = upper.ground_size
-    if n > ENUMERATION_GROUND_CAP:
-        raise SizeLimitExceeded(
-            f"enumeration needs ground_size <= {ENUMERATION_GROUND_CAP}, got {n}"
-        )
     # The set is held in slices of 2^width_log bits: bit p of slice h is
     # subset h * 2^width_log + p, which has h.bit_count() + p.bit_count()
     # elements.
@@ -201,7 +196,8 @@ def _eval_inclusion_exclusion(coeffs: tuple[int, ...], p: float) -> float:
 def auto_exact_method(upper: UpperSet) -> str:
     """Pick the exact measure engine: enumerate small grounds, otherwise
     inclusion-exclusion up to its own cap on minimals. Past both it picks
-    none, though enumeration named explicitly may still take the instance."""
+    none, though enumeration named explicitly takes every ground set that
+    ``UpperSet`` accepts."""
     if upper.ground_size <= AUTO_ENUMERATION_CAP:
         return "enumeration"
     if len(upper.minimal_bits) <= INCLUSION_EXCLUSION_MINIMALS_CAP:
@@ -209,8 +205,7 @@ def auto_exact_method(upper: UpperSet) -> str:
     raise SizeLimitExceeded(
         f"auto picks no exact method for ground_size {upper.ground_size} > "
         f"{AUTO_ENUMERATION_CAP} and |F0| {len(upper.minimal_bits)} > "
-        f"{INCLUSION_EXCLUSION_MINIMALS_CAP}; named explicitly, enumeration takes "
-        f"ground_size <= {ENUMERATION_GROUND_CAP}"
+        f"{INCLUSION_EXCLUSION_MINIMALS_CAP}"
     )
 
 

@@ -4,9 +4,10 @@ sigma_k of int masks S_1..S_m is the union of all k-wise intersections,
 which equals the set of ground elements lying in at least k of the S_i.
 The counting form reads each element's count off its extent, the mask of
 the S_i through it (``core.extents``), in one pass over the S_i's bits;
-``sigma_sequence`` reads every sigma_k from that one pass, and
-``max_nonempty_sigma_index`` the largest count. ``sigma_k`` stays as the
-definition, and the combinatorial one stays available as a test oracle.
+over the minimal elements, ``minimal_sigma_sequence`` reads every sigma_k
+from that one pass, and ``max_nonempty_sigma_index`` the largest count.
+``sigma_k`` stays as the definition, and the combinatorial one stays
+available as a test oracle.
 
 The incidence of an instance's minimal elements is shared: the cover
 problem of q, the covering dimension (its blocks and its enumeration
@@ -47,7 +48,7 @@ from typing import Sequence
 from . import measure
 from .core import Cover, UpperSet, bit_indices, element_extents, extents, intent
 from .errors import KOutOfRange, SizeLimitExceeded
-from .expectation import _CoverProblem, _Search, _to_cover
+from .expectation import _CoverProblem, _Search
 
 # the cover search's limit, which applies only past measure.AUTO_ENUMERATION_CAP
 DIMENSION_MINIMALS_CAP = 16
@@ -70,22 +71,12 @@ def sigma_k(masks: Sequence[int], k: int) -> int:
     return bits
 
 
-def sigma_sequence(masks: Sequence[int]) -> list[int]:
-    """[sigma_1, ..., sigma_m] of the m ``masks``, from one incidence pass."""
-    return _sigmas(extents(masks), len(masks))
-
-
 def minimal_sigma_sequence(upper: UpperSet) -> list[int]:
-    """``sigma_sequence`` of the minimal elements, read off the instance's
-    memoized incidence."""
-    return _sigmas(element_extents(upper), len(upper.minimal_bits))
-
-
-def _sigmas(through: Sequence[int], m: int) -> list[int]:
-    """[sigma_1, ..., sigma_m] from the incidence ``through`` of m masks:
-    sigma_k is the union of the elements in exactly j of them over j >= k."""
-    by_count = [0] * (m + 1)
-    for x, e in enumerate(through):
+    """[sigma_1, ..., sigma_m] of the m minimal elements, read off the
+    instance's memoized incidence: sigma_k is the union of the elements in
+    exactly j minimals over j >= k."""
+    by_count = [0] * (len(upper.minimal_bits) + 1)
+    for x, e in enumerate(element_extents(upper)):
         by_count[e.bit_count()] |= 1 << x
     return list(accumulate(reversed(by_count[1:]), operator.or_))[::-1]
 
@@ -134,7 +125,7 @@ def covering_dimension(upper: UpperSet) -> DimensionResult:
         )
     prob = _block_problem(upper)
     _, chosen = _Search(prob, 1.0).optimize()
-    return DimensionResult(len(chosen), _to_cover(upper, prob, chosen))
+    return DimensionResult(len(chosen), Cover.from_masks(n, (prob.cand_bits[j] for j in chosen)))
 
 
 @lru_cache(maxsize=1024)

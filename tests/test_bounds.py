@@ -8,6 +8,7 @@ from test_core import upper_sets
 from hypothesis import given, settings
 from upsetkit import (
     BoundVariant,
+    InequalityCheck,
     fmt,
     graph_connectivity,
     verify_instance,
@@ -36,6 +37,29 @@ class TestVariant:
             BoundVariant(K=2.0, log_base="10")
         with pytest.raises(ValueError):
             BoundVariant(K=2.0, argument="ell0")
+
+    def test_K_times_largest_log_finite(self):
+        # log2(60) > ln(60), so a K can be too large in base 2 only
+        with pytest.raises(ValueError, match=r"K \* log\(2 \* 30\) must be finite"):
+            BoundVariant(K=3.1e307)
+        assert BoundVariant(K=3.1e307, log_base="e").K == 3.1e307
+
+    def test_largest_K_keeps_every_field_finite(self):
+        K = math.nextafter(math.inf, 0.0) / math.log2(60)
+        while True:
+            try:
+                variant = BoundVariant(K=K)
+                break
+            except ValueError:
+                K = math.nextafter(K, 0.0)
+        with pytest.raises(ValueError):
+            BoundVariant(K=math.nextafter(K, math.inf))
+        # ell0 = 30 gives the largest log argument, 2 * ell0 = 60
+        report = verify_instance(UpperSet(30, [(1 << 30) - 1]), variant)
+        doc = json.loads(fmt.dumps(report.to_json_dict()), parse_constant=pytest.fail)
+        assert doc["bound_value"] > 1e307
+        assert all(c["slack"] is None or math.isfinite(c["slack"])
+                   for c in doc["inequality_checks"])
 
 
 def _check(report, name):
@@ -176,8 +200,7 @@ class TestVerifyInstance:
         assert report.q is not None and report.threshold.q == report.q
         assert report.p_c is None and report.critical is None
         assert report.absent == (
-            "auto picks no exact method for ground_size 21 > 20 and |F0| 35 > 24; named "
-            "explicitly, enumeration takes ground_size <= 24"
+            "auto picks no exact method for ground_size 21 > 20 and |F0| 35 > 24"
         )
         assert [c.name for c in report.inequality_checks] == [
             "nonempty_intersection_forces_bound_ge_1"
@@ -196,6 +219,13 @@ class TestVerifyInstance:
             "sandwich_left_q_le_pc", "sandwich_right_pc_le_bound",
             "nonempty_intersection_forces_bound_ge_1",
         ]
+
+    def test_power_past_the_float_range_is_a_false_premise(self):
+        # (K * log2(58)) ** 29 overflows at K = 1e11
+        report = verify_instance(make_family_instance("principal", 29), BoundVariant(1e11))
+        assert report.dim_unrestricted == 1
+        assert _check(report, "large_dim_forces_nontrivial_info") == InequalityCheck(
+            "large_dim_forces_nontrivial_info", True, None)
 
     def test_report_carries_its_sources(self):
         up = graph_connectivity(4)

@@ -427,6 +427,31 @@ class TestRejectedFlags:
         assert out == ""
         assert err.startswith("error: K must be positive and finite, got ")
 
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--family", "principal", "--range", "8..8", "--K", "1.7e308"],
+        ["sweep", "--family", "principal", "--range", "2..3", "--K", "1.7e308"],
+        ["verify", "--family", "principal", "--range", "2..2", "--K", "1.7e308"],
+    ])
+    def test_K_times_largest_log_finite(self, capsys, argv):
+        # K * log2(60) is not finite, so the bound could print Infinity
+        code, out, err = run_main(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: K * log(2 * 30) must be finite, got K = 1.7e+308\n"
+
+    # (K * log(2 * ell0)) ** ell passes the float range: the premise of
+    # large_dim_forces_nontrivial_info is false, and nothing overflows
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--K", "1e11", "--family", "principal", "--range", "29..29"],
+        ["sweep", "--K", "1e11", "--family", "principal", "--range", "27..29"],
+        ["verify", "--K", "1e200", "--battery", "builtin", "--limit", "1"],
+        ["verify", "--K", "1e200", "--battery", "builtin", "--limit", "1", "--format", "json"],
+    ], ids=["compute", "sweep", "verify-csv", "verify-json"])
+    def test_large_K_answers(self, capsys, argv):
+        code, out, err = run_main(capsys, argv)
+        assert code == 0, err
+        assert "Infinity" not in out + err and "NaN" not in out + err
+
 
 class TestFamily:
     def test_emits_instance_json(self, capsys):

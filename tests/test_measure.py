@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from oracles import (
     brute_mu,
     brute_pc,
+    cnf,
     coeffs_from_profile,
     coeffs_sign,
     connectivity_profile,
@@ -23,6 +24,7 @@ from oracles import (
     per_minimal_profile,
     profile_sign,
     signed_union_counts,
+    tribes,
 )
 from test_core import upper_sets
 import upsetkit
@@ -138,10 +140,11 @@ class TestMuExact:
         assert profile.largest_non_member == min(s for s in outside if s.bit_count() == top)
         assert top == max(k for k, c in enumerate(profile.counts) if c < math.comb(n, k))
 
-    def test_enumeration_cap(self):
-        up = UpperSet(25, [1])
+    def test_enumeration_past_24_elements(self):
+        # enumeration has no cap of its own: UpperSet's ground cap is the one
+        assert mu(UpperSet(25, [1]), 0.5, "enumeration").value == 0.5
         with pytest.raises(SizeLimitExceeded):
-            mu(up, 0.5, "enumeration")
+            UpperSet(31, [1])
 
     def test_inclusion_exclusion_cap(self):
         up = UpperSet(26, [1 << i for i in range(25)])
@@ -224,11 +227,23 @@ class TestEnumerationProfile:
 
     @given(wide_antichains(21, 24, 12))
     @example(UpperSet(24, [0b111 << i for i in range(0, 22, 2)] + [1 << 23]))
+    @example(UpperSet(25, [0b111 << i for i in range(0, 23, 2)] + [1 << 24]))
+    @example(UpperSet(26, [0b11 << i for i in range(0, 25, 3)] + [1 << 25 | 1]))
+    @example(UpperSet(27, [0b10101 << i for i in range(0, 23, 4)] + [0b11 << 25]))
     @settings(max_examples=8, deadline=None)
     def test_past_auto_cap_matches_inclusion_exclusion(self, up):
         n = up.ground_size
         profile = _enumeration_profile(up)
         assert coeffs_from_profile(profile.counts, n) == _inclusion_exclusion_coeffs(up)
+
+    @pytest.mark.parametrize("build, w, m", [(tribes, 5, 5), (cnf, 2, 15), (tribes, 2, 15)])
+    def test_past_24_elements_closed_forms(self, build, w, m):
+        # tribes(5, 5) has 25 elements, the other two the ground cap of 30
+        n, minimals, forms = build(w, m)
+        up = UpperSet(n, minimals)
+        p_c = critical_probability(up, 1e-9, "enumeration").p_c
+        assert math.isclose(p_c, forms["p_c"], rel_tol=1e-12)
+        assert n - _enumeration_profile(up).largest_non_member.bit_count() == forms["dim"]
 
     def test_connectivity_7_closed_forms(self):
         up = graph_connectivity(7)
@@ -247,16 +262,25 @@ class TestEnumerationProfile:
         assert profile.largest_non_member == k6
         assert k6.bit_count() == 15
 
-    def test_traced_peak_bounded(self):
-        up = UpperSet(24, [0b1111 << i for i in range(0, 21, 3)])
+    @staticmethod
+    def traced_peak(up):
         _enumeration_profile.cache_clear()
         tracemalloc.start()
         try:
             _enumeration_profile(up)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6_000_000
+
+    def test_traced_peak_bounded(self):
+        up = UpperSet(24, [0b1111 << i for i in range(0, 21, 3)])
+        assert self.traced_peak(up) <= 6_000_000
+
+    def test_traced_peak_bounded_past_24_elements(self):
+        n = 26
+        up = UpperSet(n, [0b1111 << i for i in range(0, n - 3, 3)])
+        # the 2^n-bit set twice, as bytes and as slices, and room for one more
+        assert self.traced_peak(up) <= 3 * (1 << n) // 8
 
 
 class TestNumpyOffTheExactPath:
@@ -296,8 +320,7 @@ class TestAutoExactMethod:
         with pytest.raises(SizeLimitExceeded) as exc:
             measure.auto_exact_method(up)
         assert str(exc.value) == (
-            "auto picks no exact method for ground_size 25 > 20 and |F0| 25 > 24; named "
-            "explicitly, enumeration takes ground_size <= 24"
+            "auto picks no exact method for ground_size 25 > 20 and |F0| 25 > 24"
         )
 
     def test_bounds_reexports_it(self):

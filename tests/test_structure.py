@@ -21,14 +21,13 @@ from upsetkit import (
 from upsetkit import structure
 from upsetkit.core import Cover, UpperSet, bit_indices
 from upsetkit.errors import KOutOfRange, SizeLimitExceeded
-from upsetkit.expectation import _Search, _to_cover
+from upsetkit.expectation import _Search
 from upsetkit.families import make_family_instance
 from upsetkit.measure import AUTO_ENUMERATION_CAP
 from upsetkit.structure import (
     DIMENSION_MINIMALS_CAP,
     _block_problem,
     minimal_sigma_sequence,
-    sigma_sequence,
 )
 
 TRIANGLE_SETS = [0b011, 0b110, 0b101]
@@ -70,21 +69,17 @@ class TestSigma:
         for k in range(1, len(sets) + 1):
             assert sigma_k(sets, k) == naive_sigma(sets, k, n)
 
-    @given(mask_lists())
+    @given(upper_sets(max_ground=16, max_gens=12))
     @settings(max_examples=150)
-    def test_sequence_equals_sigma_k(self, case):
-        # zero and repeated masks included: a repeat counts once per index
-        _, sets = case
-        assert sigma_sequence(sets) == [sigma_k(sets, k) for k in range(1, len(sets) + 1)]
+    def test_sequence_equals_sigma_k(self, up):
+        sets = up.minimal_bits
+        assert minimal_sigma_sequence(up) == [sigma_k(sets, k) for k in range(1, len(sets) + 1)]
 
     def test_sequence_on_battery(self):
         for _, up in builtin_battery():
             sets = up.minimal_bits
-            assert sigma_sequence(sets) == [sigma_k(sets, k) for k in range(1, len(sets) + 1)]
-            assert minimal_sigma_sequence(up) == sigma_sequence(sets)
-
-    def test_sequence_of_nothing(self):
-        assert sigma_sequence([]) == []
+            want = [sigma_k(sets, k) for k in range(1, len(sets) + 1)]
+            assert minimal_sigma_sequence(up) == want
 
     @given(mask_lists())
     @settings(max_examples=100)
@@ -284,7 +279,7 @@ class TestDimensionMatchesBlockDP:
         _, chosen = _Search(prob, 1.0).optimize()
         want = block_cover_dimension(list(up.minimal_bits), up.ground_size, "unrestricted")
         assert len(chosen) == want
-        assert _to_cover(up, prob, chosen).covers(up)
+        assert Cover.from_masks(up.ground_size, (prob.cand_bits[j] for j in chosen)).covers(up)
 
     def test_builtin_battery(self):
         battery = builtin_battery()
