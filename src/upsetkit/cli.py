@@ -13,10 +13,10 @@ invocations produce byte-identical output.
 
 The parser is built on the first ``main`` call and reused by every later
 call in the process. Besides the memo caches that
-``upsetkit.clear_caches()`` resets, it is the one piece of state kept
-across calls, and it holds no instance data and no results: each call
-parses into a fresh namespace, and help text is laid out when it is
-printed.
+``upsetkit.clear_caches()`` resets, it and the enumeration profile's slice
+mask tables (``measure._slice_masks``) are the state kept across calls.
+Neither holds instance data or results: each call parses into a fresh
+namespace, and help text is laid out when it is printed.
 """
 
 from __future__ import annotations
@@ -224,7 +224,7 @@ def _instance_checks(name: str, upper: UpperSet, variant: BoundVariant):
         ok = dim.witness.covers(upper) and len(dim.witness) == dim.dim
         rows.append((name, "dim_witness_unrestricted", ok, None))
     # restricted to members of F, the witnesses are the minimal elements
-    witness = Cover(upper.minimals)
+    witness = Cover.from_masks(upper.ground_size, upper.minimal_bits)
     ok = witness.covers(upper) and len(witness) == report.dim_within_family
     rows.append((name, "dim_witness_within_family", ok, None))
 

@@ -131,7 +131,9 @@ class UpperSet:
 
     ``minimals``, the same masks as ``SubsetMask`` values, is computed on
     first use and kept in the instance ``__dict__``; the fields stay frozen.
-    It stays until the benchmark reads ``minimal_bits`` instead.
+    No library path reads it: its only readers are the benchmark's tracer
+    (``perfbench/tracing.py``: ``_after_ie_coeffs`` and ``_dim_gate``) and
+    the tests. It stays until the tracer reads ``minimal_bits`` instead.
     """
 
     ground_size: int
@@ -192,23 +194,12 @@ class Cover:
         return cls(tuple(SubsetMask(width, b) for b in sorted(set(masks), key=canonical_key)))
 
     def covers(self, upper: UpperSet) -> bool:
-        """Whether every minimal element contains some cover element: the
-        OR of the elements' coverages (each the AND of its members'
-        extents) is every minimal. An element with a member in no minimal
-        covers nothing.
-
-        It reads the same memoized incidence (``element_extents``) that
-        the cover search builds its candidates from, so ``verify``'s
-        witness rows are not independent of that incidence; the
-        benchmark's own ``_covers`` check and the tests against the
-        definition are."""
-        ext = element_extents(upper)
-        width = len(ext)
-        covered = 0
+        """Whether every minimal element contains some cover element,
+        checked by that definition alone."""
+        left = upper.minimal_bits
         for e in self.elements:
-            if not e.bits >> width:
-                covered |= intent(ext, e.bits)
-        return covered == (1 << len(upper.minimal_bits)) - 1
+            left = [m for m in left if m & e.bits != e.bits]
+        return not left
 
     def cost(self, p: float) -> float:
         """Sum of p^{|S|} over the elements, in canonical order."""

@@ -11,9 +11,9 @@ available as a test oracle.
 
 The incidence of an instance's minimal elements is shared: the cover
 problem of q, the covering dimension (its blocks and its enumeration
-witness), ``max_nonempty_sigma_index``, ``minimal_sigma_sequence`` and
-``Cover.covers`` all read ``core.element_extents``, which computes it
-once per instance.
+witness), ``max_nonempty_sigma_index`` and ``minimal_sigma_sequence`` all
+read ``core.element_extents``, which computes it once per instance.
+``Cover.covers``, which rechecks the witnesses, does not read it.
 
 The covering dimension of F is the minimum size of a nontrivial cover.
 Any nonempty set may be a cover element; an element S serves exactly the

@@ -281,6 +281,21 @@ class TestVerify:
         slack = 0.5 - threshold.witness_cover.cost(threshold.q)
         assert row.split(",")[3] == fmt.csv_cell(slack)
 
+    def test_witness_rows_independent_of_the_incidence(self, capsys, tmp_path, monkeypatch):
+        # the solvers hold their own reference to core.element_extents, so an
+        # all-zero incidence put in its place reaches only the rechecks, which
+        # must test the witnesses against the minimals themselves
+        import upsetkit.core
+
+        monkeypatch.setattr(upsetkit.core, "element_extents", lambda up: (0,) * up.ground_size)
+        path = tmp_path / "k4.json"
+        path.write_text(graph_connectivity(4).to_instance_json())
+        code, out, _ = run_main(capsys, ["verify", "--instance", str(path)])
+        assert code == 0
+        rows = {l.split(",")[1]: l.split(",")[2] for l in out.strip().split("\n")[1:]}
+        for check in ("q_witness_covers", "dim_witness_unrestricted", "dim_witness_within_family"):
+            assert rows[check] == "true"
+
     def test_battery_holds_at_check_tol_1e_15(self, capsys, monkeypatch):
         # q and p_c are found to float resolution, so every check, p_c's
         # residual row included, holds at an allowance far below the default

@@ -421,6 +421,26 @@ class TestExpectationThreshold:
             expectation_threshold(graph_connectivity(3), tol)
 
 
+# builtin battery instances, one or two per family
+CACHED_NAMES = ("principal-k3-n5", "singletons-m3-n4", "connectivity-n4",
+                "triangle-n5", "matching2-n5", "mixed-chain-pairs")
+
+
+class TestCachedQ:
+    """No library path calls ``cached_q``; the benchmark's tracing wraps it
+    by name, so it is held to ``expectation_threshold`` here."""
+
+    def test_equals_expectation_threshold(self):
+        battery = dict(builtin_battery())
+        for name in CACHED_NAMES:
+            up = battery[name]
+            assert expectation.cached_q(up) == expectation_threshold(up).q
+
+    def test_refuses_where_the_solver_does(self):
+        with pytest.raises(SizeLimitExceeded):
+            expectation.cached_q(graph_connectivity(5))  # 125 minimal elements
+
+
 # tol does not reach q; 1e-15 and below run the oracle's
 # bisection down to adjacent floats
 TOLS = (1.0, 0.3, 1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 1e-17, 1e-300)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import block_cover_dimension, element_blocks, naive_dim, naive_sigma
 from test_core import upper_sets
-from test_expectation import GRAPH_INSTANCES, coverage
+from test_expectation import CACHED_NAMES, GRAPH_INSTANCES, coverage
 from upsetkit import (
     BoundVariant,
     builtin_battery,
@@ -23,7 +23,7 @@ from upsetkit.core import Cover, UpperSet, bit_indices
 from upsetkit.errors import KOutOfRange, SizeLimitExceeded
 from upsetkit.expectation import _Search
 from upsetkit.families import make_family_instance
-from upsetkit.measure import AUTO_ENUMERATION_CAP
+from upsetkit.measure import AUTO_ENUMERATION_CAP, _enumeration_profile
 from upsetkit.structure import (
     DIMENSION_MINIMALS_CAP,
     _block_problem,
@@ -312,3 +312,44 @@ class TestDimSigmaBound:
     @settings(max_examples=80, deadline=None)
     def test_bounds_exact_dim(self, up):
         assert covering_dimension(up).dim <= dim_upper_bound_via_sigma(up)
+
+
+@st.composite
+def antichains_past_cap(draw):
+    """Upper sets on ground sets one or two elements past the enumeration
+    cap, with at most as many minimals as the cover search takes."""
+    n = draw(st.integers(AUTO_ENUMERATION_CAP + 1, AUTO_ENUMERATION_CAP + 2))
+    sets = st.sets(st.integers(0, n - 1), min_size=1)
+    gens = draw(st.lists(sets, min_size=1, max_size=DIMENSION_MINIMALS_CAP))
+    return UpperSet(n, [sum(1 << i for i in g) for g in gens])
+
+
+class TestDimensionPastEnumerationCap:
+    """Past the enumeration cap dim comes from the cover search alone; the
+    enumeration profile, an independent engine that still runs at these
+    sizes, gives it as n minus the size of a largest non-member."""
+
+    @given(antichains_past_cap())
+    @settings(max_examples=40, deadline=None)
+    def test_search_equals_profile(self, up):
+        res = covering_dimension(up)
+        largest = _enumeration_profile(up).largest_non_member
+        assert res.dim == up.ground_size - largest.bit_count()
+        assert res.witness.covers(up) and len(res.witness) == res.dim
+
+
+class TestCachedDim:
+    """No library path calls ``cached_dim``; the benchmark's tracing wraps
+    it by name, so it is held to ``covering_dimension`` here."""
+
+    def test_equals_covering_dimension(self):
+        battery = dict(builtin_battery())
+        for name in CACHED_NAMES:
+            up = battery[name]
+            assert structure.cached_dim(up) == covering_dimension(up).dim
+
+    def test_refuses_where_covering_dimension_does(self):
+        n = AUTO_ENUMERATION_CAP + 2
+        seventeen = UpperSet(n, [1 << i for i in range(DIMENSION_MINIMALS_CAP + 1)])
+        with pytest.raises(SizeLimitExceeded):
+            structure.cached_dim(seventeen)
