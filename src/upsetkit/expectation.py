@@ -226,14 +226,21 @@ def _intersection_closure(incidence: Iterable[int]) -> dict[int, int]:
     return closure
 
 
-@lru_cache(maxsize=256)
-def _problem(upper: UpperSet) -> _CoverProblem:
-    """The cover problem of q and p-smallness, over the intersection closure."""
+def _searchable_minimals(upper: UpperSet) -> tuple[int, ...]:
+    """F0, refused past SOLVER_MINIMALS_CAP before a cover problem is built:
+    q's (``_problem``) or the dimension's (``structure._block_problem``)."""
     min_bits = upper.minimal_bits
     if len(min_bits) > SOLVER_MINIMALS_CAP:
         raise SizeLimitExceeded(
             f"exact cover search needs |F0| <= {SOLVER_MINIMALS_CAP}, got {len(min_bits)}"
         )
+    return min_bits
+
+
+@lru_cache(maxsize=256)
+def _problem(upper: UpperSet) -> _CoverProblem:
+    """The cover problem of q and p-smallness, over the intersection closure."""
+    min_bits = _searchable_minimals(upper)
     return _CoverProblem(min_bits, _intersection_closure(element_extents(upper)))
 
 

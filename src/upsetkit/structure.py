@@ -31,7 +31,9 @@ search that gives q (``expectation``), run at p = 1 over the blocks: the
 intents of the single-element extents, one per distinct nonzero extent,
 each covering exactly the minimals of its extent. There every candidate
 costs 1, so the cheapest cover is a smallest one, and the search's descent
-ends on one such cover, chosen deterministically, as the witness.
+ends on one such cover, chosen deterministically, as the witness. The
+search takes what it takes for q, up to ``expectation.SOLVER_MINIMALS_CAP``
+minimals, and refuses more with q's message before building anything.
 Restricting the witnesses to members of F would force them to be the
 minimals themselves, so that dimension is |F0|, which the reports print
 beside dim(F) with no search.
@@ -47,11 +49,8 @@ from typing import Sequence
 
 from . import measure
 from .core import Cover, UpperSet, bit_indices, element_extents, extents, intent
-from .errors import KOutOfRange, SizeLimitExceeded
-from .expectation import _CoverProblem, _Search
-
-# the cover search's limit, which applies only past measure.AUTO_ENUMERATION_CAP
-DIMENSION_MINIMALS_CAP = 16
+from .errors import KOutOfRange
+from .expectation import _CoverProblem, _Search, _searchable_minimals
 
 
 @dataclass(frozen=True)
@@ -101,13 +100,12 @@ def _block_problem(upper: UpperSet) -> _CoverProblem:
     """The p = 1 cover problem of the dimension: one candidate per distinct
     nonempty block, the intersection of the minimals through a ground
     element, which covers exactly those minimals (the element's extent)."""
-    min_bits = upper.minimal_bits
+    min_bits = _searchable_minimals(upper)
     return _CoverProblem(min_bits, {e: intent(min_bits, e) for e in element_extents(upper) if e})
 
 
 def covering_dimension(upper: UpperSet) -> DimensionResult:
     """Minimum cardinality of a nontrivial cover, with a witness of that size."""
-    min_bits = upper.minimal_bits
     n = upper.ground_size
     if n <= measure.AUTO_ENUMERATION_CAP:
         # The complement of a largest non-member is a smallest hitting set; its
@@ -115,14 +113,8 @@ def covering_dimension(upper: UpperSet) -> DimensionResult:
         # the elements redundant), so they form a cover of that size.
         hitting = ((1 << n) - 1) & ~measure._enumeration_profile(upper).largest_non_member
         through = element_extents(upper)
-        blocks = [intent(min_bits, through[x]) for x in bit_indices(hitting)]
+        blocks = [intent(upper.minimal_bits, through[x]) for x in bit_indices(hitting)]
         return DimensionResult(len(blocks), Cover.from_masks(n, blocks))
-    if len(min_bits) > DIMENSION_MINIMALS_CAP:
-        raise SizeLimitExceeded(
-            f"exact dimension needs ground_size <= {measure.AUTO_ENUMERATION_CAP} "
-            f"(enumeration) or |F0| <= {DIMENSION_MINIMALS_CAP} (cover search), "
-            f"got ground_size {n} and |F0| {len(min_bits)}"
-        )
     prob = _block_problem(upper)
     _, chosen = _Search(prob, 1.0).optimize()
     return DimensionResult(len(chosen), Cover.from_masks(n, (prob.cand_bits[j] for j in chosen)))

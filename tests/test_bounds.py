@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -202,23 +203,26 @@ class TestVerifyInstance:
         assert report.absent == (
             "auto picks no exact method for ground_size 21 > 20 and |F0| 35 > 24"
         )
+        # the dimension, 9 by Mantel's theorem, comes from the cover search
+        assert report.dim_unrestricted == 9
         assert [c.name for c in report.inequality_checks] == [
-            "nonempty_intersection_forces_bound_ge_1"
+            "q_ge_inverse_2dim", "q_le_inverse_2dim_root_ell",
+            "dim_le_min_count_plus_1_minus_t", "dim_vs_sigma_all_k",
+            "nonempty_intersection_forces_bound_ge_1", "large_dim_forces_nontrivial_info",
         ]
 
     def test_dimension_cap_is_not_a_reason(self):
-        # past the dimension cap (21 elements, 17 minimals) only the
-        # unrestricted dimension and its checks go
-        report = verify_instance(UpperSet(21, [1 << i for i in range(17)]),
-                                 BoundVariant(8.0))
-        assert report.dim_unrestricted is None and report.dim_within_family == 17
+        # past 20 elements the unrestricted dimension has q's cover-search cap
+        # (here 21 elements and the 66 pairs of 12): both go, the reason is
+        # q's, and p_c by enumeration stays
+        pairs = [1 << i | 1 << j for i, j in itertools.combinations(range(12), 2)]
+        report = verify_instance(UpperSet(21, pairs), BoundVariant(8.0), "enumeration")
+        assert report.dim_unrestricted is None and report.dim_within_family == 66
         assert report.dimension is None
-        assert report.q is not None and report.p_c is not None
-        assert report.absent is None
-        assert [c.name for c in report.inequality_checks] == [
-            "sandwich_left_q_le_pc", "sandwich_right_pc_le_bound",
-            "nonempty_intersection_forces_bound_ge_1",
-        ]
+        assert report.q is None and report.p_c is not None
+        assert report.absent == "exact cover search needs |F0| <= 64, got 66"
+        # every check needs q or the unrestricted dimension
+        assert report.inequality_checks == ()
 
     def test_power_past_the_float_range_is_a_false_premise(self):
         # (K * log2(58)) ** 29 overflows at K = 1e11

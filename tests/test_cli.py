@@ -539,7 +539,7 @@ class TestDeterminism:
             "3d62ff13e5313e693b66dc9f0ab8773b277b9a32f702f837a5d8d935e73168c7",
         # the q and dim cells of the largest cover searches
         ("sweep", "--family", "triangle", "--range", "3..7"):
-            "ff0f6c402a2716291a182c5a03499bf7e910329eb80ba63c14a4831b09faa188",
+            "ab52eb71b347c8114ae0c979720aac7e8cffa3b07ff52ed7e13d92299b943a90",
         ("sweep", "--family", "star3", "--range", "4..7"):
             "20c12df3db4dbcaf96d8de7161481349385b1ce4fa7423d1e793f72d3dcee4c3",
         ("sweep", "--family", "path2", "--range", "3..8"):

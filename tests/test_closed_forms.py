@@ -56,7 +56,7 @@ def test_tribes():
 def test_cnf():
     def reach(w, m, name):
         n, count = w * m, w**m
-        return {"q": count <= 64, "p_c": n <= 20 or count <= 24, "dim": n <= 20 or count <= 16}[name]
+        return {"q": count <= 64, "p_c": n <= 20 or count <= 24, "dim": n <= 20 or count <= 64}[name]
 
     every, answered = _check(cnf)
     assert answered == {key for key in every if reach(*key)}

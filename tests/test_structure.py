@@ -1,5 +1,7 @@
 import functools
 import operator
+from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -21,16 +23,15 @@ from upsetkit import (
 from upsetkit import structure
 from upsetkit.core import Cover, UpperSet, bit_indices
 from upsetkit.errors import KOutOfRange, SizeLimitExceeded
-from upsetkit.expectation import _Search
+from upsetkit.expectation import SOLVER_MINIMALS_CAP, _Search
 from upsetkit.families import make_family_instance
 from upsetkit.measure import AUTO_ENUMERATION_CAP, _enumeration_profile
-from upsetkit.structure import (
-    DIMENSION_MINIMALS_CAP,
-    _block_problem,
-    minimal_sigma_sequence,
-)
+from upsetkit.structure import _block_problem, minimal_sigma_sequence
 
 TRIANGLE_SETS = [0b011, 0b110, 0b101]
+# the 66 two-element subsets of 12 elements: past the cover search's 64 minimals
+PAIRS_OF_12 = [1 << i | 1 << j for i, j in combinations(range(12), 2)]
+SHARED_CAP_MESSAGE = f"exact cover search needs |F0| <= {SOLVER_MINIMALS_CAP}, got {{}}"
 
 
 def mask_lists(max_n=16, max_m=12):
@@ -150,26 +151,29 @@ class TestCoveringDimension:
 
     def test_cap(self, monkeypatch):
         # past the enumeration cap the cover search's minimals cap applies,
-        # and it refuses before any search is built
+        # with q's message, and it refuses before any search is built
         def refuse(*args):
             raise AssertionError("a cover search was built")
 
         monkeypatch.setattr(structure, "_CoverProblem", refuse)
         monkeypatch.setattr(structure, "_Search", refuse)
         n = AUTO_ENUMERATION_CAP + 1
-        seventeen = UpperSet(n, [1 << i for i in range(DIMENSION_MINIMALS_CAP + 1)])
         with pytest.raises(SizeLimitExceeded) as exc:
-            covering_dimension(seventeen)
-        assert str(exc.value) == (
-            f"exact dimension needs ground_size <= {AUTO_ENUMERATION_CAP} (enumeration) "
-            f"or |F0| <= {DIMENSION_MINIMALS_CAP} (cover search), got ground_size {n} and |F0| 17"
-        )
-        # up to the enumeration cap the profile gives dim with no search
-        under = UpperSet(n - 1, [1 << i for i in range(DIMENSION_MINIMALS_CAP + 1)])
-        assert covering_dimension(under).dim == 17
+            covering_dimension(UpperSet(n, PAIRS_OF_12))
+        assert str(exc.value) == SHARED_CAP_MESSAGE.format(66)
+        # up to the enumeration cap the profile gives dim with no search:
+        # every vertex but one of K_12
+        assert covering_dimension(UpperSet(n - 1, PAIRS_OF_12)).dim == 11
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_triangle_is_mantel(self, n):
+        # a smallest edge set meeting every triangle of K_n is the complement
+        # of a largest triangle-free graph, which Mantel's theorem sizes at
+        # floor(n^2 / 4); the profile gives it up to n = 6, the search past
+        assert covering_dimension(make_family_instance("triangle", n)).dim == comb(n, 2) - n * n // 4
 
     def test_k4_at_cap_boundary(self):
-        # 16 minimal elements, the cover search's cap
+        # 16 minimal elements
         res = covering_dimension(graph_connectivity(4))
         assert res.dim == 3  # min edge set meeting every spanning tree
 
@@ -217,12 +221,11 @@ def wide_upper_sets(max_ground=12, max_minimals=16):
 @st.composite
 def many_minimals(draw):
     """Upper sets on 7 to 10 elements with 17 to 40 minimals, all of one size
-    (so all minimal): more than the cover search takes past the enumeration
-    cap."""
+    (so all minimal)."""
     n = draw(st.integers(7, 10))
     k = draw(st.integers(2, n - 2))
     layer = [b for b in range(1 << n) if b.bit_count() == k]
-    count = draw(st.integers(DIMENSION_MINIMALS_CAP + 1, min(40, len(layer))))
+    count = draw(st.integers(17, min(40, len(layer))))
     return UpperSet(n, draw(st.permutations(layer))[:count])
 
 
@@ -285,17 +288,17 @@ class TestDimensionMatchesBlockDP:
         battery = builtin_battery()
         for _, up in battery:
             self.assert_same(up)
-        # four of them are past the cover search's minimals cap
-        assert sum(len(up.minimals) > DIMENSION_MINIMALS_CAP for _, up in battery) == 4
+        # none of them is past the cover search's minimals cap
+        assert sum(len(up.minimals) > SOLVER_MINIMALS_CAP for _, up in battery) == 0
 
     def test_builtin_battery_profile_equals_search(self):
         checked = 0
         for _, up in builtin_battery():
-            if len(up.minimals) <= DIMENSION_MINIMALS_CAP:
+            if len(up.minimals) <= SOLVER_MINIMALS_CAP:
                 _, chosen = _Search(_block_problem(up), 1.0).optimize()
                 assert covering_dimension(up).dim == len(chosen)
                 checked += 1
-        assert checked == 199
+        assert checked == 203
 
 
 class TestDimSigmaBound:
@@ -320,7 +323,7 @@ def antichains_past_cap(draw):
     cap, with at most as many minimals as the cover search takes."""
     n = draw(st.integers(AUTO_ENUMERATION_CAP + 1, AUTO_ENUMERATION_CAP + 2))
     sets = st.sets(st.integers(0, n - 1), min_size=1)
-    gens = draw(st.lists(sets, min_size=1, max_size=DIMENSION_MINIMALS_CAP))
+    gens = draw(st.lists(sets, min_size=1, max_size=SOLVER_MINIMALS_CAP))
     return UpperSet(n, [sum(1 << i for i in g) for g in gens])
 
 
@@ -337,6 +340,16 @@ class TestDimensionPastEnumerationCap:
         assert res.dim == up.ground_size - largest.bit_count()
         assert res.witness.covers(up) and len(res.witness) == res.dim
 
+    def test_minimals_cap_boundary(self):
+        # 64 minimals are searched, 65 refused with q's message
+        n = AUTO_ENUMERATION_CAP + 1
+        up = UpperSet(n, PAIRS_OF_12[:SOLVER_MINIMALS_CAP])
+        largest = _enumeration_profile(up).largest_non_member
+        assert covering_dimension(up).dim == n - largest.bit_count()
+        with pytest.raises(SizeLimitExceeded) as exc:
+            covering_dimension(UpperSet(n, PAIRS_OF_12[:SOLVER_MINIMALS_CAP + 1]))
+        assert str(exc.value) == SHARED_CAP_MESSAGE.format(65)
+
 
 class TestCachedDim:
     """No library path calls ``cached_dim``; the benchmark's tracing wraps
@@ -350,6 +363,5 @@ class TestCachedDim:
 
     def test_refuses_where_covering_dimension_does(self):
         n = AUTO_ENUMERATION_CAP + 2
-        seventeen = UpperSet(n, [1 << i for i in range(DIMENSION_MINIMALS_CAP + 1)])
         with pytest.raises(SizeLimitExceeded):
-            structure.cached_dim(seventeen)
+            structure.cached_dim(UpperSet(n, PAIRS_OF_12))

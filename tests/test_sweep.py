@@ -57,8 +57,8 @@ class TestSweep:
 
 class TestPipeline:
     # the graph-family sweeps of the benchmark's graph-ladder workload,
-    # every cap included: q at connectivity-5, p_c at triangle-7, and the
-    # dimension on every row with more than 16 minimals
+    # every cap included: q at connectivity-5, p_c at triangle-7, and q and
+    # the dimension on every row past 20 elements with more than 64 minimals
     SWEEPS = (("connectivity", 3, 5), ("triangle", 3, 7), ("hamilton", 4, 6),
               ("star3", 4, 7), ("path2", 3, 8), ("matching2", 4, 7))
     SHARED = ("min_count", "ell0", "ell", "dim_unrestricted", "dim_within_family",
