@@ -138,12 +138,15 @@ def verify_instance(
 
     A cap met by q or p_c leaves that value, and every value and check
     built on it, as None or out of the report; the first such cap's message
-    is the report's ``absent``. Past the dimension cap (more than
-    ``measure.AUTO_ENUMERATION_CAP`` elements and q's cap, more than
-    ``expectation.SOLVER_MINIMALS_CAP`` minimals) the unrestricted dimension
-    is None and its checks are left out; the within_family dimension, |F0|,
-    has no cap. Nothing is fabricated. Every check allows ``CHECK_TOL``
-    (scaled as below) for float rounding.
+    is the report's ``absent``. q has the cover search's caps only where
+    the spread certificate fails (``expectation.expectation_threshold``);
+    where it holds, q is present up to the closure's candidates cap. Past
+    the dimension cap (more than ``measure.AUTO_ENUMERATION_CAP`` elements
+    and more than ``expectation.SOLVER_MINIMALS_CAP`` minimals, the cover
+    search's cap) the unrestricted dimension is None and its checks are
+    left out, with q present or not; the within_family dimension, |F0|, has
+    no cap. Nothing is fabricated. Every check allows ``CHECK_TOL`` (scaled
+    as below) for float rounding.
     """
     absent = None
     threshold = q = None

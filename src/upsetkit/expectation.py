@@ -77,19 +77,31 @@ runs ``optimize`` over its own candidates at p = 1 on ground sets too wide
 to enumerate. There every candidate costs 1, so the cheapest cover is a
 smallest one, and its size is exact.
 
-q is read off a climb over covers (see ``_bracket``): from the cover by
-all the minimals, each decide runs just above the root of the current
-cover's weight polynomial sum c_k p^k = 1/2, a cover it returns has a
-larger root, and the first None ends the climb. q is the largest float at
-which the last cover weighs <= 1/2, found from its root, and the cover is
-the witness. decide weighs covers as ``Cover.cost`` does, so F is p-small
-at q, and a decide returns None a few 1e-12 above it, at the p that ended
-the climb.
+q is first tried without a search, by the spread certificate (see
+``_spread_threshold``): at the float just above the root of the cover by
+all the minimals, one integer pass over the closure checks that weights
+p^{|M|} on the minimals are a feasible dual of the fractional cover LP.
+Where they are, no cover weighs at most 1/2 there, so q is that root and
+the minimals are the witness. The pass needs the closure and no cover
+problem, so it answers under SOLVER_CANDIDATES_CAP alone, past
+SOLVER_MINIMALS_CAP. The closure is built once per instance (``_closure``)
+for the certificate and for the search after it.
+
+Otherwise q is read off a climb over covers (see ``_bracket``): from the
+cover by all the minimals, each decide runs just above the root of the
+current cover's weight polynomial sum c_k p^k = 1/2, a cover it returns
+has a larger root, and the first None ends the climb. q is the largest
+float at which the last cover weighs <= 1/2, found from its root, and the
+cover is the witness. decide weighs covers as ``Cover.cost`` does, so F
+is p-small at q, and a decide returns None a few 1e-12 above it, at the p
+that ended the climb. Where the certificate holds, the climb would end at
+its first decide, with the same q and witness.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -219,11 +231,15 @@ def _intersection_closure(incidence: Iterable[int]) -> dict[int, int]:
                 grown[d] = grown.get(d, elems) | s
         closure.update(grown)
         if len(closure) > SOLVER_CANDIDATES_CAP:
-            raise SizeLimitExceeded(
-                f"exact cover search needs <= {SOLVER_CANDIDATES_CAP} candidates "
-                "(intersections of minimal elements), got more"
-            )
+            raise _too_many_candidates()
     return closure
+
+
+def _too_many_candidates() -> SizeLimitExceeded:
+    return SizeLimitExceeded(
+        f"exact cover search needs <= {SOLVER_CANDIDATES_CAP} candidates "
+        "(intersections of minimal elements), got more"
+    )
 
 
 def _searchable_minimals(upper: UpperSet) -> tuple[int, ...]:
@@ -238,10 +254,29 @@ def _searchable_minimals(upper: UpperSet) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=256)
+def _closure(upper: UpperSet) -> dict[int, int]:
+    """``_intersection_closure`` of F0, built once per instance for both the
+    spread certificate and the cover problem; read it, never mutate it.
+    Each minimal is its own member, so past SOLVER_CANDIDATES_CAP minimals
+    it is refused before the incidence is built."""
+    if len(upper.minimal_bits) > SOLVER_CANDIDATES_CAP:
+        raise _too_many_candidates()
+    return _intersection_closure(element_extents(upper))
+
+
+@lru_cache(maxsize=256)
 def _problem(upper: UpperSet) -> _CoverProblem:
     """The cover problem of q and p-smallness, over the intersection closure."""
     min_bits = _searchable_minimals(upper)
-    return _CoverProblem(min_bits, _intersection_closure(element_extents(upper)))
+    return _CoverProblem(min_bits, _closure(upper))
+
+
+def _dyadic_units(powers: list[float]) -> tuple[int, list[int]]:
+    """(scale, units): each float power as an exact integer multiple of
+    1 / scale, scale being the largest denominator among them."""
+    ratios = [c.as_integer_ratio() for c in powers]
+    scale = max(d for _, d in ratios)
+    return scale, [n * (scale // d) for n, d in ratios]
 
 
 class _Search:
@@ -258,9 +293,7 @@ class _Search:
         self.powers = powers = [p**k for k in range(prob.max_size + 1)]
         self.cost = tuple(map(powers.__getitem__, prob.cand_sizes))
         self.min_cost = tuple(map(powers.__getitem__, prob.min_sizes))
-        ratios = [c.as_integer_ratio() for c in powers]
-        self.scale = max(d for _, d in ratios)
-        self.units = [n * (self.scale // d) for n, d in ratios]
+        self.scale, self.units = _dyadic_units(powers)
         # size groups by their ratio at the root, the smallest first
         self.groups = sorted(prob.size_groups, key=lambda g: powers[g[0]] / g[1][0].bit_count())
         self.order: list[list[int] | None] = [None] * len(prob.min_bits)
@@ -373,23 +406,31 @@ def min_cover_cost(upper: UpperSet, p: float) -> CoverSolution:
 
 
 def is_p_small(upper: UpperSet, p: float) -> bool:
-    """True iff some cover of F has weight <= 1/2 at p."""
+    """True iff some cover of F has weight <= 1/2 at p.
+
+    The cover by the minimals is weighed first, with no cover problem, so
+    every q that ``expectation_threshold`` reports is p-small here, past the
+    search's caps too; any other p goes to the search and its caps."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if p == 0.0:
         return True
     if p == 1.0:
         return False
+    if _weight(_size_terms(map(int.bit_count, upper.minimal_bits)), p) <= 0.5:
+        return True
     return _Search(_problem(upper), p).decide(0.5) is not None
+
+
+def _size_terms(sizes: Iterable[int]) -> tuple[tuple[int, int], ...]:
+    """The weight polynomial of distinct sets of these sizes, as (size,
+    count) pairs, ascending size."""
+    return tuple(sorted(Counter(sizes).items()))
 
 
 def _weight_terms(prob: _CoverProblem, chosen: Iterable[int]) -> tuple[tuple[int, int], ...]:
     """A cover's weight polynomial as (size, count) pairs, ascending size."""
-    counts: dict[int, int] = {}
-    for j in set(chosen):
-        k = prob.cand_sizes[j]
-        counts[k] = counts.get(k, 0) + 1
-    return tuple(sorted(counts.items()))
+    return _size_terms(prob.cand_sizes[j] for j in set(chosen))
 
 
 def _weight(terms: tuple[tuple[int, int], ...], p: float) -> float:
@@ -439,18 +480,79 @@ def _bracket(prob: _CoverProblem) -> tuple[list[int], float]:
         chosen = found
 
 
+def _largest_small(terms: tuple[tuple[int, int], ...]) -> float:
+    """The largest float at which a cover with the weight polynomial
+    ``terms`` weighs at most 1/2 by ``_weight``: its root, stepped with
+    ``nextafter``."""
+    q = _weight_root(terms)
+    while _weight(terms, q) > 0.5:
+        q = math.nextafter(q, 0.0)
+    # Newton can stop a float short of the largest such p
+    while _weight(terms, up := math.nextafter(q, 1.0)) <= 0.5:
+        q = up
+    return q
+
+
+def _spread_threshold(upper: UpperSet) -> ExpectationThreshold | None:
+    """q with the minimals as the witness where the spread certificate
+    proves it, else None. Raises as ``_closure`` does.
+
+    Let q0 be the largest float at which the cover by the minimals weighs at
+    most 1/2, and p = nextafter(q0, 1). If every candidate S of the
+    intersection closure has sum over the minimals M containing S of p^{|M|}
+    at most p^{|S|}, then y_M = p^{|M|} is a feasible point of the dual of
+    the fractional cover LP (the "spread" condition of Frankston, Kahn,
+    Narayanan and Park, 2021, read as a certificate). By weak duality every
+    cover weighs at least the minimals' sum, which is above 1/2. A set
+    outside the closure needs no check: its closure member serves the same
+    minimals and is no smaller.
+
+    The check runs in ``_Search``'s integer units of the float powers
+    p^k. Every cover's exact sum of those powers is at least the minimals'
+    sum, and rounding once is monotone, so at p no cover weighs at most 1/2
+    as ``decide`` and ``Cover.cost`` weigh it, and q = q0. A candidate over
+    one minimal is that minimal and passes by equality; for the others the
+    minimals are grouped by size, one popcount per size.
+    """
+    closure = _closure(upper)
+    min_bits = upper.minimal_bits
+    terms = _size_terms(map(int.bit_count, min_bits))
+    q0 = _largest_small(terms)
+    p = math.nextafter(q0, 1.0)
+    _, units = _dyadic_units([p**k for k in range(terms[-1][0] + 1)])
+    by_size: dict[int, int] = {}
+    for i, m in enumerate(min_bits):
+        k = m.bit_count()
+        by_size[k] = by_size.get(k, 0) | 1 << i
+    groups = [(units[k], g) for k, g in by_size.items()]
+    for cov, s in closure.items():
+        if cov & (cov - 1) and sum(u * (cov & g).bit_count() for u, g in groups) > units[s.bit_count()]:
+            return None
+    return ExpectationThreshold(q0, Cover.from_masks(upper.ground_size, min_bits))
+
+
 def expectation_threshold(upper: UpperSet, tol: float = 1e-9) -> ExpectationThreshold:
     """The largest p at which F is p-small, with a cover of weight <= 1/2
     there as the witness.
 
     p-smallness is monotone (a cover's weight increases with p), so the
-    feasible set is an interval [0, q]. q is the root of the weight
+    feasible set is an interval [0, q]. The spread certificate
+    (``_spread_threshold``) gives q and its witness, the minimals, with no
+    search wherever it holds; it needs only the intersection closure, so it
+    answers past SOLVER_MINIMALS_CAP. Otherwise q is the root of the weight
     polynomial of the last cover ``_bracket`` climbs to, stepped with
     ``nextafter`` to the largest float at which that cover weighs at most
     1/2; the cover is the witness. The weight is the exact sum rounded
     once, as in ``Cover.cost`` and in ``decide``, so at q ``decide`` finds
-    a cover and ``is_p_small`` holds. ``decide`` returned None at the p that ended the climb, a few
-    1e-12 above q, so q is exact to about that.
+    a cover and ``is_p_small`` holds. ``decide`` returned None at the p that
+    ended the climb, a few 1e-12 above q, so q is exact to about that. Where
+    both paths answer, they give the same q and witness: a certificate
+    rules out every cover from nextafter(q, 1) on, so the climb's first
+    decide, above that, finds none.
+
+    Refusals come as from ``_problem``: past SOLVER_MINIMALS_CAP minimals
+    (where the certificate fails or the closure is too large) that cap's
+    message, else the closure's.
 
     ``tol`` does not set the accuracy of q, and the result does not report
     it; ``bounds.verify_instance`` does not pass it. It is kept, and must
@@ -458,15 +560,17 @@ def expectation_threshold(upper: UpperSet, tol: float = 1e-9) -> ExpectationThre
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    try:
+        certified = _spread_threshold(upper)
+    except SizeLimitExceeded:
+        # past both caps the minimals cap speaks first, as in _problem
+        _searchable_minimals(upper)
+        raise
+    if certified is not None:
+        return certified
     prob = _problem(upper)
     chosen, _ = _bracket(prob)
-    terms = _weight_terms(prob, chosen)
-    q = _weight_root(terms)
-    while _weight(terms, q) > 0.5:
-        q = math.nextafter(q, 0.0)
-    # Newton can stop a float short of the largest such p
-    while _weight(terms, up := math.nextafter(q, 1.0)) <= 0.5:
-        q = up
+    q = _largest_small(_weight_terms(prob, chosen))
     witness = Cover.from_masks(upper.ground_size, (prob.cand_bits[j] for j in chosen))
     return ExpectationThreshold(q, witness)
 
@@ -479,5 +583,6 @@ def cached_q(upper: UpperSet, tol: float = 1e-9) -> float:
 
 
 def clear_caches() -> None:
+    _closure.cache_clear()
     _problem.cache_clear()
     cached_q.cache_clear()

@@ -212,17 +212,22 @@ class TestVerifyInstance:
         ]
 
     def test_dimension_cap_is_not_a_reason(self):
-        # past 20 elements the unrestricted dimension has q's cover-search cap
-        # (here 21 elements and the 66 pairs of 12): both go, the reason is
-        # q's, and p_c by enumeration stays
+        # past 20 elements the unrestricted dimension has the cover search's
+        # minimals cap (here 21 elements and the 66 pairs of 12): it goes,
+        # while q (the pairs are spread, so no search) and p_c by
+        # enumeration stay, and the report names nothing absent
         pairs = [1 << i | 1 << j for i, j in itertools.combinations(range(12), 2)]
         report = verify_instance(UpperSet(21, pairs), BoundVariant(8.0), "enumeration")
         assert report.dim_unrestricted is None and report.dim_within_family == 66
         assert report.dimension is None
-        assert report.q is None and report.p_c is not None
-        assert report.absent == "exact cover search needs |F0| <= 64, got 66"
-        # every check needs q or the unrestricted dimension
-        assert report.inequality_checks == ()
+        # the 66 pairs weigh 66 q^2 = 1/2
+        assert math.isclose(report.q, 132**-0.5, rel_tol=1e-12) and report.p_c is not None
+        assert report.absent is None
+        # only the checks that need the unrestricted dimension are left out
+        assert [c.name for c in report.inequality_checks] == [
+            "sandwich_left_q_le_pc", "sandwich_right_pc_le_bound",
+            "nonempty_intersection_forces_bound_ge_1",
+        ]
 
     def test_power_past_the_float_range_is_a_false_premise(self):
         # (K * log2(58)) ** 29 overflows at K = 1e11

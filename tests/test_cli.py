@@ -541,11 +541,11 @@ class TestDeterminism:
         ("sweep", "--family", "triangle", "--range", "3..7"):
             "ab52eb71b347c8114ae0c979720aac7e8cffa3b07ff52ed7e13d92299b943a90",
         ("sweep", "--family", "star3", "--range", "4..7"):
-            "20c12df3db4dbcaf96d8de7161481349385b1ce4fa7423d1e793f72d3dcee4c3",
+            "9796033ba885e4155aa98a0536b22d9c287d5c41f00f3159a2b5d5822a8c6207",
         ("sweep", "--family", "path2", "--range", "3..8"):
-            "a8cce19861146b0966699e524c4cfb41cb49653a35bf97148573cfaf3f695dda",
+            "ba0a58f0cef74a50ae58a452d080082a719cf857642a37c200b17cf4e1776828",
         ("sweep", "--family", "matching2", "--range", "4..7"):
-            "74994d97ca37f37c1e141f1b680d47d10a55e8a75dddf80caa10e8e388c08700",
+            "6fa1b5425533e419e7ba20e462492a48ea77b12b4d03e0b373e5d217023a908c",
         ("sweep", "--family", "connectivity", "--range", "3..5"):
             "cabff192467288eeec20b03bd12054122edf98d88681a390a6b1691d710e7b28",
         ("verify", "--battery", "builtin", "--format", "json"):

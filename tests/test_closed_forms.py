@@ -12,7 +12,7 @@ import math
 from oracles import cnf, tribes
 from upsetkit.core import UpperSet
 from upsetkit.errors import SizeLimitExceeded
-from upsetkit.expectation import expectation_threshold
+from upsetkit.expectation import SOLVER_CANDIDATES_CAP, expectation_threshold
 from upsetkit.measure import auto_exact_method, critical_probability
 from upsetkit.structure import covering_dimension
 
@@ -55,8 +55,14 @@ def test_tribes():
 
 def test_cnf():
     def reach(w, m, name):
+        # the minimals are spread, so q is answered wherever the closure,
+        # the (w + 1)^m - 1 nonempty partial transversals, fits the cap
         n, count = w * m, w**m
-        return {"q": count <= 64, "p_c": n <= 20 or count <= 24, "dim": n <= 20 or count <= 64}[name]
+        return {
+            "q": (w + 1) ** m - 1 <= SOLVER_CANDIDATES_CAP,
+            "p_c": n <= 20 or count <= 24,
+            "dim": n <= 20 or count <= 64,
+        }[name]
 
     every, answered = _check(cnf)
     assert answered == {key for key in every if reach(*key)}

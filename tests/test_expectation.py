@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -26,14 +27,19 @@ from upsetkit import (
     min_cover_cost,
 )
 from upsetkit import core, expectation
-from upsetkit.core import UpperSet, canonical_key
+from upsetkit.core import Cover, UpperSet, canonical_key
 from upsetkit.errors import SizeLimitExceeded
 from upsetkit.expectation import (
     SOLVER_CANDIDATES_CAP,
+    SOLVER_MINIMALS_CAP,
+    ExpectationThreshold,
     _bracket,
     _intersection_closure,
+    _largest_small,
     _problem,
     _Search,
+    _spread_threshold,
+    _weight_terms,
 )
 from upsetkit.families import make_family_instance
 
@@ -128,6 +134,8 @@ class TestCoverProblem:
         want = minimal_closure(list(up.minimal_bits))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(expectation, "SOLVER_CANDIDATES_CAP", cap)
+            # a closure cached under the full cap would not refuse
+            expectation._closure.cache_clear()
             if len(want) > cap:
                 with pytest.raises(SizeLimitExceeded):
                     _problem.__wrapped__(up)
@@ -549,3 +557,103 @@ class TestBracketedBisection:
             counts[tol] = len(calls)
         # tol does not reach the climb, so it cannot add searches
         assert counts[1e-17] == counts[1e-16]
+
+
+def climbed(up) -> ExpectationThreshold:
+    """q and its witness from the climb alone, as ``expectation_threshold``
+    finds them where the spread certificate does not hold."""
+    prob = _problem(up)
+    chosen, _ = _bracket(prob)
+    witness = Cover.from_masks(up.ground_size, (prob.cand_bits[j] for j in chosen))
+    return ExpectationThreshold(_largest_small(_weight_terms(prob, chosen)), witness)
+
+
+# the builtin battery's instances where the minimals are not spread at q
+UNCERTIFIED_BATTERY = {
+    "connectivity-n4", "mixed-chain-pairs", "random-n8-c3-m3-s20253", "random-n4-c2-m2-s20258",
+    "random-n12-c4-m4-s20266", "random-n4-c2-m2-s20294", "random-n12-c4-m4-s20302",
+    "random-n8-c3-m4-s20334", "random-n4-c2-m3-s20339", "random-n9-c10-m4-s20362",
+    "random-n4-c2-m2-s20384", "random-n11-c6-m5-s20391",
+}
+
+
+class TestSpreadCertificate:
+    """The certificate gives q with the minimals as the witness, and no
+    search, wherever the minimals are spread at the float above q."""
+
+    @given(upper_sets(max_ground=8, max_gens=6))
+    @settings(max_examples=100, deadline=None)
+    @example(graph_connectivity(3))
+    def test_matches_naive_q(self, up):
+        certified = _spread_threshold(up)
+        res = expectation_threshold(up)
+        assert res.q == pytest.approx(naive_q(list(up.minimal_bits)), abs=1e-12)
+        if certified is not None:
+            assert res == certified
+            assert res.witness_cover == Cover.from_masks(up.ground_size, up.minimal_bits)
+            if len(_problem(up).cand_bits) <= 11:
+                assert exhaustive_p_small(list(up.minimal_bits), res.q)
+                assert not exhaustive_p_small(list(up.minimal_bits), math.nextafter(res.q, 1.0))
+
+    def test_same_q_and_witness_as_the_search(self):
+        # every battery instance and graph rung the search answers
+        instances = list(builtin_battery())
+        instances += [(f"{family}-{n}", make_family_instance(family, n)) for family, n in GRAPH_INSTANCES]
+        uncertified = set()
+        for name, up in instances:
+            certified = _spread_threshold(up)
+            if certified is None:
+                uncertified.add(name)
+            else:
+                assert certified == climbed(up), name
+        assert uncertified == UNCERTIFIED_BATTERY | {"connectivity-4"}
+
+    def test_connectivity_4_comes_from_the_search(self, monkeypatch):
+        calls = []
+        decide = _Search.decide
+
+        def spy(self, threshold):
+            calls.append(self.p)
+            return decide(self, threshold)
+
+        monkeypatch.setattr(_Search, "decide", spy)
+        clear_caches()
+        up = graph_connectivity(4)
+        assert _spread_threshold(up) is None
+        assert expectation_threshold(up) == climbed(up)
+        assert calls
+        # the failed certificate and the search share one closure
+        assert expectation._closure.cache_info().misses == 1
+
+    def test_answers_past_the_minimals_cap(self):
+        # star3-7's 140 minimals, with no search; p-small at q, by the
+        # minimals, and the search's cap refuses just above it
+        up = make_family_instance("star3", 7)
+        assert len(up.minimal_bits) > SOLVER_MINIMALS_CAP
+        res = expectation_threshold(up)
+        assert res.witness_cover == Cover.from_masks(up.ground_size, up.minimal_bits)
+        assert res.witness_cover.cost(res.q) <= 0.5 < res.witness_cover.cost(math.nextafter(res.q, 1.0))
+        assert is_p_small(up, res.q)
+        with pytest.raises(SizeLimitExceeded, match=r"\|F0\| <= 64, got 140"):
+            is_p_small(up, math.nextafter(res.q, 1.0))
+
+    @pytest.mark.parametrize("family,n,count", [("connectivity", 5, 125), ("hamilton", 7, 360)])
+    def test_refusals_keep_the_minimals_cap_message(self, family, n, count):
+        # connectivity-5's minimals are not spread; hamilton-7's closure
+        # passes the candidates cap
+        with pytest.raises(SizeLimitExceeded) as exc:
+            expectation_threshold(make_family_instance(family, n))
+        assert str(exc.value) == f"exact cover search needs |F0| <= 64, got {count}"
+
+    def test_too_many_minimals_refused_before_the_incidence(self, monkeypatch):
+        # each minimal is its own closure member, so 6,435 minimals (the
+        # 7-sets of 15) pass the candidates cap with no incidence built
+        def unexpected(upper):
+            raise AssertionError("element_extents called")
+
+        monkeypatch.setattr(expectation, "element_extents", unexpected)
+        up = UpperSet(15, [sum(1 << x for x in c) for c in itertools.combinations(range(15), 7)])
+        assert len(up.minimal_bits) > SOLVER_CANDIDATES_CAP
+        clear_caches()
+        with pytest.raises(SizeLimitExceeded, match=r"\|F0\| <= 64, got 6435"):
+            expectation_threshold(up)
