@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_variant_flags(p):
         p.add_argument("--K", type=float, default=8.0, help="bound constant (default 8)")
-        p.add_argument("--log-base", choices=("2", "e"), default="2")
+        p.add_argument("--log-base", choices=bounds.LOG_BASES, default="2")
         p.add_argument("--arg", choices=("ell", "2ell0"), default="2ell0",
                        help="logarithm argument: ell or 2*ell0")
 

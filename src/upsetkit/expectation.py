@@ -42,13 +42,12 @@ uncovered minimal elements. Pruning uses two admissible lower bounds:
 
 A decide call is the tree search alone: its root node applies the root
 bound, so a decide the bound settles costs one node. It weighs a cover
-exactly. Every p^k is a dyadic rational, so each cost is an integer
-number of units of 1/scale, scale being the largest denominator among the
-powers, and a branch carries its cost as an int. A leaf accepts iff
-acc / scale <= threshold; int/int division is correctly rounded, so that
-is the exact sum rounded once, the number ``Cover.cost`` gives with
-``math.fsum``. The bounds stay float and prune only past the threshold by
-a slack far above their rounding error. The p-independent tables
+by the definition, the real sum of p^{|S|}: a float p = a/d is dyadic, so
+each p^k is an integer number of units of 1/d^top (``_dyadic_units``),
+top being the largest size weighed, and a branch carries its weight as
+an int. A leaf compares that int with the threshold in integers. The
+bounds stay float and prune only past the threshold by a slack far above
+their rounding error. The p-independent tables
 (coverage counts, the coverages grouped by candidate size) are built
 once per problem, and the candidates under a minimal the first time
 any search branches on it, so a decide that the root bound settles builds
@@ -92,10 +91,11 @@ cover by all the minimals, each decide runs just above the root of the
 current cover's weight polynomial sum c_k p^k = 1/2, a cover it returns
 has a larger root, and the first None ends the climb. q is the largest
 float at which the last cover weighs <= 1/2, found from its root, and the
-cover is the witness. decide weighs covers as ``Cover.cost`` does, so F
-is p-small at q, and a decide returns None a few 1e-12 above it, at the p
-that ended the climb. Where the certificate holds, the climb would end at
-its first decide, with the same q and witness.
+cover is the witness. Every comparison with 1/2 is exact (``_is_small``),
+so F is p-small at q by the definition, and a decide returns None a few
+1e-12 above it, at the p that ended the climb. Where the certificate
+holds, the climb would end at its first decide, with the same q and
+witness.
 """
 
 from __future__ import annotations
@@ -271,20 +271,20 @@ def _problem(upper: UpperSet) -> _CoverProblem:
     return _CoverProblem(min_bits, _closure(upper))
 
 
-def _dyadic_units(powers: list[float]) -> tuple[int, list[int]]:
-    """(scale, units): each float power as an exact integer multiple of
-    1 / scale, scale being the largest denominator among them."""
-    ratios = [c.as_integer_ratio() for c in powers]
-    scale = max(d for _, d in ratios)
-    return scale, [n * (scale // d) for n, d in ratios]
+def _dyadic_units(p: float, top: int) -> tuple[int, list[int]]:
+    """(scale, units): the real powers p^k, k = 0..top, as exact integer
+    multiples of 1 / scale. A float p = a / d is dyadic, so
+    p^k = a^k d^(top - k) / d^top."""
+    a, d = p.as_integer_ratio()
+    return d**top, [a**k * d ** (top - k) for k in range(top + 1)]
 
 
 class _Search:
     """One branch-and-bound run at a fixed p.
 
     It builds the candidates' costs and reads everything else from the
-    problem. Each power p^k is a dyadic rational, so ``units[k]`` holds it
-    exactly as an integer multiple of 1 / ``scale``.
+    problem. ``units[k]`` holds the real power p^k exactly, as an integer
+    multiple of 1 / ``scale`` (``_dyadic_units``).
     """
 
     def __init__(self, prob: _CoverProblem, p: float):
@@ -293,7 +293,7 @@ class _Search:
         self.powers = powers = [p**k for k in range(prob.max_size + 1)]
         self.cost = tuple(map(powers.__getitem__, prob.cand_sizes))
         self.min_cost = tuple(map(powers.__getitem__, prob.min_sizes))
-        self.scale, self.units = _dyadic_units(powers)
+        self.scale, self.units = _dyadic_units(p, prob.max_size)
         # size groups by their ratio at the root, the smallest first
         self.groups = sorted(prob.size_groups, key=lambda g: powers[g[0]] / g[1][0].bit_count())
         self.order: list[list[int] | None] = [None] * len(prob.min_bits)
@@ -305,8 +305,6 @@ class _Search:
             raise SizeLimitExceeded(f"cover search exceeded node budget {NODE_BUDGET}")
 
     def lower_bound(self, uncovered: int) -> float:
-        if uncovered == 0:
-            return 0.0
         prob, powers = self.prob, self.powers
         u = uncovered.bit_count()
         # candidates of one size cost the same: a size's smallest ratio is
@@ -347,7 +345,7 @@ class _Search:
                 new = (c & uncovered).bit_count()
                 if new:
                     r = cost[j] / new
-                    if r < best_ratio - 1e-18:
+                    if r < best_ratio:
                         best_j, best_ratio = j, r
             chosen.append(best_j)
             uncovered &= ~prob.cand_cov[best_j]
@@ -355,15 +353,16 @@ class _Search:
 
     def decide(self, threshold: float) -> list[int] | None:
         """A cover with cost <= threshold, or None if none exists. Exact: a
-        cover's cost is its exact sum rounded once, as in ``Cover.cost``."""
+        leaf compares the cover's real weight with the threshold in integers."""
         prob, units, scale, cost = self.prob, self.units, self.scale, self.cost
+        num, den = threshold.as_integer_ratio()
         sizes, count, orders = prob.cand_sizes, prob.cand_count, self.order
         seen: dict[int, int] = {}
 
         def dfs(uncovered: int, acc: int) -> list[int] | None:
             self._tick()
             if uncovered == 0:
-                return [] if acc / scale <= threshold else None
+                return [] if acc * den <= num * scale else None
             prev = seen.get(uncovered)
             if prev is not None and acc >= prev:
                 return None
@@ -409,17 +408,15 @@ def is_p_small(upper: UpperSet, p: float) -> bool:
     """True iff some cover of F has weight <= 1/2 at p.
 
     The cover by the minimals is weighed first, with no cover problem, so
-    every q that ``expectation_threshold`` reports is p-small here, past the
-    search's caps too; any other p goes to the search and its caps."""
+    p = 0 and every q that ``expectation_threshold`` reports are p-small
+    here, past the search's caps too; any other p below 1 goes to the
+    search and its caps."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    if p == 0.0:
-        return True
     if p == 1.0:
         return False
-    if _weight(_size_terms(map(int.bit_count, upper.minimal_bits)), p) <= 0.5:
-        return True
-    return _Search(_problem(upper), p).decide(0.5) is not None
+    return (_is_small(_size_terms(map(int.bit_count, upper.minimal_bits)), p)
+            or _Search(_problem(upper), p).decide(0.5) is not None)
 
 
 def _size_terms(sizes: Iterable[int]) -> tuple[tuple[int, int], ...]:
@@ -434,9 +431,15 @@ def _weight_terms(prob: _CoverProblem, chosen: Iterable[int]) -> tuple[tuple[int
 
 
 def _weight(terms: tuple[tuple[int, int], ...], p: float) -> float:
-    """The weight at p, summed as ``Cover.cost`` sums it (each power once
-    per element), so the two agree to the last bit."""
-    return math.fsum(x for k, c in terms for x in [p**k] * c)
+    """The weight at p in floats, for Newton's steps; ``_is_small`` decides."""
+    return math.fsum(c * p**k for k, c in terms)
+
+
+def _is_small(terms: tuple[tuple[int, int], ...], p: float) -> bool:
+    """True iff the real weight sum c_k p^k is at most 1/2, compared in
+    integers."""
+    scale, units = _dyadic_units(p, terms[-1][0])
+    return 2 * sum(c * units[k] for k, c in terms) <= scale
 
 
 def _weight_root(terms: tuple[tuple[int, int], ...], level: float = 0.5) -> float:
@@ -467,8 +470,8 @@ def _bracket(prob: _CoverProblem) -> tuple[list[int], float]:
     the prune slack; the first None ends the climb. At the root itself no
     bound could prune within the slack, and that last decide would search
     every near-optimal cover. A cover that decide returns weighs at most
-    1/2 at p, rounded once, so it weighs 1/2 plus twice the slack only at a
-    larger p, and p rises strictly.
+    1/2 at p, so it weighs 1/2 plus twice the slack only at a larger p, and
+    p rises strictly.
     """
     index = {b: j for j, b in enumerate(prob.cand_bits)}
     chosen = [index[b] for b in prob.min_bits]
@@ -482,13 +485,12 @@ def _bracket(prob: _CoverProblem) -> tuple[list[int], float]:
 
 def _largest_small(terms: tuple[tuple[int, int], ...]) -> float:
     """The largest float at which a cover with the weight polynomial
-    ``terms`` weighs at most 1/2 by ``_weight``: its root, stepped with
-    ``nextafter``."""
+    ``terms`` weighs at most 1/2: its root, stepped with ``nextafter``."""
     q = _weight_root(terms)
-    while _weight(terms, q) > 0.5:
+    while not _is_small(terms, q):
         q = math.nextafter(q, 0.0)
     # Newton can stop a float short of the largest such p
-    while _weight(terms, up := math.nextafter(q, 1.0)) <= 0.5:
+    while _is_small(terms, up := math.nextafter(q, 1.0)):
         q = up
     return q
 
@@ -503,23 +505,20 @@ def _spread_threshold(upper: UpperSet) -> ExpectationThreshold | None:
     at most p^{|S|}, then y_M = p^{|M|} is a feasible point of the dual of
     the fractional cover LP (the "spread" condition of Frankston, Kahn,
     Narayanan and Park, 2021, read as a certificate). By weak duality every
-    cover weighs at least the minimals' sum, which is above 1/2. A set
-    outside the closure needs no check: its closure member serves the same
-    minimals and is no smaller.
+    cover weighs at least the minimals' sum, which is above 1/2, so q = q0.
+    A set outside the closure needs no check: its closure member serves the
+    same minimals and is no smaller.
 
-    The check runs in ``_Search``'s integer units of the float powers
-    p^k. Every cover's exact sum of those powers is at least the minimals'
-    sum, and rounding once is monotone, so at p no cover weighs at most 1/2
-    as ``decide`` and ``Cover.cost`` weigh it, and q = q0. A candidate over
-    one minimal is that minimal and passes by equality; for the others the
-    minimals are grouped by size, one popcount per size.
+    The check runs in the exact integer units of ``_dyadic_units``. A
+    candidate over one minimal is that minimal and passes by equality; for
+    the others the minimals are grouped by size, one popcount per size.
     """
     closure = _closure(upper)
     min_bits = upper.minimal_bits
     terms = _size_terms(map(int.bit_count, min_bits))
     q0 = _largest_small(terms)
     p = math.nextafter(q0, 1.0)
-    _, units = _dyadic_units([p**k for k in range(terms[-1][0] + 1)])
+    _, units = _dyadic_units(p, terms[-1][0])
     by_size: dict[int, int] = {}
     for i, m in enumerate(min_bits):
         k = m.bit_count()
@@ -542,8 +541,8 @@ def expectation_threshold(upper: UpperSet, tol: float = 1e-9) -> ExpectationThre
     answers past SOLVER_MINIMALS_CAP. Otherwise q is the root of the weight
     polynomial of the last cover ``_bracket`` climbs to, stepped with
     ``nextafter`` to the largest float at which that cover weighs at most
-    1/2; the cover is the witness. The weight is the exact sum rounded
-    once, as in ``Cover.cost`` and in ``decide``, so at q ``decide`` finds
+    1/2; the cover is the witness. That weight is the real sum, compared
+    with 1/2 in integers as ``decide`` compares it, so at q ``decide`` finds
     a cover and ``is_p_small`` holds. ``decide`` returned None at the p that
     ended the climb, a few 1e-12 above q, so q is exact to about that. Where
     both paths answer, they give the same q and witness: a certificate

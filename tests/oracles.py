@@ -220,8 +220,9 @@ def element_blocks(min_bits: list[int], n: int) -> set[int]:
     return out
 
 
-def naive_min_cover_cost(min_bits: list[int], p: float) -> float:
-    """Exact minimum cover weight by exhausting per-minimal assignments.
+def naive_min_cover_cost(min_bits: list[int], p):
+    """Minimum cover weight by exhausting per-minimal assignments, summed in
+    p's type: a ``Fraction`` p gives the exact weight.
 
     Every cover contains, for each minimal element, at least one element
     beneath it; the union of one such choice per minimal is again a cover
@@ -237,9 +238,9 @@ def naive_min_cover_cost(min_bits: list[int], p: float) -> float:
             subs.append(sub)
             sub = (sub - 1) & m
         per_min.append(subs)
-    best = [math.fsum(p ** bin(m).count("1") for m in min_bits)]
+    best = [sum(p ** bin(m).count("1") for m in min_bits)]
 
-    def rec(i: int, chosen: frozenset[int], acc: float) -> None:
+    def rec(i: int, chosen: frozenset[int], acc) -> None:
         if acc >= best[0]:
             return
         if i == len(per_min):
@@ -251,7 +252,7 @@ def naive_min_cover_cost(min_bits: list[int], p: float) -> float:
         for s in per_min[i]:
             rec(i + 1, chosen | {s}, acc + p ** bin(s).count("1"))
 
-    rec(0, frozenset(), 0.0)
+    rec(0, frozenset(), 0)
     return best[0]
 
 
@@ -271,11 +272,17 @@ def subset_enumeration_min_cover_cost(min_bits: list[int], p: float) -> float | 
     return best
 
 
+def exact_weight(masks, p: float) -> Fraction:
+    """The real weight sum p^{|S|} of a family of masks, in ``Fraction``s."""
+    return sum((Fraction(p) ** bin(s).count("1") for s in masks), Fraction(0))
+
+
 def naive_q(min_bits: list[int], iters: int = 60) -> float:
+    """Bisection for q, weighing each midpoint's cheapest cover exactly."""
     lo, hi = 0.0, 1.0
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        if naive_min_cover_cost(min_bits, mid) <= 0.5:
+        if naive_min_cover_cost(min_bits, Fraction(mid)) <= Fraction(1, 2):
             lo = mid
         else:
             hi = mid
@@ -284,7 +291,7 @@ def naive_q(min_bits: list[int], iters: int = 60) -> float:
 
 def exhaustive_p_small(min_bits: list[int], p: float) -> bool:
     """True iff some cover by intersections of the minimals weighs <= 1/2
-    at p, summed by ``math.fsum``.
+    at p, weighed exactly: ``Fraction`` weights over their common denominator.
 
     Every cover of at most |F0| elements of the intersection closure is
     tried. That suffices: any cover holds a subcover of one element per
@@ -299,10 +306,14 @@ def exhaustive_p_small(min_bits: list[int], p: float) -> bool:
     coverage = {
         c: sum(1 << i for i, m in enumerate(min_bits) if c & m == c) for c in closure
     }
+    # each weight as an integer over the weights' common denominator
+    weight = {c: exact_weight([c], p) for c in closure}
+    den = math.lcm(*(w.denominator for w in weight.values()))
+    units = {c: int(w * den) for c, w in weight.items()}
     for r in range(1, len(min_bits) + 1):
         for combo in itertools.combinations(sorted(closure), r):
             if functools.reduce(operator.or_, map(coverage.get, combo)) == full:
-                if math.fsum(p ** bin(c).count("1") for c in combo) <= 0.5:
+                if 2 * sum(map(units.get, combo)) <= den:
                     return True
     return False
 
@@ -468,11 +479,12 @@ class EagerSearch:
     less the node budget: each node branches on the lowest uncovered
     minimal, every branch order is sorted at construction, the counting
     bound scans every candidate at every node, the root included, and
-    costs are summed exactly, as fractions over the common denominator
-    of the powers of p. It reads the preprocessed problem (minimal and
-    candidate masks and coverages) and nothing else, and builds its own
-    per-minimal candidate lists from the coverages, so the search can be
-    checked against it for the same answers and the same node counts.
+    weights are summed exactly, as fractions over the common denominator
+    of the real powers of p, and compared exactly at a leaf. It reads the
+    preprocessed problem (minimal and candidate masks and coverages) and
+    nothing else, and builds its own per-minimal candidate lists from the
+    coverages, so the search can be checked against it for the same
+    answers and the same node counts.
     """
 
     def __init__(self, prob, p: float):
@@ -480,7 +492,7 @@ class EagerSearch:
         self.p = p
         self.cost = tuple(p**k for k in prob.cand_sizes)
         self.min_cost = tuple(p**k for k in prob.min_sizes)
-        exact = [Fraction(c) for c in self.cost]
+        exact = [Fraction(p) ** k for k in prob.cand_sizes]
         self.scale = max((c.denominator for c in exact), default=1)
         self.units = tuple(int(c * self.scale) for c in exact)
         self.nodes = 0
@@ -523,7 +535,7 @@ class EagerSearch:
         def dfs(uncovered: int, acc: int) -> list[int] | None:
             self.nodes += 1
             if uncovered == 0:
-                return [] if acc / self.scale <= threshold else None
+                return [] if Fraction(acc, self.scale) <= Fraction(threshold) else None
             prev = seen.get(uncovered)
             if prev is not None and acc >= prev:
                 return None

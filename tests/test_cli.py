@@ -12,9 +12,12 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import upsetkit
+from test_core import upper_sets
 from upsetkit import cli, expectation_threshold, fmt, graph_connectivity
+from upsetkit.bounds import BoundVariant
 from upsetkit.core import UpperSet
 
 
@@ -281,6 +284,16 @@ class TestVerify:
         slack = 0.5 - threshold.witness_cover.cost(threshold.q)
         assert row.split(",")[3] == fmt.csv_cell(slack)
 
+    @given(upper_sets(max_ground=8, max_gens=6))
+    @settings(max_examples=100, deadline=None)
+    def test_witness_cost_row_holds_at_exact_q(self, up):
+        # the witness's real weight at q is at most 1/2, so its float weight,
+        # rounded monotonically, is too: the row holds with no allowance
+        rows = {check: (holds, slack)
+                for _, check, holds, slack in cli._instance_checks("x", up, BoundVariant(8.0))}
+        holds, slack = rows["q_witness_cost_le_half"]
+        assert holds and slack >= 0.0
+
     def test_witness_rows_independent_of_the_incidence(self, capsys, tmp_path, monkeypatch):
         # the solvers hold their own reference to core.element_extents, so an
         # all-zero incidence put in its place reaches only the rechecks, which
@@ -528,7 +541,7 @@ class TestDeterminism:
     # sha256 of stdout; any change to a printed number or row changes it
     PINNED = {
         ("verify", "--battery", "builtin"):
-            "f4ea6bd945b72b1c8e4152c194935c4d0cf3fb88d099bea95c4b914b12c3bae9",
+            "26174a5d169e3c9fea6bcf5cb8abf9f84e11363adf01c27b5c8d1cad06d6ea36",
         ("sweep", "--family", "hamilton", "--range", "4..6"):
             "f00f969bd9b2491c41dbe9bff6b7b8482130eac1fb69c59156586f214cf5900e",
         ("compute", "--family", "connectivity", "--range", "4..4"):
@@ -549,7 +562,7 @@ class TestDeterminism:
         ("sweep", "--family", "connectivity", "--range", "3..5"):
             "cabff192467288eeec20b03bd12054122edf98d88681a390a6b1691d710e7b28",
         ("verify", "--battery", "builtin", "--format", "json"):
-            "e8c0d5ceaa31ceddf4d398b3246a0cf1219edd8a2e7108455079b44f45d0babc",
+            "0d3e8dd01c6e892ab195c391de7520c8de903bb6e7b178ccff9e1dc603387464",
         # the instance files, whose edge numbering the sweep cells above
         # cannot see
         ("family", "connectivity", "--n", "5"):

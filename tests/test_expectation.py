@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import (
     EagerSearch,
     bisection_threshold,
+    exact_weight,
     exhaustive_p_small,
     minimal_closure,
     naive_min_cover_cost,
@@ -349,8 +351,7 @@ class TestIsPSmall:
 
     @given(upper_sets(max_ground=8, max_gens=6))
     @settings(max_examples=150, deadline=None)
-    # at the float above q these decided p-small with the witness, which
-    # weighs 0.5000000000000001 by fsum
+    # at the float above q the witness weighs 0.5000000000000001 by fsum
     @example(UpperSet(8, [34, 140, 23, 219]))
     @example(UpperSet(6, [17, 18, 11, 28, 44]))
     @example(UpperSet(8, [68, 72, 182]))
@@ -359,14 +360,21 @@ class TestIsPSmall:
         self.assert_exact_near_q(up)
 
     def test_exact_at_witness_fsum_root(self):
-        # its witness weighs exactly 1/2 by fsum one float above a q stepped
-        # down for summation order; 22 candidates, past the draws' bound
+        # one float above q its witness weighs exactly 1/2 by fsum, and more
+        # than 1/2 exactly; 22 candidates, past the draws' bound
         self.assert_exact_near_q(UpperSet(8, [162, 51, 103, 107, 217, 189]))
 
     @pytest.mark.parametrize("p", [1e-30, 1e-200, 5e-324])
     def test_tiny_p(self, p):
         # the powers of p underflow to subnormals and to 0
         assert is_p_small(graph_connectivity(4), p)
+
+
+def assert_witness_last_float(res: ExpectationThreshold):
+    """q is the largest float at which the witness weighs at most 1/2, its
+    weight summed exactly."""
+    masks = [e.bits for e in res.witness_cover.elements]
+    assert exact_weight(masks, res.q) <= Fraction(1, 2) < exact_weight(masks, math.nextafter(res.q, 1.0))
 
 
 class TestExpectationThreshold:
@@ -407,10 +415,18 @@ class TestExpectationThreshold:
     @settings(max_examples=100, deadline=None)
     @with_graph_examples
     def test_q_is_the_witness_last_float(self, up):
-        # q is the largest float at which the witness weighs at most 1/2
-        res = expectation_threshold(up)
-        assert res.witness_cover.cost(res.q) <= 0.5
-        assert res.witness_cover.cost(math.nextafter(res.q, 1.0)) > 0.5
+        assert_witness_last_float(expectation_threshold(up))
+
+    def test_battery_and_graph_witnesses_meet_the_definition(self):
+        # every battery instance, and every graph rung whose q is answered,
+        # past the search's minimals cap too
+        rungs = {"connectivity": (3, 4), "triangle": range(3, 9), "hamilton": range(4, 7),
+                 "star3": range(4, 8), "path2": range(3, 9), "matching2": range(4, 8)}
+        instances = [up for _, up in builtin_battery()]
+        instances += [make_family_instance(f, n) for f, ns in rungs.items() for n in ns]
+        assert len(instances) == 228
+        for up in instances:
+            assert_witness_last_float(expectation_threshold(up))
 
     @given(upper_sets(max_ground=8, max_gens=5))
     @settings(max_examples=30, deadline=None)
@@ -632,7 +648,7 @@ class TestSpreadCertificate:
         assert len(up.minimal_bits) > SOLVER_MINIMALS_CAP
         res = expectation_threshold(up)
         assert res.witness_cover == Cover.from_masks(up.ground_size, up.minimal_bits)
-        assert res.witness_cover.cost(res.q) <= 0.5 < res.witness_cover.cost(math.nextafter(res.q, 1.0))
+        assert_witness_last_float(res)
         assert is_p_small(up, res.q)
         with pytest.raises(SizeLimitExceeded, match=r"\|F0\| <= 64, got 140"):
             is_p_small(up, math.nextafter(res.q, 1.0))
