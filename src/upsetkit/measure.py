@@ -28,9 +28,12 @@ Monte Carlo, so an enumeration runs without loading it.
 
 Memory: enumeration holds the 2^n-bit set twice, as bytes and as slices,
 a ~4 MB peak at n = 24 and ~256 MB at the ground cap, n = 30.
-Inclusion-exclusion holds about 5 bytes per union term (a uint32 union and
-a uint8 parity for each of the 2^|F0| subsets) and counts them in blocks of
-2^16 terms, ~6 MB at |F0| = 20 and ~84 MB at 24. The Monte Carlo workers share
+Inclusion-exclusion counts its 2^|F0| union terms in blocks of 2^16 terms.
+It holds a table of the first 16 minimals' subsets (a uint32 union, a uint8
+parity and its flip for each), one block of unions and the block's keys, a
+traced peak of at most ~1.3 MB. So the cap of 24 minimals bounds its time
+(2^24 terms, ~0.05 s on a 2-core VM), not its memory.
+The Monte Carlo workers share
 ``n * (MC_CHUNK_ROWS + 9 * MC_DRAW_ROWS) + 2 * MC_CHUNK_ROWS`` bytes, each
 holding 1/workers of them: bool blocks of ``MC_CHUNK_ROWS`` samples in all,
 filled ``MC_DRAW_ROWS`` draws at a time through float buffers and their bool
@@ -165,20 +168,30 @@ def _inclusion_exclusion_coeffs(upper: UpperSet) -> tuple[int, ...]:
 
     n = upper.ground_size
     # Doubling: subset j + 2^i of the minimals is subset j plus minimal i, so
-    # its union is ORed with minimal i and its parity flips.
-    unions = np.zeros(1 << m, dtype=np.uint32)
-    parity = np.zeros(1 << m, dtype=np.uint8)
-    for i, bits in enumerate(upper.minimal_bits):
+    # its union is ORed with minimal i and its parity flips. The first 16
+    # minimals make a table of 2^16 terms. Each subset of the rest, doubled
+    # the same way in ints, ORs its union into the table for one block, and
+    # an odd one flips the table's parities.
+    low, high = upper.minimal_bits[:16], upper.minimal_bits[16:]
+    unions = np.zeros(1 << len(low), dtype=np.uint32)
+    parity = np.zeros(1 << len(low), dtype=np.uint8)
+    for i, bits in enumerate(low):
         lo, hi = slice(0, 1 << i), slice(1 << i, 1 << (i + 1))
         np.bitwise_or(unions[lo], np.uint32(bits), out=unions[hi])
         np.bitwise_xor(parity[lo], 1, out=parity[hi])
+    parities = (parity, parity ^ 1)
+    high_unions = [0]
+    for bits in high:
+        high_unions += [u | bits for u in high_unions]
     # counts[2k + 1] and counts[2k] tally odd and even subsets of union size k
     counts = np.zeros(2 * n + 2, dtype=np.int64)
-    block = 1 << 16
-    for start in range(0, 1 << m, block):
-        key = np.bitwise_count(unions[start : start + block])
+    block = np.empty_like(unions)
+    for j, bits in enumerate(high_unions):
+        if j:  # block 0 is the table itself
+            np.bitwise_or(unions, np.uint32(bits), out=block)
+        key = np.bitwise_count(block if j else unions)
         key <<= 1
-        key |= parity[start : start + block]
+        key |= parities[j.bit_count() & 1]
         counts += np.bincount(key, minlength=2 * n + 2)
     counts[0] -= 1  # the empty subset is not a term
     return tuple(int(c) for c in counts[1::2] - counts[0::2])

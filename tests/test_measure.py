@@ -518,21 +518,41 @@ def same_size_antichains(draw):
 class TestInclusionExclusion:
     @given(st.one_of(upper_sets(max_ground=12, max_gens=12), same_size_antichains()))
     @example(UpperSet(12, [0b111 << i for i in range(10)] + [0b1011, 0b10101]))
+    # past 16 minimals the kernel counts in blocks of 2^16 terms: 2 and 4 here
+    @example(UpperSet(20, [0b111 << i for i in range(17)]))
+    @example(UpperSet(20, [0b111 << i for i in range(18)]))
     @settings(max_examples=60, deadline=None)
     def test_matches_signed_union_counts(self, up):
         expected = signed_union_counts(list(up.minimal_bits), up.ground_size)
         assert _inclusion_exclusion_coeffs(up) == expected
 
-    def test_traced_peak_bounded(self):
-        up = make_family_instance("triangle", 6)  # 20 minimals: 2^20 union terms
+    def test_singletons_at_the_cap(self):
+        # 24 singletons on 25 elements, 256 blocks: j of them have a union
+        # of size j, so c_j = (-1)^(j+1) C(24, j)
+        up = make_family_instance("singletons", 24)
+        assert len(up.minimal_bits) == measure.INCLUSION_EXCLUSION_MINIMALS_CAP
+        expected = tuple((-1) ** (j + 1) * math.comb(24, j) if j else 0 for j in range(26))
+        assert _inclusion_exclusion_coeffs(up) == expected
+
+    @staticmethod
+    def traced_peak(up):
+        # numpy is imported at the top of this module, so its import is not
+        # traced; the peak is the kernel's own arrays
         _inclusion_exclusion_coeffs.cache_clear()
         tracemalloc.start()
         try:
             _inclusion_exclusion_coeffs(up)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 9_000_000
+
+    def test_traced_peak_bounded(self):
+        up = make_family_instance("triangle", 6)  # 20 minimals: 2^20 union terms
+        assert self.traced_peak(up) <= 2_000_000
+
+    def test_traced_peak_bounded_at_the_cap(self):
+        up = make_family_instance("singletons", 24)  # 2^24 union terms
+        assert self.traced_peak(up) <= 2_000_000
 
 
 class TestCriticalProbability:
