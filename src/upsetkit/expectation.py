@@ -42,31 +42,29 @@ uncovered minimal elements. Pruning uses two admissible lower bounds:
 
 A decide call is the tree search alone: its root node applies the root
 bound, so a decide the bound settles costs one node. It weighs a cover
-by the definition, the real sum of p^{|S|}: a float p = a/d is dyadic, so
-each p^k is an integer number of units of 1/d^top (``_dyadic_units``),
-top being the largest size weighed, and a branch carries its weight as
-an int. A leaf compares that int with the threshold in integers. The
-bounds stay float and prune only past the threshold by a slack far above
-their rounding error. The p-independent tables
-(coverage counts, the coverages grouped by candidate size) are built
-once per problem, and the candidates under a minimal the first time
-any search branches on it, so a decide that the root bound settles builds
-none of them. A search builds only its costs, from one table of powers of
-p. The counting bound's ratio is the smallest cost/|cov & uncovered| over
-the candidates that meet the uncovered minimals. Candidates of one size
-cost the same, so it is the smallest p^k / (largest |cov & uncovered| among
-the candidates of size k). The scan stops early, with the same result:
-each size's coverages are kept by descending |cov|, a size is skipped
-when p^k / min(largest |cov|, uncovered count) is already no smaller than
-the best ratio found (a smaller divisor never gives a smaller float
-quotient), and within a size the scan ends at the first |cov| that is no
-larger than the best overlap so far, or once that overlap is every
-uncovered minimal. Sizes are tried by their ratio at the root, the
-smallest first; at the root every coverage is whole, so the first size's
-largest coverage settles the ratio and every later size is skipped. A
-node branches on the lowest uncovered minimal (by its index in F0) and
-tries its candidates by cost/|cov|, then in canonical order, an order each
-search sorts once per minimal.
+by the definition, the real sum of p^{|S|}: a float p = a/d is dyadic,
+so each p^k is an integer number of units of 1/d^top
+(``_dyadic_units``), top being the largest size weighed, and a branch
+carries its weight as an int. A leaf compares that int with the
+threshold in integers. The bounds stay float and prune only past the
+threshold by a slack far above their rounding error. The p-independent
+tables (candidate sizes and coverage counts) are built once per problem,
+and the candidates under a minimal the first time any search branches on
+it, so a decide that the root bound settles builds none of them. A
+search builds only its costs, from one table of powers of p, and the
+counting bound's ratio r, the least cost_j / |cov_j| over all the
+candidates, once. A node bounds by |uncovered| * r: any completion that
+covers the uncovered minimals U pays
+sum cost_j >= r * sum |cov_j| >= r * |U|. At the root every coverage is
+whole, so there r is the tightest such ratio. Below it a candidate may
+cover fewer of U than |cov_j|, and a bound rescanned per node would be
+tighter; the root ratio visits more nodes but returns the same cover.
+decide returns the first cover, in its fixed depth-first order, that
+meets the threshold, and any sound bound (as the memo) cuts only
+subtrees that hold no such cover. A node branches on the lowest
+uncovered minimal (by its index in F0) and tries its candidates by
+cost/|cov|, then in canonical order, an order each search sorts once per
+minimal.
 
 The minimum cost (``optimize``) is a descent over decide: from the greedy
 cover, each decide asks for a cover cheaper by twice the prune slack, and
@@ -162,7 +160,7 @@ class _CoverProblem:
     time a search branches on it (``under``)."""
 
     __slots__ = ("min_bits", "min_sizes", "max_size", "cand_bits", "cand_sizes", "cand_cov",
-                 "cand_count", "size_groups", "per_min", "full")
+                 "cand_count", "per_min", "full")
 
     def __init__(self, min_bits: tuple[int, ...], candidates: dict[int, int]):
         """``candidates`` maps each coverage, a nonzero closed mask of
@@ -179,13 +177,6 @@ class _CoverProblem:
         self.full = (1 << m) - 1
         self.cand_cov = cand_cov = tuple(map(cov_of.__getitem__, self.cand_bits))
         self.cand_count = tuple(map(int.bit_count, cand_cov))
-        # per candidate size: its coverages, largest count first
-        by_size: dict[int, list[int]] = {}
-        for k, c in zip(self.cand_sizes, cand_cov):
-            by_size.setdefault(k, []).append(c)
-        for covs in by_size.values():
-            covs.sort(key=int.bit_count, reverse=True)
-        self.size_groups = tuple((k, tuple(covs)) for k, covs in by_size.items())
         self.per_min: list[tuple[int, ...] | None] = [None] * m
 
     def under(self, i: int) -> tuple[int, ...]:
@@ -198,11 +189,12 @@ class _CoverProblem:
         return got
 
 
-def _intersection_closure(incidence: Iterable[int]) -> dict[int, int]:
+def _intersection_closure(incidence: Iterable[int]) -> dict[int, int] | None:
     """The nonempty intersections of minimal elements, as ``{coverage:
-    candidate}``: the coverages are the nonzero ANDs of the element extents
-    (the masks of minimals through each ground element), and each
-    candidate is its coverage's intent, the elements whose extent holds it.
+    candidate}``, or None past SOLVER_CANDIDATES_CAP of them: the coverages
+    are the nonzero ANDs of the element extents (the masks of minimals
+    through each ground element), and each candidate is its coverage's
+    intent, the elements whose extent holds it.
 
     Grows the closure one distinct nonzero extent e at a time, with the
     elements E that have it (repeats add no member; elements in no minimal
@@ -213,7 +205,7 @@ def _intersection_closure(incidence: Iterable[int]) -> dict[int, int]:
     the intent of the AND of the earlier extents that hold d, and that AND
     is such a c.
 
-    The closure only grows with k, so it raises as soon as it passes
+    The closure only grows with k, so it gives up as soon as it passes
     SOLVER_CANDIDATES_CAP, after the extent that takes it there, exactly
     when the whole closure would. Each step ANDs at most cap members, so a
     refused instance costs at most cap * n mask operations, and the
@@ -231,15 +223,8 @@ def _intersection_closure(incidence: Iterable[int]) -> dict[int, int]:
                 grown[d] = grown.get(d, elems) | s
         closure.update(grown)
         if len(closure) > SOLVER_CANDIDATES_CAP:
-            raise _too_many_candidates()
+            return None
     return closure
-
-
-def _too_many_candidates() -> SizeLimitExceeded:
-    return SizeLimitExceeded(
-        f"exact cover search needs <= {SOLVER_CANDIDATES_CAP} candidates "
-        "(intersections of minimal elements), got more"
-    )
 
 
 def _searchable_minimals(upper: UpperSet) -> tuple[int, ...]:
@@ -254,21 +239,29 @@ def _searchable_minimals(upper: UpperSet) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=256)
-def _closure(upper: UpperSet) -> dict[int, int]:
+def _closure(upper: UpperSet) -> dict[int, int] | None:
     """``_intersection_closure`` of F0, built once per instance for both the
     spread certificate and the cover problem; read it, never mutate it.
-    Each minimal is its own member, so past SOLVER_CANDIDATES_CAP minimals
-    it is refused before the incidence is built."""
+    None, kept like a closure, past SOLVER_CANDIDATES_CAP members. Each
+    minimal is its own member, so past that many minimals it is None before
+    the incidence is built."""
     if len(upper.minimal_bits) > SOLVER_CANDIDATES_CAP:
-        raise _too_many_candidates()
+        return None
     return _intersection_closure(element_extents(upper))
 
 
 @lru_cache(maxsize=256)
 def _problem(upper: UpperSet) -> _CoverProblem:
-    """The cover problem of q and p-smallness, over the intersection closure."""
+    """The cover problem of q and p-smallness, over the intersection closure.
+    Refuses past SOLVER_MINIMALS_CAP, then past SOLVER_CANDIDATES_CAP."""
     min_bits = _searchable_minimals(upper)
-    return _CoverProblem(min_bits, _closure(upper))
+    closure = _closure(upper)
+    if closure is None:
+        raise SizeLimitExceeded(
+            f"exact cover search needs <= {SOLVER_CANDIDATES_CAP} candidates "
+            "(intersections of minimal elements), got more"
+        )
+    return _CoverProblem(min_bits, closure)
 
 
 def _dyadic_units(p: float, top: int) -> tuple[int, list[int]]:
@@ -290,12 +283,12 @@ class _Search:
     def __init__(self, prob: _CoverProblem, p: float):
         self.prob = prob
         self.p = p
-        self.powers = powers = [p**k for k in range(prob.max_size + 1)]
+        powers = [p**k for k in range(prob.max_size + 1)]
         self.cost = tuple(map(powers.__getitem__, prob.cand_sizes))
         self.min_cost = tuple(map(powers.__getitem__, prob.min_sizes))
         self.scale, self.units = _dyadic_units(p, prob.max_size)
-        # size groups by their ratio at the root, the smallest first
-        self.groups = sorted(prob.size_groups, key=lambda g: powers[g[0]] / g[1][0].bit_count())
+        # the counting bound's ratio: the least cost per covered minimal
+        self.ratio = min(cost / count for cost, count in zip(self.cost, prob.cand_count))
         self.order: list[list[int] | None] = [None] * len(prob.min_bits)
         self.nodes = 0
 
@@ -305,30 +298,12 @@ class _Search:
             raise SizeLimitExceeded(f"cover search exceeded node budget {NODE_BUDGET}")
 
     def lower_bound(self, uncovered: int) -> float:
-        prob, powers = self.prob, self.powers
-        u = uncovered.bit_count()
-        # candidates of one size cost the same: a size's smallest ratio is
-        # at its largest |cov & uncovered|
-        ratio = math.inf
-        for k, group in self.groups:
-            # |cov & uncovered| <= min(|cov|, u), and a smaller divisor
-            # never gives a smaller float quotient
-            if powers[k] / min(group[0].bit_count(), u) >= ratio:
-                continue
-            most = 0
-            for c in group:
-                if c.bit_count() <= most:
-                    break
-                if (got := (c & uncovered).bit_count()) > most:
-                    most = got
-                    if most == u:
-                        break
-            if most and powers[k] / most < ratio:
-                ratio = powers[k] / most
-        counting = u * ratio
+        # each cover element's cost, spread over the minimals it covers,
+        # gives each at least the ratio
+        counting = uncovered.bit_count() * self.ratio
         blocked = 0
         packing = 0.0
-        for i, mb in enumerate(prob.min_bits):
+        for i, mb in enumerate(self.prob.min_bits):
             if uncovered >> i & 1 and not (mb & blocked):
                 packing += self.min_cost[i]
                 blocked |= mb
@@ -497,7 +472,7 @@ def _largest_small(terms: tuple[tuple[int, int], ...]) -> float:
 
 def _spread_threshold(upper: UpperSet) -> ExpectationThreshold | None:
     """q with the minimals as the witness where the spread certificate
-    proves it, else None. Raises as ``_closure`` does.
+    proves it, else None, as it is past SOLVER_CANDIDATES_CAP.
 
     Let q0 be the largest float at which the cover by the minimals weighs at
     most 1/2, and p = nextafter(q0, 1). If every candidate S of the
@@ -514,6 +489,8 @@ def _spread_threshold(upper: UpperSet) -> ExpectationThreshold | None:
     the others the minimals are grouped by size, one popcount per size.
     """
     closure = _closure(upper)
+    if closure is None:
+        return None
     min_bits = upper.minimal_bits
     terms = _size_terms(map(int.bit_count, min_bits))
     q0 = _largest_small(terms)
@@ -559,12 +536,7 @@ def expectation_threshold(upper: UpperSet, tol: float = 1e-9) -> ExpectationThre
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    try:
-        certified = _spread_threshold(upper)
-    except SizeLimitExceeded:
-        # past both caps the minimals cap speaks first, as in _problem
-        _searchable_minimals(upper)
-        raise
+    certified = _spread_threshold(upper)
     if certified is not None:
         return certified
     prob = _problem(upper)

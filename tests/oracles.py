@@ -478,13 +478,13 @@ class EagerSearch:
     The decision search of ``expectation._Search`` written out plainly,
     less the node budget: each node branches on the lowest uncovered
     minimal, every branch order is sorted at construction, the counting
-    bound scans every candidate at every node, the root included, and
-    weights are summed exactly, as fractions over the common denominator
-    of the real powers of p, and compared exactly at a leaf. It reads the
-    preprocessed problem (minimal and candidate masks and coverages) and
-    nothing else, and builds its own per-minimal candidate lists from the
-    coverages, so the search can be checked against it for the same
-    answers and the same node counts.
+    bound's ratio is the least cost / |cov| over every candidate, taken
+    once at construction, and weights are summed exactly, as fractions
+    over the common denominator of the real powers of p, and compared
+    exactly at a leaf. It reads the preprocessed problem (minimal and
+    candidate masks and coverages) and nothing else, and builds its own
+    per-minimal candidate lists from the coverages, so the search can be
+    checked against it for the same answers and the same node counts.
     """
 
     def __init__(self, prob, p: float):
@@ -495,6 +495,7 @@ class EagerSearch:
         exact = [Fraction(p) ** k for k in prob.cand_sizes]
         self.scale = max((c.denominator for c in exact), default=1)
         self.units = tuple(int(c * self.scale) for c in exact)
+        self.ratio = min(self.cost[j] / c.bit_count() for j, c in enumerate(prob.cand_cov))
         self.nodes = 0
         self.branch_order = tuple(
             tuple(
@@ -510,23 +511,18 @@ class EagerSearch:
         )
 
     def lower_bound(self, uncovered: int) -> float:
-        if uncovered == 0:
-            return 0.0
-        prob, cost = self.prob, self.cost
-        u = uncovered.bit_count()
-        ratio = min(
-            cost[j] / (c & uncovered).bit_count()
-            for j, c in enumerate(prob.cand_cov)
-            if c & uncovered
-        )
-        counting = u * ratio
+        return max(uncovered.bit_count() * self.ratio, self.packing(uncovered))
+
+    def packing(self, uncovered: int) -> float:
+        """The packing bound: the costs of the uncovered minimals taken in
+        F0's order, each disjoint from those taken before it."""
         blocked = 0
         packing = 0.0
-        for i, mb in enumerate(prob.min_bits):
+        for i, mb in enumerate(self.prob.min_bits):
             if uncovered >> i & 1 and not (mb & blocked):
                 packing += self.min_cost[i]
                 blocked |= mb
-        return counting if counting > packing else packing
+        return packing
 
     def decide(self, threshold: float) -> list[int] | None:
         prob = self.prob

@@ -32,6 +32,7 @@ from upsetkit import core, expectation
 from upsetkit.core import Cover, UpperSet, canonical_key
 from upsetkit.errors import SizeLimitExceeded
 from upsetkit.expectation import (
+    NODE_BUDGET,
     SOLVER_CANDIDATES_CAP,
     SOLVER_MINIMALS_CAP,
     ExpectationThreshold,
@@ -136,8 +137,8 @@ class TestCoverProblem:
         want = minimal_closure(list(up.minimal_bits))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(expectation, "SOLVER_CANDIDATES_CAP", cap)
-            # a closure cached under the full cap would not refuse
-            expectation._closure.cache_clear()
+            # uncached: a closure kept under one cap is wrong under the other
+            mp.setattr(expectation, "_closure", expectation._closure.__wrapped__)
             if len(want) > cap:
                 with pytest.raises(SizeLimitExceeded):
                     _problem.__wrapped__(up)
@@ -213,13 +214,31 @@ class TestCoverProblem:
             _problem(co_singletons(13))
 
 
+class TightSearch(EagerSearch):
+    """``EagerSearch`` with the counting bound rescanned at every node: the
+    least cost / |cov & uncovered| over the candidates that meet the
+    uncovered minimals. It is never below the root ratio."""
+
+    def lower_bound(self, uncovered: int) -> float:
+        ratio = min(
+            self.cost[j] / (c & uncovered).bit_count()
+            for j, c in enumerate(self.prob.cand_cov)
+            if c & uncovered
+        )
+        return max(uncovered.bit_count() * ratio, self.packing(uncovered))
+
+
 class TestSearch:
     @given(upper_sets(max_ground=8, max_gens=7))
     @settings(max_examples=120, deadline=None)
     @example(graph_connectivity(4))
+    @example(make_family_instance("hamilton", 5))
+    @example(make_family_instance("star3", 5))
     def test_decide_matches_eager_search(self, up):
         # every midpoint of the q bisection, ending at p within 1e-6 of q,
-        # where the root bound no longer prunes and the tree search runs
+        # where the root bound no longer prunes and the tree search runs;
+        # the bound rescanned at every node prunes more, but no sound bound
+        # cuts the first cover, in depth-first order, that meets 1/2
         prob = _problem(up)
         lo, hi = 0.0, 1.0
         while hi - lo > 1e-6:
@@ -228,20 +247,23 @@ class TestSearch:
             found = lazy.decide(0.5)
             assert found == eager.decide(0.5)
             assert lazy.nodes == eager.nodes
+            assert found == TightSearch(prob, p).decide(0.5)
             lo, hi = (p, hi) if found is not None else (lo, p)
 
     @given(upper_sets(max_ground=8, max_gens=7), st.floats(0.05, 0.95), st.data())
     @settings(max_examples=120, deadline=None)
-    def test_counting_bound_matches_full_scan(self, up, p, data):
+    def test_counting_bound_matches_eager_search(self, up, p, data):
         prob = _problem(up)
         uncovered = data.draw(st.integers(1, prob.full))
         search = _Search(prob, p)
         for mask in (uncovered, prob.full):
             assert search.lower_bound(mask) == EagerSearch(prob, p).lower_bound(mask)
-
+            assert search.lower_bound(mask) <= TightSearch(prob, p).lower_bound(mask)
+        # at the root every coverage is whole: the root ratio is the tight one
+        assert search.lower_bound(prob.full) == TightSearch(prob, p).lower_bound(prob.full)
 
     @pytest.mark.parametrize("family,n", [("connectivity", 4), ("hamilton", 5), ("star3", 5)])
-    def test_counting_bound_matches_full_scan_deep(self, family, n):
+    def test_counting_bound_matches_eager_search_deep(self, family, n):
         # every mask the search bounds at q and where the climb ended,
         # down to single uncovered minimals
         up = make_family_instance(family, n)
@@ -257,8 +279,33 @@ class TestSearch:
             Recording(prob, p).decide(0.5)
         assert min(mask.bit_count() for _, mask in reached) == 1
         for search, mask in reached:
-            want = EagerSearch(prob, search.p).lower_bound(mask)
-            assert _Search.lower_bound(search, mask) == want
+            got = _Search.lower_bound(search, mask)
+            assert got == EagerSearch(prob, search.p).lower_bound(mask)
+            assert got <= TightSearch(prob, search.p).lower_bound(mask)
+
+    def test_dual_of_path2_5_within_budget(self, monkeypatch):
+        # the minimal transversals of path2-5's 30 minimals, by brute
+        # force: the hardest cover any check searches
+        path2 = make_family_instance("path2", 5)
+        n = path2.ground_size
+        up = UpperSet(n, [s for s in range(1 << n) if all(s & m for m in path2.minimal_bits)])
+        assert (n, len(up.minimal_bits)) == (10, 15)
+        nodes = []
+        decide = _Search.decide
+
+        def spy(self, threshold):
+            before = self.nodes
+            found = decide(self, threshold)
+            nodes.append(self.nodes - before)
+            return found
+
+        monkeypatch.setattr(_Search, "decide", spy)
+        clear_caches()
+        assert _spread_threshold(up) is None
+        res = expectation_threshold(up)
+        assert res.q == 0.6852354040346865
+        assert_witness_last_float(res)
+        assert sum(nodes) < NODE_BUDGET
 
 
 class TestMinCoverCost:
@@ -652,6 +699,17 @@ class TestSpreadCertificate:
         assert is_p_small(up, res.q)
         with pytest.raises(SizeLimitExceeded, match=r"\|F0\| <= 64, got 140"):
             is_p_small(up, math.nextafter(res.q, 1.0))
+
+    def test_a_closure_refusal_is_kept(self):
+        # hamilton-7's closure passes the candidates cap once; the second
+        # q reads the refusal from the cache
+        up = make_family_instance("hamilton", 7)
+        clear_caches()
+        for _ in range(2):
+            with pytest.raises(SizeLimitExceeded):
+                expectation_threshold(up)
+        assert expectation._closure.cache_info().misses == 1
+        assert expectation._closure(up) is None
 
     @pytest.mark.parametrize("family,n,count", [("connectivity", 5, 125), ("hamilton", 7, 360)])
     def test_refusals_keep_the_minimals_cap_message(self, family, n, count):
