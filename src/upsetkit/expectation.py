@@ -48,12 +48,11 @@ so each p^k is an integer number of units of 1/d^top
 carries its weight as an int. A leaf compares that int with the
 threshold in integers. The bounds stay float and prune only past the
 threshold by a slack far above their rounding error. The p-independent
-tables (candidate sizes and coverage counts) are built once per problem,
-and the candidates under a minimal the first time any search branches on
-it, so a decide that the root bound settles builds none of them. A
-search builds only its costs, from one table of powers of p, and the
-counting bound's ratio r, the least cost_j / |cov_j| over all the
-candidates, once. A node bounds by |uncovered| * r: any completion that
+tables (candidate sizes, coverage counts and the candidates under each
+minimal) are built once per problem. A search builds its costs from one
+table of powers of p, the counting bound's ratio r (the least
+cost_j / |cov_j| over all the candidates) and every minimal's branch
+order, each once. A node bounds by |uncovered| * r: any completion that
 covers the uncovered minimals U pays
 sum cost_j >= r * sum |cov_j| >= r * |U|. At the root every coverage is
 whole, so there r is the tightest such ratio. Below it a candidate may
@@ -63,8 +62,8 @@ decide returns the first cover, in its fixed depth-first order, that
 meets the threshold, and any sound bound (as the memo) cuts only
 subtrees that hold no such cover. A node branches on the lowest
 uncovered minimal (by its index in F0) and tries its candidates by
-cost/|cov|, then in canonical order, an order each search sorts once per
-minimal.
+cost/|cov|, then in canonical order, an order each search sorts for every
+minimal when it is built.
 
 The minimum cost (``optimize``) is a descent over decide: from the greedy
 cover, each decide asks for a cover cheaper by twice the prune slack, and
@@ -156,8 +155,8 @@ def candidate_cover_elements(
 
 class _CoverProblem:
     """Preprocessed search data for minimal elements and cover candidates
-    (p-independent). The candidates under each minimal are built the first
-    time a search branches on it (``under``)."""
+    (p-independent), with the candidates under each minimal (``per_min``)
+    built once per problem."""
 
     __slots__ = ("min_bits", "min_sizes", "max_size", "cand_bits", "cand_sizes", "cand_cov",
                  "cand_count", "per_min", "full")
@@ -177,16 +176,9 @@ class _CoverProblem:
         self.full = (1 << m) - 1
         self.cand_cov = cand_cov = tuple(map(cov_of.__getitem__, self.cand_bits))
         self.cand_count = tuple(map(int.bit_count, cand_cov))
-        self.per_min: list[tuple[int, ...] | None] = [None] * m
-
-    def under(self, i: int) -> tuple[int, ...]:
-        """The candidates under minimal i, ascending."""
-        got = self.per_min[i]
-        if got is None:
-            got = self.per_min[i] = tuple(
-                compress(range(len(self.cand_cov)), map((1 << i).__and__, self.cand_cov))
-            )
-        return got
+        # the candidates under each minimal, ascending
+        self.per_min = tuple(tuple(compress(range(len(cand_cov)), map((1 << i).__and__, cand_cov)))
+                             for i in range(m))
 
 
 def _intersection_closure(incidence: Iterable[int]) -> dict[int, int] | None:
@@ -275,9 +267,10 @@ def _dyadic_units(p: float, top: int) -> tuple[int, list[int]]:
 class _Search:
     """One branch-and-bound run at a fixed p.
 
-    It builds the candidates' costs and reads everything else from the
-    problem. ``units[k]`` holds the real power p^k exactly, as an integer
-    multiple of 1 / ``scale`` (``_dyadic_units``).
+    It builds the candidates' costs and every minimal's branch order
+    (``order``), and reads everything else from the problem. ``units[k]``
+    holds the real power p^k exactly, as an integer multiple of
+    1 / ``scale`` (``_dyadic_units``).
     """
 
     def __init__(self, prob: _CoverProblem, p: float):
@@ -287,9 +280,13 @@ class _Search:
         self.cost = tuple(map(powers.__getitem__, prob.cand_sizes))
         self.min_cost = tuple(map(powers.__getitem__, prob.min_sizes))
         self.scale, self.units = _dyadic_units(p, prob.max_size)
+        rank = [cost / count for cost, count in zip(self.cost, prob.cand_count)]
         # the counting bound's ratio: the least cost per covered minimal
-        self.ratio = min(cost / count for cost, count in zip(self.cost, prob.cand_count))
-        self.order: list[list[int] | None] = [None] * len(prob.min_bits)
+        self.ratio = min(rank)
+        # each minimal's branch order: by cost per covered minimal (full
+        # coverage, a coarse stand-in for new coverage), then canonical, as
+        # per_min is ascending and the sort stable
+        self.order = [sorted(under, key=rank.__getitem__) for under in prob.per_min]
         self.nodes = 0
 
     def _tick(self):
@@ -329,9 +326,9 @@ class _Search:
     def decide(self, threshold: float) -> list[int] | None:
         """A cover with cost <= threshold, or None if none exists. Exact: a
         leaf compares the cover's real weight with the threshold in integers."""
-        prob, units, scale, cost = self.prob, self.units, self.scale, self.cost
+        prob, units, scale = self.prob, self.units, self.scale
         num, den = threshold.as_integer_ratio()
-        sizes, count, orders = prob.cand_sizes, prob.cand_count, self.order
+        sizes, orders = prob.cand_sizes, self.order
         seen: dict[int, int] = {}
 
         def dfs(uncovered: int, acc: int) -> list[int] | None:
@@ -344,13 +341,8 @@ class _Search:
             seen[uncovered] = acc
             if acc / scale + self.lower_bound(uncovered) > threshold + _PRUNE_SLACK:
                 return None
-            bi = (uncovered & -uncovered).bit_length() - 1
-            order = orders[bi]
-            if order is None:
-                # by cost per covered minimal (full coverage, a coarse
-                # stand-in for new coverage), then canonical; once per search
-                order = orders[bi] = sorted(prob.under(bi), key=lambda j: (cost[j] / count[j], j))
-            for j in order:
+            # branch on the lowest uncovered minimal
+            for j in orders[(uncovered & -uncovered).bit_length() - 1]:
                 rest = dfs(uncovered & ~prob.cand_cov[j], acc + units[sizes[j]])
                 if rest is not None:
                     return [j] + rest

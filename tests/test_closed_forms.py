@@ -4,15 +4,18 @@ up to 30 elements.
 Past 20 elements inclusion-exclusion and the dimension's cover search have
 no other independent check. A value is either answered and equal to its
 closed form, or refused with SizeLimitExceeded; which values are answered
-is pinned, so a loss of reach fails here too.
+is pinned, so a loss of reach fails here too. One closed form on 4
+elements pins a q that the cover search answers and the spread certificate
+does not.
 """
 
 import math
+from fractions import Fraction
 
 from oracles import cnf, tribes
-from upsetkit.core import UpperSet
+from upsetkit.core import Cover, UpperSet
 from upsetkit.errors import SizeLimitExceeded
-from upsetkit.expectation import SOLVER_CANDIDATES_CAP, expectation_threshold
+from upsetkit.expectation import SOLVER_CANDIDATES_CAP, _spread_threshold, expectation_threshold
 from upsetkit.measure import auto_exact_method, critical_probability
 from upsetkit.structure import covering_dimension
 
@@ -66,3 +69,20 @@ def test_cnf():
 
     every, answered = _check(cnf)
     assert answered == {key for key in every if reach(*key)}
+
+
+def test_smallest_search_answered_q():
+    # F0 = {013, 023, 123}: the smallest instance with q below q_f, where the
+    # spread certificate fails and the search answers. At q the cover
+    # {03, 123} weighs p^2 + p^3 = 1/2, and the minimals weigh 3 p^3 > 1/2
+    up = UpperSet(4, [0b1011, 0b1101, 0b1110])
+    assert _spread_threshold(up) is None
+    res = expectation_threshold(up)
+    assert res.q == 0.5651977173836393
+    assert res.witness_cover == Cover.from_masks(4, [0b1001, 0b1110])
+
+    def weight(p):
+        return Fraction(p) ** 2 + Fraction(p) ** 3
+
+    # the largest float at which that weight is at most 1/2
+    assert weight(res.q) <= Fraction(1, 2) < weight(math.nextafter(res.q, 1.0))

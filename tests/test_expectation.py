@@ -28,7 +28,8 @@ from upsetkit import (
     is_p_small,
     min_cover_cost,
 )
-from upsetkit import core, expectation
+from upsetkit import core, expectation, structure
+from upsetkit.bounds import BoundVariant, verify_instance
 from upsetkit.core import Cover, UpperSet, canonical_key
 from upsetkit.errors import SizeLimitExceeded
 from upsetkit.expectation import (
@@ -193,11 +194,14 @@ class TestCoverProblem:
     @with_graph_examples
     def test_per_minimal_lists_match_definition(self, up):
         prob = _problem(up)
-        for i, m in enumerate(prob.min_bits):
-            want = [j for j, s in enumerate(prob.cand_bits) if s & m == s]
-            assert list(prob.under(i)) == want
-            # built once, then reused
-            assert prob.under(i) is prob.under(i)
+        for p in (0.3, 0.7):
+            search = _Search(prob, p)
+            for i, m in enumerate(prob.min_bits):
+                want = [j for j, s in enumerate(prob.cand_bits) if s & m == s]
+                assert list(prob.per_min[i]) == want
+                # the same candidates, by cost per covered minimal, then index
+                key = lambda j: (p ** prob.cand_sizes[j] / prob.cand_cov[j].bit_count(), j)
+                assert search.order[i] == sorted(want, key=key)
 
     def test_principal_k20_is_exact(self):
         # 2^20 subsets of the generator, but a one-element closure
@@ -283,6 +287,21 @@ class TestSearch:
             assert got == EagerSearch(prob, search.p).lower_bound(mask)
             assert got <= TightSearch(prob, search.p).lower_bound(mask)
 
+    def test_block_problems_match_eager_search(self):
+        # the dimension's problems at p = 1, where every candidate costs 1:
+        # a decide for every cover size, from one block up to all of them
+        instances = [up for _, up in builtin_battery()] + [
+            make_family_instance(family, n)
+            for family, n in (("triangle", 7), ("triangle", 8), ("hamilton", 6),
+                              ("star3", 6), ("path2", 6))
+        ]
+        for up in instances:
+            prob = structure._block_problem(up)
+            for k in range(1, len(prob.cand_bits) + 1):
+                lazy, eager = _Search(prob, 1.0), EagerSearch(prob, 1.0)
+                assert lazy.decide(k - 0.5) == eager.decide(k - 0.5)
+                assert lazy.nodes == eager.nodes
+
     def test_dual_of_path2_5_within_budget(self, monkeypatch):
         # the minimal transversals of path2-5's 30 minimals, by brute
         # force: the hardest cover any check searches
@@ -306,6 +325,44 @@ class TestSearch:
         assert res.q == 0.6852354040346865
         assert_witness_last_float(res)
         assert sum(nodes) < NODE_BUDGET
+
+
+class TestNodeBudget:
+    """Past NODE_BUDGET nodes a search refuses. Lowered to 20, the budget
+    refuses connectivity-4's q (170 nodes) and triangle-7's dimension (166),
+    and a report keeps every value that needs no search."""
+
+    REFUSAL = "cover search exceeded node budget 20"
+
+    @pytest.fixture(autouse=True)
+    def budget(self, monkeypatch):
+        monkeypatch.setattr(expectation, "NODE_BUDGET", 20)
+
+    def test_q_refused(self):
+        with pytest.raises(SizeLimitExceeded) as exc:
+            expectation_threshold(graph_connectivity(4))
+        assert str(exc.value) == self.REFUSAL
+
+    def test_report_without_q(self):
+        report = verify_instance(graph_connectivity(4), BoundVariant(8.0))
+        assert report.q is None and report.threshold is None
+        assert report.absent == self.REFUSAL
+        assert report.p_c == pytest.approx(0.4511097520993799, abs=1e-12)
+        assert report.dim_unrestricted == 3
+
+    def test_dimension_refused(self):
+        up = make_family_instance("triangle", 7)
+        with pytest.raises(SizeLimitExceeded) as exc:
+            structure.covering_dimension(up)
+        assert str(exc.value) == self.REFUSAL
+        report = verify_instance(up, BoundVariant(8.0))
+        # q from the spread certificate, with no search
+        assert report.q == pytest.approx(0.24264275032025864, abs=1e-12)
+        assert report.dim_unrestricted is None and report.dimension is None
+        # no dimension check, only the one on the minimals' intersection
+        assert [c.name for c in report.inequality_checks] == [
+            "nonempty_intersection_forces_bound_ge_1"
+        ]
 
 
 class TestMinCoverCost:
